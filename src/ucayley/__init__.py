@@ -4,8 +4,8 @@ independent-set enumeration, and combinatorial Cohen-Macaulay checks."""
 from .complexes import (Complex, codim1_connected, export_stanley_reisner,
                         find_shelling, independence_complex, is_pure,
                         is_shelling_order, minimal_nonfaces, pure_skeleton)
-from .constructions import (ReducedDiagonalSpec, avoidance_partner, d_family,
-                            product_witness, reduced_diagonal, row_mix)
+from .constructions import (avoidance_partner, d_family, product_witness,
+                            reduced_diagonal, row_mix)
 from .graphs import UGraph, build_graph, conjunction_product, export_dot, graph_json
 from .indsets import (Budget, BudgetExceededError, WellCoveredReport,
                       enumerate_maximal_independent, greedy_extend,

@@ -19,8 +19,7 @@ from .indsets import Budget, BudgetExceededError, independence_number, is_well_c
 from .rings import (DEFAULT_RING_CAP, GFRing, RingError,
                     jacobson_radical, make_ring, parse_spec, ring_metadata)
 from .graphs import DEFAULT_GRAPH_CAP
-from .structure import (classify_cm, classify_gorenstein, classify_well_covered,
-                        verdict_json)
+from .structure import classify_cm, classify_gorenstein, classify_well_covered
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -48,11 +47,14 @@ def _emit(args, payload, text):
 def _budget(args):
     nodes = args.budget_nodes
     seconds = args.budget_seconds
-    if nodes is None and "UCAYLEY_BUDGET_NODES" in os.environ:
-        nodes = int(os.environ["UCAYLEY_BUDGET_NODES"])
-    if seconds is None and "UCAYLEY_BUDGET_SECONDS" in os.environ:
-        seconds = float(os.environ["UCAYLEY_BUDGET_SECONDS"])
-    return Budget(max_nodes=nodes, max_seconds=seconds)
+    try:
+        if nodes is None and "UCAYLEY_BUDGET_NODES" in os.environ:
+            nodes = int(os.environ["UCAYLEY_BUDGET_NODES"])
+        if seconds is None and "UCAYLEY_BUDGET_SECONDS" in os.environ:
+            seconds = float(os.environ["UCAYLEY_BUDGET_SECONDS"])
+        return Budget(max_nodes=nodes, max_seconds=seconds)
+    except ValueError as exc:
+        raise CliError("bad budget: %s" % exc) from None
 
 
 def _ring_for(args):
@@ -64,16 +66,14 @@ def _graph_for(args):
     return build_graph(_ring_for(args), cap=args.max_graph_vertices)
 
 
-def _add_common(sub, ring=True):
+def _add_common(sub, ring=True, formats=("text", "json")):
     if ring:
         sub.add_argument("--ring", required=True, help="ring spec, e.g. 'M(2,GF(3))'")
-    sub.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--max-ring-order", type=int, default=DEFAULT_RING_CAP)
     sub.add_argument("--max-graph-vertices", type=int, default=DEFAULT_GRAPH_CAP)
     sub.add_argument("--budget-nodes", type=int, default=None)
     sub.add_argument("--budget-seconds", type=float, default=None)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; enumeration runs single-threaded")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -124,7 +124,8 @@ def cmd_classify(args):
     fn = {"wellcovered": classify_well_covered, "cm": classify_cm,
           "gorenstein": classify_gorenstein}[args.question]
     verdict = fn(spec)
-    payload = verdict_json(spec, args.question, verdict)
+    payload = {"ring": str(spec), "question": args.question}
+    payload.update(verdict.to_json())
     _emit(args, payload, "%s: %s (clause: %s)" % (args.question,
           "yes" if verdict.answer else "no", verdict.clause))
     return EXIT_OK
@@ -192,6 +193,13 @@ def _fmt_matrix(entries, n):
 
 
 def cmd_construct(args):
+    try:
+        return _construct(args)
+    except ValueError as exc:  # a non-integer entry, or parameters a construction rejects
+        raise CliError(str(exc)) from None
+
+
+def _construct(args):
     field = GFRing(args.q)
     n = args.n
     if args.kind == "dfamily":
@@ -256,15 +264,15 @@ def build_parser():
                                  "construction, classification, enumeration")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_ring in (
-        ("ring", cmd_ring, True),
-        ("graph", cmd_graph, True),
-        ("alpha", cmd_alpha, True),
-        ("wellcovered", cmd_wellcovered, True),
-        ("radical", cmd_radical, True),
+    for name, fn, formats in (
+        ("ring", cmd_ring, ("text", "json")),
+        ("graph", cmd_graph, ("text", "json", "dot")),
+        ("alpha", cmd_alpha, ("text", "json")),
+        ("wellcovered", cmd_wellcovered, ("text", "json")),
+        ("radical", cmd_radical, ("text", "json")),
     ):
         sub = subs.add_parser(name)
-        _add_common(sub, ring=needs_ring)
+        _add_common(sub, formats=formats)
         sub.set_defaults(fn=fn)
 
     sub = subs.add_parser("classify")
@@ -309,13 +317,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise CliError("--threads must be >= 1")
         return args.fn(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_ERROR
-    except RingError as exc:
+    except (CliError, RingError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,14 +16,6 @@ from .indsets import greedy_extend
 from .rings import MatRing, ProdRing, det_entries
 
 
-@dataclass(frozen=True)
-class ReducedDiagonalSpec:
-    n: int
-    k: int  # diagonal shift, 1..n
-    l: int  # zeroed row, 1..n
-    coeffs: tuple  # a_1..a_{n-1}, base-field element indices
-
-
 def reduced_diagonal(n, k, l, coeffs, field):
     """The matrix D_{k,l}(a_1,...,a_{n-1}) as a row-major entries tuple.
 
@@ -45,10 +37,6 @@ def reduced_diagonal(n, k, l, coeffs, field):
         sub = (i - l) % n  # in 1..n-1 since i != l
         entries[(i - 1) * n + (j - 1)] = coeffs[sub - 1]
     return tuple(entries)
-
-
-def realize(spec, field):
-    return reduced_diagonal(spec.n, spec.k, spec.l, spec.coeffs, field)
 
 
 def d_family(n, field):

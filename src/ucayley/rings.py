@@ -2,8 +2,9 @@
 
 Every ring hands out elements as integer indices 0..order-1, with index 0
 the additive zero.  Structured rings (Z(m), GF(q), square/triangular matrix
-rings, products) use a mixed-radix positional encoding of the structured
-element; quotient rings are table-backed.
+rings, products) index an element by the big-endian mixed-radix value of its
+digit vector, and one digit-wise add/neg serves them all; quotient rings are
+table-backed.
 """
 from __future__ import annotations
 
@@ -274,25 +275,72 @@ def parse_spec(text):
 # ---------------------------------------------------------------------------
 # rings
 
+def split_digits(a, radices):
+    """The big-endian mixed-radix digits of a: the last radix is least significant."""
+    digits = [0] * len(radices)
+    for i in range(len(radices) - 1, -1, -1):
+        a, digits[i] = divmod(a, radices[i])
+    return tuple(digits)
+
+
+def join_digits(digits, radices):
+    """Inverse of split_digits; raises RingError on a digit out of range."""
+    out = 0
+    for x, d in zip(digits, radices):
+        if not (isinstance(x, int) and 0 <= x < d):
+            raise RingError("digit %r out of range for radix %d" % (x, d))
+        out = out * d + x
+    return out
+
+
 class Ring:
-    """A finite ring with indexed elements.  Index 0 is the additive zero."""
+    """A finite ring with indexed elements.  Index 0 is the additive zero.
+
+    A structured ring's additive group is Z_{d_0} x ... x Z_{d_{L-1}} for its
+    big-endian `radices` (d_0, .., d_{L-1}): an element index is the
+    mixed-radix number of its digit vector, digit i has index weight
+    `strides[i]`, and addition is digit-wise.  Table rings have radices None.
+    """
 
     spec = None
     order = 0
     one = 0
+    radices = strides = None
 
-    def __init__(self):
+    def __init__(self, radices=None):
         self._unit_cache = {}
+        if radices is not None:
+            self.radices = tuple(radices)
+            self.order = math.prod(self.radices)
+            self.strides = tuple(math.prod(self.radices[i + 1:])
+                                 for i in range(len(self.radices)))
 
     def check_index(self, a):
         if not (isinstance(a, int) and 0 <= a < self.order):
             raise RingError("element index %r out of range for %s" % (a, self))
 
     def add(self, a, b):
-        raise NotImplementedError
+        # One inline check of both indices, and the one-digit case first: this
+        # is the determinant's hot path over Z(p) and GF(p).
+        order = self.order
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
+            self.check_index(a)
+            self.check_index(b)
+        if len(self.radices) == 1:
+            return (a + b) % order
+        out = 0  # a loop, not a generator: a closure over a and b slows the path above
+        for s, d in zip(self.strides, self.radices):
+            out += (a // s + b // s) % d * s
+        return out
 
     def neg(self, a):
-        raise NotImplementedError
+        self.check_index(a)
+        if len(self.radices) == 1:
+            return -a % self.order
+        out = 0
+        for s, d in zip(self.strides, self.radices):
+            out += -(a // s) % d * s
+        return out
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -325,20 +373,10 @@ class Ring:
 
 class ZmRing(Ring):
     def __init__(self, m):
-        super().__init__()
+        super().__init__((m,))
         self.spec = Z(m)
         self.m = m
-        self.order = m
         self.one = 1 % m
-
-    def add(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        return (a + b) % self.m
-
-    def neg(self, a):
-        self.check_index(a)
-        return (-a) % self.m
 
     def mul(self, a, b):
         self.check_index(a)
@@ -367,11 +405,7 @@ def _is_irreducible(poly, p):
     k = len(poly) - 1
     for d in range(1, k // 2 + 1):
         for v in range(p ** d):
-            den, vv = [], v
-            for _ in range(d):
-                vv, r = divmod(vv, p)
-                den.append(r)
-            den.append(1)
+            den = list(split_digits(v, (p,) * d)[::-1]) + [1]
             if not any(_poly_rem(poly, den, p)):
                 return False
     return True
@@ -384,11 +418,7 @@ def smallest_irreducible(p, k):
     sum(c_i * p**i); the first irreducible one is returned (c0-first list).
     """
     for v in range(p ** k):
-        coeffs, vv = [], v
-        for _ in range(k):
-            vv, r = divmod(vv, p)
-            coeffs.append(r)
-        coeffs.append(1)
+        coeffs = list(split_digits(v, (p,) * k)[::-1]) + [1]
         if _is_irreducible(coeffs, p):
             return coeffs
     raise RingError("no irreducible polynomial found (impossible)")
@@ -398,46 +428,20 @@ class GFRing(Ring):
     """GF(p^k) as Z_p[x] modulo a fixed irreducible polynomial.
 
     Element index = sum(c_i * p**i) over the coefficient vector (c_0, ..,
-    c_{k-1}); for k = 1 this is plain Z_p.
+    c_{k-1}), so the big-endian digits are c_{k-1}, .., c_0 with radix p;
+    for k = 1 this is plain Z_p.
     """
 
     def __init__(self, q):
-        super().__init__()
         pk = prime_power(q)
         if pk is None:
             raise SpecConstraintError("GF(q) requires a prime power, %d is not one" % q)
-        self.spec = GF(q)
         self.p, self.k = pk
+        super().__init__((self.p,) * self.k)
+        self.spec = GF(q)
         self.q = q
-        self.order = q
         self.one = 1
         self.modulus = smallest_irreducible(self.p, self.k) if self.k > 1 else None
-
-    def _coeffs(self, a):
-        out = []
-        for _ in range(self.k):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return out
-
-    def _index(self, coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.p + (c % self.p)
-        return out
-
-    def add(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        if self.k == 1:
-            return (a + b) % self.p
-        return self._index([x + y for x, y in zip(self._coeffs(a), self._coeffs(b))])
-
-    def neg(self, a):
-        self.check_index(a)
-        if self.k == 1:
-            return (-a) % self.p
-        return self._index([-x for x in self._coeffs(a)])
 
     def mul(self, a, b):
         self.check_index(a)
@@ -445,7 +449,7 @@ class GFRing(Ring):
         p, k = self.p, self.k
         if k == 1:
             return (a * b) % p
-        ca, cb = self._coeffs(a), self._coeffs(b)
+        ca, cb = split_digits(a, self.radices)[::-1], split_digits(b, self.radices)[::-1]
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(ca):
             if x:
@@ -457,7 +461,7 @@ class GFRing(Ring):
                 prod[i] = 0
                 for j in range(k):
                     prod[i - k + j] = (prod[i - k + j] - c * self.modulus[j]) % p
-        return self._index(prod[:k])
+        return join_digits(prod[k - 1::-1], self.radices)
 
     def _unit(self, a):
         return a != 0
@@ -485,53 +489,42 @@ def det_entries(rows, base):
     return acc
 
 
-class MatRing(Ring):
-    """M(n, base) for a commutative base ring.
+class _EntryRing(Ring):
+    """A ring whose elements are tuples of `size` base-ring entries.
 
-    Elements are row-major tuples of n*n base indices; the index is the
-    big-endian mixed-radix value of that tuple (entry (0,0) most significant).
+    The index is the big-endian mixed-radix value of the entry tuple (entry 0
+    most significant), so the radices are the base's, once per entry.
     """
 
-    def __init__(self, n, base):
-        super().__init__()
-        self.n = n
+    def __init__(self, base, size):
+        super().__init__(base.radices * size)
         self.base = base
+        self._entry_radices = (base.order,) * size
+
+    def decode_entries(self, a):
+        self.check_index(a)
+        return split_digits(a, self._entry_radices)
+
+    def encode_entries(self, entries):
+        return join_digits(entries, self._entry_radices)
+
+
+class MatRing(_EntryRing):
+    """M(n, base) for a commutative base ring; entries are row-major."""
+
+    def __init__(self, n, base):
+        super().__init__(base, n * n)
+        self.n = n
         self.spec = M(n, base.spec)
-        self.order = base.order ** (n * n)
         ident = [0] * (n * n)
         for i in range(n):
             ident[i * n + i] = base.one
         self.one = self.encode_entries(tuple(ident))
 
-    def decode_entries(self, a):
-        self.check_index(a)
-        bo = self.base.order
-        digs = []
-        for _ in range(self.n * self.n):
-            a, r = divmod(a, bo)
-            digs.append(r)
-        return tuple(reversed(digs))
-
-    def encode_entries(self, entries):
-        bo = self.base.order
-        out = 0
-        for e in entries:
-            if not 0 <= e < bo:
-                raise RingError("entry %r out of range for base %s" % (e, self.base))
-            out = out * bo + e
-        return out
-
     def rows(self, a):
         e = self.decode_entries(a)
         n = self.n
         return tuple(e[i * n:(i + 1) * n] for i in range(n))
-
-    def add(self, a, b):
-        ea, eb = self.decode_entries(a), self.decode_entries(b)
-        return self.encode_entries(tuple(self.base.add(x, y) for x, y in zip(ea, eb)))
-
-    def neg(self, a):
-        return self.encode_entries(tuple(self.base.neg(x) for x in self.decode_entries(a)))
 
     def mul(self, a, b):
         n, base = self.n, self.base
@@ -555,44 +548,17 @@ class MatRing(Ring):
         return ";".join(",".join(str(x) for x in row) for row in self.rows(a))
 
 
-class TriRing(Ring):
+class TriRing(_EntryRing):
     """T(n, F): upper triangular n x n matrices over a field."""
 
     def __init__(self, n, base):
-        super().__init__()
-        self.n = n
-        self.base = base
-        self.spec = T(n, base.spec)
         self.positions = [(i, j) for i in range(n) for j in range(i, n)]
         self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
-        self.order = base.order ** len(self.positions)
+        super().__init__(base, len(self.positions))
+        self.n = n
+        self.spec = T(n, base.spec)
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
         self.one = self.encode_entries(ident)
-
-    def decode_entries(self, a):
-        self.check_index(a)
-        bo = self.base.order
-        digs = []
-        for _ in range(len(self.positions)):
-            a, r = divmod(a, bo)
-            digs.append(r)
-        return tuple(reversed(digs))
-
-    def encode_entries(self, entries):
-        bo = self.base.order
-        out = 0
-        for e in entries:
-            if not 0 <= e < bo:
-                raise RingError("entry %r out of range for base %s" % (e, self.base))
-            out = out * bo + e
-        return out
-
-    def add(self, a, b):
-        ea, eb = self.decode_entries(a), self.decode_entries(b)
-        return self.encode_entries(tuple(self.base.add(x, y) for x, y in zip(ea, eb)))
-
-    def neg(self, a):
-        return self.encode_entries(tuple(self.base.neg(x) for x in self.decode_entries(a)))
 
     def mul(self, a, b):
         base = self.base
@@ -622,36 +588,18 @@ class ProdRing(Ring):
     """Direct product of rings; big-endian mixed-radix element encoding."""
 
     def __init__(self, factors):
-        super().__init__()
         self.factors = list(factors)
+        super().__init__(tuple(d for f in self.factors for d in f.radices))
         self.spec = Prod(tuple(f.spec for f in self.factors))
-        self.order = 1
-        for f in self.factors:
-            self.order *= f.order
+        self._factor_orders = tuple(f.order for f in self.factors)
         self.one = self.encode_components(tuple(f.one for f in self.factors))
 
     def decode_components(self, a):
         self.check_index(a)
-        comps = []
-        for f in reversed(self.factors):
-            a, r = divmod(a, f.order)
-            comps.append(r)
-        return tuple(reversed(comps))
+        return split_digits(a, self._factor_orders)
 
     def encode_components(self, comps):
-        out = 0
-        for f, c in zip(self.factors, comps):
-            f.check_index(c)
-            out = out * f.order + c
-        return out
-
-    def add(self, a, b):
-        ca, cb = self.decode_components(a), self.decode_components(b)
-        return self.encode_components(tuple(f.add(x, y) for f, x, y in zip(self.factors, ca, cb)))
-
-    def neg(self, a):
-        ca = self.decode_components(a)
-        return self.encode_components(tuple(f.neg(x) for f, x in zip(self.factors, ca)))
+        return join_digits(comps, self._factor_orders)
 
     def mul(self, a, b):
         ca, cb = self.decode_components(a), self.decode_components(b)
@@ -663,51 +611,6 @@ class ProdRing(Ring):
     def element_repr(self, a):
         comps = self.decode_components(a)
         return "(" + "|".join(f.element_repr(x) for f, x in zip(self.factors, comps)) + ")"
-
-
-class TableRing(Ring):
-    """Ring given by explicit addition/multiplication tables (quotients)."""
-
-    def __init__(self, add_table, mul_table, one, labels=None, spec=None):
-        super().__init__()
-        self.order = len(add_table)
-        self._add = add_table
-        self._mul = mul_table
-        self.one = one
-        self.labels = labels
-        self.spec = spec
-
-    def add(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        return self._add[a][b]
-
-    def neg(self, a):
-        self.check_index(a)
-        row = self._add[a]
-        for b in range(self.order):
-            if row[b] == 0:
-                return b
-        raise RingError("no additive inverse; not a ring table")
-
-    def mul(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        return self._mul[a][b]
-
-    def _unit(self, a):
-        for b in range(self.order):
-            if self._mul[a][b] == self.one and self._mul[b][a] == self.one:
-                return True
-        return False
-
-    def element_repr(self, a):
-        if self.labels is not None:
-            return self.labels[a]
-        return str(a)
-
-    def __str__(self):
-        return str(self.spec) if self.spec is not None else "table ring of order %d" % self.order
 
 
 def make_ring(spec, cap=DEFAULT_RING_CAP):
@@ -785,10 +688,14 @@ def is_two_sided_ideal(ring, elems):
     return True
 
 
-class QuotientRing(TableRing):
-    """R/I on minimal coset representatives, with the projection map exposed."""
+class QuotientRing(Ring):
+    """R/I on minimal coset representatives, with the projection map exposed.
+
+    The quotient has no digit structure: its arithmetic is table lookup.
+    """
 
     def __init__(self, ring, ideal):
+        super().__init__()
         ideal = tuple(sorted(set(ideal)))
         if not is_two_sided_ideal(ring, ideal):
             raise RingError("the given set is not a two-sided ideal of %s" % ring)
@@ -804,13 +711,38 @@ class QuotientRing(TableRing):
         index_of = {r: i for i, r in enumerate(reps)}
         proj = [index_of[rep_of[x]] for x in range(ring.order)]
         t = len(reps)
-        add_table = [[proj[ring.add(reps[i], reps[j])] for j in range(t)] for i in range(t)]
-        mul_table = [[proj[ring.mul(reps[i], reps[j])] for j in range(t)] for i in range(t)]
-        labels = [ring.element_repr(r) + "+J" for r in reps]
-        super().__init__(add_table, mul_table, proj[ring.one], labels=labels)
+        self.order = t
+        self._add = [[proj[ring.add(reps[i], reps[j])] for j in range(t)] for i in range(t)]
+        self._mul = [[proj[ring.mul(reps[i], reps[j])] for j in range(t)] for i in range(t)]
+        self.one = proj[ring.one]
+        self.labels = [ring.element_repr(r) + "+J" for r in reps]
         self.source = ring
         self.reps = reps
         self.projection = proj
+
+    def add(self, a, b):
+        self.check_index(a)
+        self.check_index(b)
+        return self._add[a][b]
+
+    def neg(self, a):
+        self.check_index(a)
+        return self._add[a].index(0)
+
+    def mul(self, a, b):
+        self.check_index(a)
+        self.check_index(b)
+        return self._mul[a][b]
+
+    def _unit(self, a):
+        return any(self._mul[a][b] == self.one and self._mul[b][a] == self.one
+                   for b in range(self.order))
+
+    def element_repr(self, a):
+        return self.labels[a]
+
+    def __str__(self):
+        return "table ring of order %d" % self.order
 
     def project(self, a):
         self.source.check_index(a)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import GF, M, Prod, T, Z, factorize, squarefree_part, validate_spec
+from .rings import (GF, M, Prod, T, Z, factorize, parse_spec, squarefree_part,
+                    validate_spec)
 
 CLAUSE_FIELD = "R/J(R) is a field F"
 CLAUSE_FXF = "R/J(R) is F x F for a finite field F"
@@ -75,12 +76,16 @@ def radical_is_zero(spec):
     raise AssertionError("unreachable")
 
 
+def _spec_and_factors(spec):
+    """The spec (parsed if given as a string) and its R/J(R) factor multiset."""
+    if isinstance(spec, str):
+        spec = parse_spec(spec)
+    return spec, semisimple_quotient(spec)
+
+
 def classify_well_covered(spec):
     """Is the unitary Cayley graph of R well-covered?  Decided by theorem."""
-    if isinstance(spec, str):
-        from .rings import parse_spec
-        spec = parse_spec(spec)
-    fl = semisimple_quotient(spec)
+    spec, fl = _spec_and_factors(spec)
     if len(fl) == 1 and fl[0][0] == 1:
         return Verdict(True, CLAUSE_FIELD, fl)
     if len(fl) == 2 and fl[0][0] == fl[1][0] == 1 and fl[0][1] == fl[1][1]:
@@ -107,10 +112,7 @@ def _refutation_hint(fl):
 
 def classify_cm(spec):
     """Is the unitary Cayley graph of R Cohen-Macaulay?  Decided by theorem."""
-    if isinstance(spec, str):
-        from .rings import parse_spec
-        spec = parse_spec(spec)
-    fl = semisimple_quotient(spec)
+    spec, fl = _spec_and_factors(spec)
     if not radical_is_zero(spec):
         return Verdict(False, CLAUSE_J_NONZERO, fl,
                        witness_hint="top pure skeleton disconnected in codimension 1")
@@ -123,22 +125,9 @@ def classify_cm(spec):
 
 def classify_gorenstein(spec):
     """Is the unitary Cayley graph of R Gorenstein?  Yes exactly for Z_2^k."""
-    if isinstance(spec, str):
-        from .rings import parse_spec
-        spec = parse_spec(spec)
-    fl = semisimple_quotient(spec)
+    spec, fl = _spec_and_factors(spec)
     if radical_is_zero(spec) and all(f == (1, 2) for f in fl):
         return Verdict(True, CLAUSE_Z2K, fl)
     if not radical_is_zero(spec):
         return Verdict(False, CLAUSE_J_NONZERO, fl)
     return Verdict(False, "R is not isomorphic to Z_2^k", fl)
-
-
-def verdict_json(spec, question, verdict):
-    return {
-        "ring": str(spec),
-        "question": question,
-        "answer": "yes" if verdict.answer else "no",
-        "clause": verdict.clause,
-        "factors": [list(f) for f in verdict.factors],
-    }

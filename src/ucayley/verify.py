@@ -15,7 +15,8 @@ from .complexes import (SHELLING_FOUND, codim1_connected, find_shelling,
 from .graphs import build_graph, conjunction_product
 from .indsets import (enumerate_maximal_independent, greedy_extend,
                       independence_number, is_well_covered, radical_saturate)
-from .rings import (GFRing, det_entries, jacobson_radical,
+# det_entries is not called here; bench/spans.py times it in this namespace
+from .rings import (GFRing, det_entries, jacobson_radical,  # noqa: F401
                     jacobson_radical_bruteforce, make_ring, quotient_ring)
 from .structure import classify_gorenstein, classify_well_covered
 
@@ -81,11 +82,6 @@ def _need(cond, msg):
         raise CheckFailure(msg)
 
 
-def _singular(diff, n, field):
-    rows = tuple(tuple(diff[i * n + j] for j in range(n)) for i in range(n))
-    return not field.is_unit(det_entries(rows, field))
-
-
 # --- checks ----------------------------------------------------------------
 
 def check_alpha_formula(ctx):
@@ -138,7 +134,7 @@ def check_family_independent(ctx, pairs=((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
               "family size for (n=%d,q=%d) is %d, expected %d" % (n, q, len(fam), want))
         for a, b in itertools.combinations(fam, 2):
             diff = tuple(field.sub(x, y) for x, y in zip(a, b))
-            _need(_singular(diff, n, field),
+            _need(cons.matrix_is_singular(diff, n, field),
                   "family not independent for (n=%d,q=%d)" % (n, q))
         details.append("(%d,%d): %d matrices" % (n, q, want))
     return "pairwise-singular differences; sizes " + ", ".join(details)
@@ -154,7 +150,7 @@ def check_row_mixing(ctx):
         for d in fam:
             for rows in subsets:
                 mix = cons.row_mix(a, d, rows, 3)
-                _need(_singular(mix, 3, field),
+                _need(cons.matrix_is_singular(mix, 3, field),
                       "row mix of %s with %s over rows %s is invertible"
                       % (a, d, rows))
                 mixes += 1
@@ -196,9 +192,10 @@ def check_avoidance_partner(ctx, random_count=500):
             if not any(entries):
                 continue
             b = cons.avoidance_partner(entries, n, field)
-            _need(_singular(b, n, field), "B is a unit for A=%s over GF(%d)" % (entries, q))
+            _need(cons.matrix_is_singular(b, n, field),
+                  "B is a unit for A=%s over GF(%d)" % (entries, q))
             diff = tuple(field.sub(x, y) for x, y in zip(entries, b))
-            _need(not _singular(diff, n, field),
+            _need(not cons.matrix_is_singular(diff, n, field),
                   "A - B is singular for A=%s over GF(%d)" % (entries, q))
             total += 1
         details.append("M_2(F_%d): %d matrices" % (q, total))
@@ -209,9 +206,11 @@ def check_avoidance_partner(ctx, random_count=500):
         if not any(entries):
             continue
         b = cons.avoidance_partner(entries, 3, field)
-        _need(_singular(b, 3, field), "B is a unit for A=%s in M_3(F_3)" % (entries,))
+        _need(cons.matrix_is_singular(b, 3, field),
+              "B is a unit for A=%s in M_3(F_3)" % (entries,))
         diff = tuple(field.sub(x, y) for x, y in zip(entries, b))
-        _need(not _singular(diff, 3, field), "A - B singular for A=%s in M_3(F_3)" % (entries,))
+        _need(not cons.matrix_is_singular(diff, 3, field),
+              "A - B singular for A=%s in M_3(F_3)" % (entries,))
     details.append("M_3(F_3): %d random matrices" % random_count)
     return "; ".join(details)
 

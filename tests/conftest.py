@@ -1,6 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import strategies as st
+
+from ucayley.graphs import UGraph
+from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, TriRing,
+                           ZmRing, spec_order)
 
 
 def brute_force_maximal_independent(g):
@@ -32,6 +37,67 @@ def leibniz_det(rows, base):
             term = base.mul(term, rows[i][perm[i]])
         acc = base.add(acc, base.neg(term) if inv % 2 else term)
     return acc
+
+
+def elementwise_row(ring, units, x):
+    """Oracle: the bitmask of {x + u : u in units} - {x}, through ring.add."""
+    row = 0
+    for u in units:
+        y = ring.add(x, u)
+        if y != x:  # the zero ring: 0 is a unit but loops are dropped
+            row |= 1 << y
+    return row
+
+
+def elementwise_graph(ring):
+    """Oracle: the unitary Cayley graph built element by element."""
+    g = UGraph(ring.order, labels=[ring.element_repr(x) for x in range(ring.order)])
+    units = ring.units()
+    g.adj = [elementwise_row(ring, units, x) for x in range(ring.order)]
+    return g
+
+
+def structural_add(ring, a, b):
+    """Oracle: a + b entry-, component- or coefficient-wise, down to Z(m)."""
+    if isinstance(ring, ProdRing):
+        comps = zip(ring.factors, ring.decode_components(a), ring.decode_components(b))
+        return ring.encode_components(tuple(structural_add(f, x, y) for f, x, y in comps))
+    if isinstance(ring, (MatRing, TriRing)):
+        entries = zip(ring.decode_entries(a), ring.decode_entries(b))
+        return ring.encode_entries(tuple(structural_add(ring.base, x, y) for x, y in entries))
+    if isinstance(ring, GFRing):  # index = sum(c_i * p**i); coefficients add mod p
+        p = ring.p
+        return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(ring.k))
+    assert isinstance(ring, ZmRing)
+    return (a + b) % ring.m
+
+
+def structural_neg(ring, a):
+    """Oracle: -a entry-, component- or coefficient-wise, down to Z(m)."""
+    if isinstance(ring, ProdRing):
+        comps = zip(ring.factors, ring.decode_components(a))
+        return ring.encode_components(tuple(structural_neg(f, x) for f, x in comps))
+    if isinstance(ring, (MatRing, TriRing)):
+        return ring.encode_entries(tuple(structural_neg(ring.base, x)
+                                         for x in ring.decode_entries(a)))
+    if isinstance(ring, GFRing):
+        p = ring.p
+        return sum(-(a // p ** i) % p * p ** i for i in range(ring.k))
+    assert isinstance(ring, ZmRing)
+    return -a % ring.m
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+_FIELDS = st.one_of(st.builds(Z, st.sampled_from(_PRIMES)),
+                    st.builds(GF, st.sampled_from((2, 3, 4, 5, 7, 8, 9, 16, 25, 27))))
+_SCALARS = st.one_of(st.builds(Z, st.integers(1, 30)), _FIELDS)
+_COMMUTATIVE = st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=3)
+                         .map(lambda fs: Prod(tuple(fs))))
+_SIMPLE = st.one_of(_COMMUTATIVE, st.builds(M, st.integers(1, 3), _COMMUTATIVE),
+                    st.builds(T, st.integers(1, 3), _FIELDS))
+# every ring class, nested, of order at most 300
+RING_SPECS = st.one_of(_SIMPLE, st.lists(_SIMPLE, min_size=2, max_size=3)
+                       .map(lambda fs: Prod(tuple(fs)))).filter(lambda s: spec_order(s) <= 300)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ucayley.cli import main
 
 
@@ -21,6 +23,14 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["answer"] == "yes"
         assert "Z_2^k" in payload["clause"]
+
+    def test_classify_json_is_the_verdict(self, capsys):
+        code, out, _ = run(capsys, "classify", "--ring", "Z(6)", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ring"] == "Z(6)" and payload["question"] == "wellcovered"
+        assert payload["answer"] == "no" and payload["factors"] == [[1, 2], [1, 3]]
+        assert "different orders" in payload["witness_hint"]
 
     def test_wellcovered_z6(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "Z(6)")
@@ -80,9 +90,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "alpha", "--no-such-flag")
         assert code == 1
 
-    def test_bad_threads(self, capsys):
-        code, _, err = run(capsys, "alpha", "--ring", "Z(4)", "--threads", "0")
-        assert code == 1
+    @pytest.mark.parametrize("argv", [
+        ("alpha", "--ring", "Z(4)", "--budget-nodes", "0"),
+        ("wellcovered", "--ring", "Z(4)", "--budget-seconds", "-1"),
+        ("construct", "--kind", "avoidance", "--n", "2", "--q", "2", "--matrix", "1,0;0,x"),
+        ("construct", "--kind", "dfamily", "--n", "0", "--q", "2"),
+        ("ring", "--ring", "Z(4)", "--format", "dot"),
+        ("alpha", "--ring", "Z(4)", "--threads", "1"),
+    ])
+    def test_bad_input_is_a_clean_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["UCAYLEY_BUDGET_NODES", "UCAYLEY_BUDGET_SECONDS"])
+    def test_bad_env_budget(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, _, err = run(capsys, "wellcovered", "--ring", "Z(4)")
+        assert code == 1 and err.startswith("error: bad budget")
 
     def test_inconclusive_budget(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(3))",

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import RING_SPECS, elementwise_graph, elementwise_row
 from ucayley.graphs import (UGraph, build_graph, conjunction_product,
                             export_dot, graph_json)
-from ucayley.rings import CapExceededError, make_ring
+from ucayley.rings import CapExceededError, jacobson_radical, make_ring, quotient_ring
 
 
 def k(n):
@@ -61,6 +63,38 @@ class TestBuildGraph:
     def test_zero_ring_single_vertex(self):
         g = build_graph(make_ring("Z(1)"))
         assert g.n == 1 and g.edges() == []
+
+
+class TestTranslationBuild:
+    @pytest.mark.parametrize("text", [
+        "Z(1)", "Z(2)", "Z(12)", "GF(2)", "GF(8)", "GF(9)", "M(1,Z(6))", "M(2,Z(4))",
+        "M(2,GF(3))", "T(1,GF(4))", "T(3,GF(2))", "T(2,GF(4))", "prod(Z(2),Z(3))",
+        "prod(Z(1),Z(2))", "prod(Z(2),M(2,GF(2)))", "prod(GF(4),Z(4),Z(1))",
+        "M(2,prod(Z(2),Z(2)))", "M(2,Z(1))"])
+    def test_matches_elementwise_oracle(self, text):
+        r = make_ring(text)
+        assert build_graph(r) == elementwise_graph(r)
+
+    def test_nested_product_base_sampled_rows(self):
+        # order 4096: the full element-wise oracle would take seconds
+        r = make_ring("M(2,prod(Z(2),GF(4)))")
+        g = build_graph(r)
+        units = r.units()
+        rng = random.Random(17)
+        for x in [0, r.order - 1] + [rng.randrange(r.order) for _ in range(30)]:
+            assert g.adj[x] == elementwise_row(r, units, x)
+
+    def test_table_ring_is_built_elementwise(self):
+        r = make_ring("T(2,GF(3))")
+        q = quotient_ring(r, jacobson_radical(r))
+        assert q.radices is None
+        assert build_graph(q) == elementwise_graph(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS)
+    def test_random_specs_match_elementwise_oracle(self, spec):
+        r = make_ring(spec)
+        assert build_graph(r) == elementwise_graph(r)
 
 
 class TestConjunctionProduct:

@@ -1,13 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucayley.rings import (GF, M, Prod, SpecConstraintError, SpecSyntaxError,
                            T, Z, det_entries, jacobson_radical,
-                           jacobson_radical_bruteforce, make_ring, parse_spec,
-                           quotient_ring, ring_metadata, RingError,
-                           CapExceededError, smallest_irreducible)
-from conftest import leibniz_det
+                           jacobson_radical_bruteforce, join_digits, make_ring,
+                           parse_spec, quotient_ring, ring_metadata, RingError,
+                           CapExceededError, smallest_irreducible, split_digits)
+from conftest import RING_SPECS, leibniz_det, structural_add, structural_neg
 
 
 class TestParser:
@@ -117,6 +119,64 @@ class TestArith:
             assert r.mul(r.mul(a, b), c) == r.mul(a, r.mul(b, c))
             assert r.mul(a, r.add(b, c)) == r.add(r.mul(a, b), r.mul(a, c))
             assert r.mul(r.add(b, c), a) == r.add(r.mul(b, a), r.mul(c, a))
+            assert r.add(a, r.neg(a)) == 0
+
+
+class TestDigits:
+    @pytest.mark.parametrize("text,radices", [
+        ("Z(1)", (1,)),
+        ("Z(12)", (12,)),
+        ("GF(8)", (2, 2, 2)),
+        ("M(2,Z(4))", (4,) * 4),
+        ("T(3,GF(2))", (2,) * 6),
+        ("prod(Z(2),M(2,GF(2)))", (2,) * 5),
+        ("M(2,prod(Z(2),GF(4)))", (2, 2, 2) * 4),
+    ])
+    def test_radices(self, text, radices):
+        r = make_ring(text)
+        assert r.radices == radices
+        assert r.strides[-1] == 1 and r.strides[0] * radices[0] == r.order
+
+    def test_quotient_has_no_radices(self):
+        assert quotient_ring(make_ring("Z(4)"), (0, 2)).radices is None
+
+    def test_split_join_round_trip(self):
+        radices = (3, 1, 4, 2)
+        for a in range(24):
+            assert join_digits(split_digits(a, radices), radices) == a
+        assert split_digits(23, radices) == (2, 0, 3, 1)
+
+    @pytest.mark.parametrize("digits", [(0, 3), (-1, 0), (0, 1.0)])
+    def test_join_rejects_bad_digits(self, digits):
+        with pytest.raises(RingError):
+            join_digits(digits, (2, 3))
+
+    def test_encode_keeps_range_checks(self):
+        with pytest.raises(RingError):
+            make_ring("M(2,GF(2))").encode_entries((0, 0, 0, 2))
+        with pytest.raises(RingError):
+            make_ring("prod(Z(2),Z(3))").encode_components((1, 3))
+
+    @pytest.mark.parametrize("text", ["Z(12)", "GF(8)", "GF(9)", "GF(27)", "M(2,Z(4))",
+                                      "M(2,GF(4))", "T(3,GF(2))", "T(2,GF(9))",
+                                      "prod(Z(2),M(2,GF(2)))", "prod(Z(4),GF(9),Z(1))",
+                                      "M(2,prod(Z(2),GF(4)))"])
+    def test_add_neg_match_structural_oracle(self, text):
+        r = make_ring(text)
+        rng = random.Random(19)
+        for _ in range(60):
+            a, b = rng.randrange(r.order), rng.randrange(r.order)
+            assert r.add(a, b) == structural_add(r, a, b)
+            assert r.neg(a) == structural_neg(r, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS, st.randoms(use_true_random=False))
+    def test_random_specs_add_neg(self, spec, rng):
+        r = make_ring(spec)
+        for _ in range(10):
+            a, b = rng.randrange(r.order), rng.randrange(r.order)
+            assert r.add(a, b) == structural_add(r, a, b)
+            assert r.neg(a) == structural_neg(r, a)
             assert r.add(a, r.neg(a)) == 0
 
 
