@@ -96,21 +96,24 @@ def cmd_graph(args):
 
 
 def cmd_alpha(args):
+    budget = _budget(args)
     try:
-        alpha = independence_number(_graph_for(args), _budget(args))
+        alpha = independence_number(_graph_for(args), budget)
     except BudgetExceededError as exc:
-        _emit(args, {"answer": "inconclusive", "reason": str(exc)},
+        _emit(args, {"answer": "inconclusive", "reason": str(exc), "stats": budget.stats()},
               "inconclusive: %s" % exc)
         return EXIT_INCONCLUSIVE
-    _emit(args, {"ring": args.ring, "alpha": alpha}, str(alpha))
+    _emit(args, {"ring": args.ring, "alpha": alpha, "stats": budget.stats()}, str(alpha))
     return EXIT_OK
 
 
 def cmd_wellcovered(args):
-    rep = is_well_covered(_graph_for(args), _budget(args))
-    payload = {"ring": args.ring}
+    budget = _budget(args)
+    rep = is_well_covered(_graph_for(args), budget)
+    payload = {"ring": args.ring, "stats": budget.stats()}
     payload.update(rep.to_json())
-    lines = ["well-covered: %s" % rep.answer, "alpha: %d" % rep.alpha]
+    lines = ["well-covered: %s" % rep.answer,
+             "alpha: %s%d" % ("" if rep.alpha_exact else ">= ", rep.alpha)]
     if rep.witness_small is not None:
         lines.append("witness (maximal, non-maximum): %s" % (list(rep.witness_small),))
     if rep.complete:
@@ -141,8 +144,9 @@ def cmd_radical(args):
 
 def cmd_complex(args):
     g = _graph_for(args)
+    budget = _budget(args)  # one budget for the enumeration and the shelling search
     try:
-        c = independence_complex(g, _budget(args))
+        c = independence_complex(g, budget)
     except BudgetExceededError as exc:
         _emit(args, {"answer": "inconclusive", "reason": str(exc)},
               "inconclusive: %s" % exc)
@@ -161,7 +165,7 @@ def cmd_complex(args):
         lines.append("connected in codimension 1: %s (%d components)"
                      % (connected, len(comps)))
         if args.shelling:
-            res = find_shelling(c, _budget(args))
+            res = find_shelling(c, budget)
             payload["shelling"] = res.to_json()
             lines.append("shelling: %s" % res.status)
             if res.order is not None:

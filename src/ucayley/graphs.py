@@ -11,12 +11,25 @@ DEFAULT_GRAPH_CAP = 2 ** 14
 
 
 class UGraph:
-    """Undirected simple graph on vertices 0..n-1 with bitset adjacency."""
+    """Undirected simple graph on vertices 0..n-1 with bitset adjacency.
 
-    def __init__(self, n, labels=None):
+    `labels` is None, a list of vertex labels, or a function from a vertex to
+    its label, called only when a label is read.  `transitive` records that
+    the graph is vertex-transitive, as every Cayley graph is; the searches in
+    `indsets` use it, so it must never be set on a graph that is not.
+    """
+
+    def __init__(self, n, labels=None, transitive=False):
         self.n = n
         self.adj = [0] * n
         self.labels = labels
+        self.transitive = transitive
+
+    def label(self, v):
+        """The label of v, or None for an unlabelled graph."""
+        if self.labels is None:
+            return None
+        return self.labels(v) if callable(self.labels) else self.labels[v]
 
     def add_edge(self, u, v):
         if u == v:
@@ -59,11 +72,12 @@ def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
     increment carries through.  Translating a bitmask by e_i (stride s,
     radix d) shifts the elements whose digit i is below d - 1 up by s and
     wraps the others down by s * (d - 1).  Table rings are built
-    element-wise.
+    element-wise.  Either way the graph is a Cayley graph of (R, +), so it is
+    marked vertex-transitive; labels are `ring.element_repr`, on demand.
     """
     if ring.order > cap:
         raise CapExceededError("|R| = %d exceeds the graph cap %d" % (ring.order, cap))
-    g = UGraph(ring.order, labels=[ring.element_repr(x) for x in range(ring.order)])
+    g = UGraph(ring.order, labels=ring.element_repr, transitive=True)
     units = ring.units()
     if ring.radices is None:
         for x in range(ring.order):
@@ -96,12 +110,13 @@ def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
 def conjunction_product(g1, g2):
     """Pairs (v1, v2) adjacent iff both coordinates are adjacent.
 
-    Vertex (v1, v2) gets index v1 * g2.n + v2 (row-major).
+    Vertex (v1, v2) gets index v1 * g2.n + v2 (row-major).  The product of
+    two vertex-transitive graphs is vertex-transitive.
     """
     n1, n2 = g1.n, g2.n
-    out = UGraph(n1 * n2)
+    out = UGraph(n1 * n2, transitive=g1.transitive and g2.transitive)
     if g1.labels is not None and g2.labels is not None:
-        out.labels = ["(%s|%s)" % (a, b) for a in g1.labels for b in g2.labels]
+        out.labels = lambda v: "(%s|%s)" % (g1.label(v // n2), g2.label(v % n2))
     for v1 in range(n1):
         m1 = g1.adj[v1]
         for v2 in range(n2):
@@ -121,7 +136,7 @@ def export_dot(g):
     lines = ["graph G {"]
     for v in range(g.n):
         if g.labels is not None:
-            lines.append('  %d [label="%s"];' % (v, g.labels[v]))
+            lines.append('  %d [label="%s"];' % (v, g.label(v)))
         else:
             lines.append("  %d;" % v)
     for u, v in g.edges():

@@ -1,21 +1,54 @@
 """Independent-set machinery on unitary Cayley graphs.
 
 Maximal independent sets are enumerated as maximal cliques of the
-complement graph (Bron-Kerbosch with pivoting); all orders are
-deterministic so streams can be golden-tested.
+complement graph (Bron-Kerbosch with pivoting, on an explicit stack); all
+orders are deterministic so streams can be golden-tested.
+`enumerate_maximal_independent` searches the graph as given: it is the
+exhaustive oracle.  The two search questions, `independence_number` and
+`is_well_covered`, first apply exact reductions:
+
+- Twin quotient.  Vertices with equal adjacency rows are twins: they are
+  pairwise non-adjacent, and a maximal independent set holds all of a twin
+  class or none of it.  When every class has one size w > 1, the search
+  runs on the quotient graph.  For Gamma(R) the classes are the cosets of
+  J(R), so the quotient is Gamma(R/J).  alpha and every maximal-set size
+  scale by w, and a witness lifts to the union of its classes.
+- Vertex 0.  A vertex-transitive graph (`UGraph.transitive`, true for every
+  Gamma(R)) has a maximum independent set through vertex 0, so alpha is
+  1 + alpha of the non-neighbours of 0.  Used for alpha only: the counts of
+  maximal sets are always those of the whole graph.
+
+alpha is then found by branch and bound under a greedy clique-cover bound
+(Tomita-Seki's MCQ, bit-parallel as in San Segundo's BBMC).  A search notes
+on its Budget which reductions it applied.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 
+from .graphs import UGraph
+
+TWIN_QUOTIENT = "twin-quotient"
+VERTEX_ZERO = "vertex-0"
+
 
 class BudgetExceededError(Exception):
-    """Raised when an enumeration budget (nodes or wall clock) trips."""
+    """Raised when an enumeration budget (nodes or wall clock) trips.
+
+    An alpha search that trips sets `best` to the size of the largest
+    independent set it had found, a lower bound on alpha.
+    """
+
+    best = None
 
 
 class Budget:
-    """Node-count / wall-clock budget shared by a search."""
+    """Node-count / wall-clock budget shared by a search.
+
+    It also carries the search's statistics: the nodes visited and the
+    reductions applied, in the order first applied.
+    """
 
     def __init__(self, max_nodes=None, max_seconds=None):
         if max_nodes is not None and max_nodes <= 0:
@@ -25,6 +58,7 @@ class Budget:
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0
+        self.reductions = []
         self.t0 = time.monotonic()
 
     def tick(self):
@@ -34,6 +68,13 @@ class Budget:
         if self.max_seconds is not None and self.nodes % 256 == 0:
             if time.monotonic() - self.t0 > self.max_seconds:
                 raise BudgetExceededError("time budget %.3fs exhausted" % self.max_seconds)
+
+    def note(self, reduction):
+        if reduction not in self.reductions:
+            self.reductions.append(reduction)
+
+    def stats(self):
+        return {"nodes": self.nodes, "reductions": list(self.reductions)}
 
 
 def _bits(mask):
@@ -52,72 +93,169 @@ def enumerate_maximal_independent(g, budget=None):
     """Yield every maximal independent set of g exactly once, as sorted tuples.
 
     Pivot rule: the candidate (from P u X) with the most non-neighbors in P,
-    ties broken by lowest index.
+    ties broken by lowest index.  Each search node ticks the budget once;
+    a frame on the stack holds P, X and the candidates still to branch on.
     """
     if budget is None:
         budget = Budget()
+    if g.n == 0:
+        return
     non = _nonadjacency(g)
     chosen = []
-
-    def bk(P, X):
+    stack = []
+    P, X = (1 << g.n) - 1, 0
+    while True:
         budget.tick()
         if P == 0 and X == 0:
             yield tuple(sorted(chosen))
+        else:
+            pivot, best = -1, -1
+            for u in _bits(P | X):
+                c = (P & non[u]).bit_count()
+                if c > best:
+                    pivot, best = u, c
+            stack.append([P, X, P & ~non[pivot]])
+        while stack:
+            frame = stack[-1]
+            P, X, todo = frame
+            if todo:
+                break
+            stack.pop()
+        else:
             return
-        pivot, best = -1, -1
-        for u in _bits(P | X):
-            c = (P & non[u]).bit_count()
-            if c > best:
-                pivot, best = u, c
-        for v in _bits(P & ~non[pivot]):
-            chosen.append(v)
-            yield from bk(P & non[v], X & non[v])
-            chosen.pop()
-            P &= ~(1 << v)
-            X |= 1 << v
+        b = todo & -todo
+        v = b.bit_length() - 1
+        frame[0], frame[1], frame[2] = P ^ b, X | b, todo ^ b
+        del chosen[len(stack) - 1:]
+        chosen.append(v)
+        P, X = P & non[v], X & non[v]
 
-    if g.n == 0:
-        return
-    yield from bk((1 << g.n) - 1, 0)
+
+def _twin_quotient(g):
+    """(h, classes) when the twin classes of g all have one size w > 1, else None.
+
+    classes[i] is the sorted vertex list of class i, ordered by least
+    vertex; vertex i of h is class i, and h inherits `transitive`.
+    """
+    groups = {}
+    for v, row in enumerate(g.adj):
+        groups.setdefault(row, []).append(v)
+    classes = list(groups.values())
+    w = len(classes[0]) if classes else 0
+    if w < 2 or any(len(c) != w for c in classes):
+        return None
+    index = {c[0]: i for i, c in enumerate(classes)}
+    reps = sum(1 << c[0] for c in classes)
+    h = UGraph(len(classes), transitive=g.transitive)
+    for i, c in enumerate(classes):
+        row = 0
+        for v in _bits(g.adj[c[0]] & reps):
+            row |= 1 << index[v]
+        h.adj[i] = row
+    return h, classes
+
+
+def _reduce(g, budget):
+    """(graph to search, its twin classes or None, class size w)."""
+    quotient = _twin_quotient(g)
+    if quotient is None:
+        return g, None, 1
+    budget.note(TWIN_QUOTIENT)
+    h, classes = quotient
+    return h, classes, len(classes[0])
+
+
+def _cover(adj, P, floor):
+    """A greedy clique cover of P: (vertices, class numbers), classes ascending.
+
+    Class k is built bit-parallel: take the low vertex v of the candidates
+    left, keep only v's neighbours.  A vertex in class k <= floor is left
+    out, since no branch on it can beat the bound.
+    """
+    verts, nums = [], []
+    k = 0
+    while P:
+        k += 1
+        Q = P
+        while Q:
+            b = Q & -Q
+            v = b.bit_length() - 1
+            P ^= b
+            Q &= adj[v]
+            if k > floor:
+                verts.append(v)
+                nums.append(k)
+    return verts, nums
+
+
+def _max_extension(adj, non, size, P, budget):
+    """size + the largest independent subset of P, where P holds the common
+    non-neighbours of `size` chosen vertices; branch and bound on an explicit
+    stack.
+
+    A node colors its candidates into cliques and branches on them in
+    decreasing class number; it stops once size + class <= best, since each
+    clique holds at most one vertex of an independent set.  A tripped budget
+    carries the best size found.
+    """
+    best = size
+    stack = []  # frames [size, candidates left, vertices to branch on, their classes]
+    try:
+        while True:
+            budget.tick()
+            best = max(best, size)
+            if P:
+                stack.append([size, P, *_cover(adj, P, best - size)])
+            while stack:
+                frame = stack[-1]
+                size, P, verts, nums = frame
+                if verts and size + nums[-1] > best:
+                    break
+                stack.pop()
+            else:
+                return best
+            v = verts.pop()
+            nums.pop()
+            frame[1] = P & ~(1 << v)
+            size, P = size + 1, P & non[v]
+    except BudgetExceededError as exc:
+        exc.best = best
+        raise
 
 
 def independence_number(g, budget=None):
-    """alpha(g) by branch and bound on the complement (bitset bound)."""
+    """alpha(g), on the twin quotient and from vertex 0 where they apply."""
     if budget is None:
         budget = Budget()
-    non = _nonadjacency(g)
-    best = 0
-
-    def expand(size, P):
-        nonlocal best
-        budget.tick()
-        if size > best:
-            best = size
-        while P:
-            if size + P.bit_count() <= best:
-                return
-            b = P & -P
-            v = b.bit_length() - 1
-            expand(size + 1, P & non[v])
-            P ^= b
-
-    if g.n:
-        expand(0, (1 << g.n) - 1)
-    return best
+    h, _, w = _reduce(g, budget)
+    if h.n == 0:
+        return 0
+    non = _nonadjacency(h)
+    size, P = 0, (1 << h.n) - 1
+    if h.transitive:
+        budget.note(VERTEX_ZERO)
+        size, P = 1, non[0]
+    try:
+        return w * _max_extension(h.adj, non, size, P, budget)
+    except BudgetExceededError as exc:
+        exc.best *= w
+        raise
 
 
 @dataclass
 class WellCoveredReport:
     answer: str  # "yes" | "no" | "inconclusive"
-    alpha: int
+    alpha: int  # a lower bound only when alpha_exact is false
     witness_small: tuple | None = None
     counts: dict = field(default_factory=dict)
     complete: bool = False
+    alpha_exact: bool = True
 
     def to_json(self):
         out = {
             "answer": self.answer,
             "alpha": self.alpha,
+            "alpha_exact": self.alpha_exact,
             "complete": self.complete,
             "counts": {str(k): v for k, v in sorted(self.counts.items())},
         }
@@ -129,18 +267,23 @@ class WellCoveredReport:
 def is_well_covered(g, budget=None):
     """Decide whether all maximal independent sets of g share one size.
 
-    Full-enumeration verdict when the budget allows; a "no" is returned as
-    soon as two maximal sets of different sizes are seen (with the smaller
-    one as witness); a tripped budget without a witness is "inconclusive".
+    The maximal sets are enumerated on the twin quotient, and `counts` maps
+    each size in g to its number of sets.  Full-enumeration verdict when the
+    budget allows; a "no" is returned as soon as two maximal sets of
+    different sizes are seen, with the smaller one as witness, and alpha is
+    then searched under the same budget.  If that trips, the "no" stands and
+    alpha is the best size seen, with alpha_exact false.  A tripped budget
+    without a witness is "inconclusive", with alpha a lower bound.
     """
     if budget is None:
         budget = Budget()
+    h, classes, w = _reduce(g, budget)
     counts = {}
     smallest = largest = None
     exhausted = False
     try:
-        for s in enumerate_maximal_independent(g, budget):
-            counts[len(s)] = counts.get(len(s), 0) + 1
+        for s in enumerate_maximal_independent(h, budget):
+            counts[w * len(s)] = counts.get(w * len(s), 0) + 1
             if smallest is None or len(s) < len(smallest):
                 smallest = s
             if largest is None or len(s) > len(largest):
@@ -150,14 +293,19 @@ def is_well_covered(g, budget=None):
     except BudgetExceededError:
         exhausted = True
     if smallest is not None and largest is not None and len(smallest) < len(largest):
-        alpha = independence_number(g, Budget(budget.max_nodes, budget.max_seconds))
-        return WellCoveredReport("no", alpha, witness_small=smallest,
-                                 counts=counts, complete=False)
+        if classes is not None:
+            smallest = tuple(sorted(v for i in smallest for v in classes[i]))
+        try:
+            alpha, exact = independence_number(g, budget), True
+        except BudgetExceededError as exc:
+            alpha, exact = max(w * len(largest), exc.best), False
+        return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts,
+                                 complete=False, alpha_exact=exact)
+    alpha = max(counts) if counts else 0
     if exhausted:
-        return WellCoveredReport("inconclusive", max(counts) if counts else 0,
-                                 counts=counts, complete=False)
-    return WellCoveredReport("yes", max(counts) if counts else 0,
-                             counts=counts, complete=True)
+        return WellCoveredReport("inconclusive", alpha, counts=counts, complete=False,
+                                 alpha_exact=False)
+    return WellCoveredReport("yes", alpha, counts=counts, complete=True)
 
 
 def greedy_extend(g, seed):

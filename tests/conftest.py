@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ucayley.graphs import UGraph
+from ucayley.indsets import Budget, WellCoveredReport
 from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, TriRing,
                            ZmRing, spec_order)
 
@@ -24,6 +25,96 @@ def brute_force_maximal_independent(g):
 
 def brute_force_alpha(g):
     return max(len(s) for s in brute_force_maximal_independent(g)) if g.n else 0
+
+
+def _non(g):
+    full = (1 << g.n) - 1
+    return [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
+
+
+def _bits(mask):
+    while mask:
+        b = mask & -mask
+        yield b.bit_length() - 1
+        mask ^= b
+
+
+def recursive_maximal_independent(g, budget=None):
+    """Oracle: the recursive Bron-Kerbosch enumeration, pivoting as the package does."""
+    budget = budget or Budget()
+    non = _non(g)
+    chosen = []
+
+    def bk(P, X):
+        budget.tick()
+        if P == 0 and X == 0:
+            yield tuple(sorted(chosen))
+            return
+        pivot, best = -1, -1
+        for u in _bits(P | X):
+            c = (P & non[u]).bit_count()
+            if c > best:
+                pivot, best = u, c
+        for v in _bits(P & ~non[pivot]):
+            chosen.append(v)
+            yield from bk(P & non[v], X & non[v])
+            chosen.pop()
+            P &= ~(1 << v)
+            X |= 1 << v
+
+    if g.n:
+        yield from bk((1 << g.n) - 1, 0)
+
+
+def pbound_alpha(g, budget=None):
+    """Oracle: alpha by recursive branch and bound under the |P| bound, on g as given."""
+    budget = budget or Budget()
+    non = _non(g)
+    best = 0
+
+    def expand(size, P):
+        nonlocal best
+        budget.tick()
+        best = max(best, size)
+        while P:
+            if size + P.bit_count() <= best:
+                return
+            b = P & -P
+            expand(size + 1, P & non[b.bit_length() - 1])
+            P ^= b
+
+    if g.n:
+        expand(0, (1 << g.n) - 1)
+    return best
+
+
+def seed_is_well_covered(g, budget=None):
+    """Oracle: the unreduced well-covered search on g as given.
+
+    It enumerates with `recursive_maximal_independent` and stops at the
+    first two maximal sets of different sizes, with the smaller as witness;
+    alpha then comes from `pbound_alpha` under a fresh budget of the same limits.
+    """
+    budget = budget or Budget()
+    counts = {}
+    smallest = largest = None
+    for s in recursive_maximal_independent(g, budget):
+        counts[len(s)] = counts.get(len(s), 0) + 1
+        if smallest is None or len(s) < len(smallest):
+            smallest = s
+        if largest is None or len(s) > len(largest):
+            largest = s
+        if len(smallest) < len(largest):
+            alpha = pbound_alpha(g, Budget(budget.max_nodes, budget.max_seconds))
+            return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts)
+    return WellCoveredReport("yes", max(counts, default=0), counts=counts, complete=True)
+
+
+def is_maximal_independent(g, verts):
+    mask = sum(1 << v for v in verts)
+    if any(g.adj[v] & mask for v in verts):
+        return False
+    return all(mask >> v & 1 or g.adj[v] & mask for v in range(g.n))
 
 
 def leibniz_det(rows, base):

@@ -120,6 +120,54 @@ class TestExitCodes:
         assert code == 2
 
 
+class TestReducedSearch:
+    def test_alpha_z2048(self, capsys):
+        code, out, err = run(capsys, "alpha", "--ring", "Z(2048)")
+        assert code == 0 and out.strip() == "1024" and err == ""
+
+    def test_alpha_m2f9(self, capsys):
+        code, out, _ = run(capsys, "alpha", "--ring", "M(2,GF(9))")
+        assert code == 0 and out.strip() == "81"
+
+    def test_alpha_json_stats(self, capsys):
+        code, out, _ = run(capsys, "alpha", "--ring", "Z(8)", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["alpha"] == 4
+        assert payload["stats"]["reductions"] == ["twin-quotient", "vertex-0"]
+        assert payload["stats"]["nodes"] > 0
+
+    def test_wellcovered_json_stats(self, capsys):
+        code, out, _ = run(capsys, "wellcovered", "--ring", "Z(12)", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["answer"] == "no" and payload["alpha_exact"] is True
+        assert payload["stats"]["reductions"] == ["twin-quotient", "vertex-0"]
+
+    def test_no_answer_kept_when_alpha_trips(self, capsys):
+        code, out, err = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
+                             "--budget-nodes", "200")
+        assert code == 0 and "Traceback" not in err
+        assert "well-covered: no" in out and "alpha: >= 64" in out
+        _, out, _ = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
+                        "--budget-nodes", "200", "--format", "json")
+        payload = json.loads(out)
+        assert payload["alpha_exact"] is False and payload["stats"]["nodes"] == 201
+
+    def test_deep_wellcovered_is_inconclusive(self, capsys):
+        ring = "prod(%s)" % ",".join(["Z(2)"] * 11)  # order 2048, no twins
+        code, out, err = run(capsys, "wellcovered", "--ring", ring, "--budget-nodes", "1100")
+        assert code == 2 and "well-covered: inconclusive" in out
+        assert "alpha: >= 1024" in out and "Traceback" not in err
+
+    def test_complex_shares_one_budget(self, capsys):
+        # 31 nodes enumerate the complex; the shelling search needs 17 more
+        argv = ("complex", "--ring", "prod(Z(2),Z(2),Z(2))", "--shelling", "--format", "json")
+        code, out, _ = run(capsys, *argv, "--budget-nodes", "31")
+        assert code == 2
+        assert json.loads(out)["shelling"]["status"] == "none found within budget"
+        code, out, _ = run(capsys, *argv, "--budget-nodes", "48")
+        assert code == 0 and json.loads(out)["shelling"]["status"] == "shelling"
+
+
 class TestDeterminism:
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, "classify", "--ring", "M(2,GF(3))", "--format", "json")

@@ -97,6 +97,19 @@ class TestTranslationBuild:
         assert build_graph(r) == elementwise_graph(r)
 
 
+class TestTransitiveFlag:
+    def test_ring_graphs_are_transitive(self):
+        r = make_ring("T(2,GF(3))")
+        assert build_graph(r).transitive
+        assert build_graph(quotient_ring(r, jacobson_radical(r))).transitive
+        assert not UGraph(3).transitive
+
+    def test_conjunction_product_needs_both_factors_transitive(self):
+        g = build_graph(make_ring("Z(3)"))
+        assert conjunction_product(g, g).transitive
+        assert not conjunction_product(g, k(2)).transitive
+
+
 class TestConjunctionProduct:
     def test_k2_k2_is_two_edges(self):
         g = conjunction_product(k(2), k(2))
@@ -134,6 +147,21 @@ class TestExport:
         text = export_dot(build_graph(make_ring("Z(4)")))
         assert text.count("--") == 4
         assert '0 [label="0"]' in text
+
+    @pytest.mark.parametrize("a,b", [("Z(6)", None), ("M(2,GF(2))", None),
+                                     ("Z(3)", "M(2,GF(2))")])
+    def test_dot_with_lazy_labels_matches_eager_labels(self, a, b):
+        ra = make_ring(a)
+        g = build_graph(ra)
+        eager = UGraph(g.n, labels=[ra.element_repr(x) for x in range(ra.order)])
+        if b is not None:
+            rb = make_ring(b)
+            g = conjunction_product(g, build_graph(rb))
+            eager = UGraph(g.n, labels=["(%s|%s)" % (ra.element_repr(x), rb.element_repr(y))
+                                        for x in range(ra.order) for y in range(rb.order)])
+        eager.adj = g.adj
+        assert callable(g.labels)
+        assert export_dot(g) == export_dot(eager)
 
     def test_json(self):
         assert graph_json(build_graph(make_ring("Z(4)"))) == {
