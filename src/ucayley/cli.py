@@ -14,11 +14,10 @@ import sys
 from . import constructions as cons
 from .complexes import (SHELLING_UNKNOWN, codim1_connected, export_stanley_reisner,
                         find_shelling, independence_complex, is_pure)
-from .graphs import build_graph, export_dot, graph_json
+from .graphs import DEFAULT_GRAPH_CAP, build_graph, export_dot, graph_json
 from .indsets import Budget, BudgetExceededError, independence_number, is_well_covered
 from .rings import (DEFAULT_RING_CAP, GFRing, RingError,
                     jacobson_radical, make_ring, parse_spec, ring_metadata)
-from .graphs import DEFAULT_GRAPH_CAP
 from .structure import classify_cm, classify_gorenstein, classify_well_covered
 from .verify import run_checks
 
@@ -58,23 +57,24 @@ def _budget(args):
 
 
 def _ring_for(args):
-    spec = parse_spec(args.ring)
-    return make_ring(spec, cap=args.max_ring_order)
+    return make_ring(args.ring, cap=args.max_ring_order)
 
 
 def _graph_for(args):
-    return build_graph(_ring_for(args), cap=args.max_graph_vertices)
+    # build_graph caps the vertex count, which is |R|; make_ring keeps its own cap
+    return build_graph(make_ring(args.ring), cap=args.max_graph_vertices)
 
 
-def _add_common(sub, ring=True, formats=("text", "json")):
-    if ring:
-        sub.add_argument("--ring", required=True, help="ring spec, e.g. 'M(2,GF(3))'")
-    sub.add_argument("--format", choices=formats, default="text")
-    sub.add_argument("--max-ring-order", type=int, default=DEFAULT_RING_CAP)
-    sub.add_argument("--max-graph-vertices", type=int, default=DEFAULT_GRAPH_CAP)
-    sub.add_argument("--budget-nodes", type=int, default=None)
-    sub.add_argument("--budget-seconds", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=0)
+# Each subcommand declares only the options its handler reads.
+_OPTIONS = {
+    "--ring": dict(required=True, help="ring spec, e.g. 'M(2,GF(3))'"),
+    "--max-ring-order": dict(type=int, default=DEFAULT_RING_CAP),
+    "--max-graph-vertices": dict(type=int, default=DEFAULT_GRAPH_CAP),
+    "--budget-nodes": dict(type=int, default=None),
+    "--budget-seconds": dict(type=float, default=None),
+    "--seed": dict(type=int, default=0),
+}
+_SEARCH_OPTIONS = ("--ring", "--max-graph-vertices", "--budget-nodes", "--budget-seconds")
 
 
 def cmd_ring(args):
@@ -88,6 +88,12 @@ def cmd_graph(args):
     g = _graph_for(args)
     if args.format == "dot":
         sys.stdout.write(export_dot(g))
+    elif args.format == "edge-ideal":
+        try:
+            text = export_stanley_reisner(g)
+        except ValueError as exc:  # over the export cap
+            raise CliError(str(exc)) from None
+        sys.stdout.write(text)
     elif args.format == "json":
         print(json.dumps(graph_json(g), sort_keys=True))
     else:
@@ -148,7 +154,7 @@ def cmd_complex(args):
     try:
         c = independence_complex(g, budget)
     except BudgetExceededError as exc:
-        _emit(args, {"answer": "inconclusive", "reason": str(exc)},
+        _emit(args, {"answer": "inconclusive", "reason": str(exc), "stats": budget.stats()},
               "inconclusive: %s" % exc)
         return EXIT_INCONCLUSIVE
     payload = {
@@ -159,6 +165,7 @@ def cmd_complex(args):
         "facets": [list(f) for f in c.facets],
     }
     lines = ["%d facets, dim %d, pure: %s" % (len(c.facets), c.dim, is_pure(c))]
+    code = EXIT_OK
     if is_pure(c):
         connected, comps = codim1_connected(c)
         payload["codim1_connected"] = connected
@@ -170,10 +177,11 @@ def cmd_complex(args):
             lines.append("shelling: %s" % res.status)
             if res.order is not None:
                 lines.append("order: %s" % (list(res.order),))
-            _emit(args, payload, "\n".join(lines))
-            return EXIT_INCONCLUSIVE if res.status == SHELLING_UNKNOWN else EXIT_OK
+            if res.status == SHELLING_UNKNOWN:
+                code = EXIT_INCONCLUSIVE
+    payload["stats"] = budget.stats()
     _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return code
 
 
 def _parse_matrix(text, n, field):
@@ -230,7 +238,7 @@ def _construct(args):
     else:  # product-witness
         if args.ring is None:
             raise CliError("product-witness requires --ring for the left factor")
-        left = make_ring(parse_spec(args.ring), cap=args.max_ring_order)
+        left = _ring_for(args)
         wit = cons.product_witness(left, n, field, graph_cap=args.max_graph_vertices)
         payload = {"kind": "product-witness", "ring": args.ring, "n": n, "q": args.q,
                    "witness": list(wit.witness), "witness_size": len(wit.witness),
@@ -240,25 +248,12 @@ def _construct(args):
     return EXIT_OK
 
 
-def cmd_export(args):
-    g = _graph_for(args)
-    if args.what == "dot":
-        sys.stdout.write(export_dot(g))
-    elif args.what == "json":
-        print(json.dumps(graph_json(g), sort_keys=True))
-    else:  # edge-ideal
-        sys.stdout.write(export_stanley_reisner(g))
-    return EXIT_OK
-
-
 def cmd_verify_paper(args):
     report = run_checks(scale=args.scale, seed=args.seed)
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for check in report["checks"]:
-            print("[%s] %s - %s" % (check["status"].upper(), check["id"], check["detail"]))
-        print("overall: %s" % ("pass" if report["passed"] else "fail"))
+    lines = ["[%s] %s - %s" % (check["status"].upper(), check["id"], check["detail"])
+             for check in report["checks"]]
+    lines.append("overall: %s" % ("pass" if report["passed"] else "fail"))
+    _emit(args, report, "\n".join(lines))
     return EXIT_OK if report["passed"] else EXIT_ERROR
 
 
@@ -268,51 +263,38 @@ def build_parser():
                                  "construction, classification, enumeration")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, formats in (
-        ("ring", cmd_ring, ("text", "json")),
-        ("graph", cmd_graph, ("text", "json", "dot")),
-        ("alpha", cmd_alpha, ("text", "json")),
-        ("wellcovered", cmd_wellcovered, ("text", "json")),
-        ("radical", cmd_radical, ("text", "json")),
-    ):
-        sub = subs.add_parser(name)
-        _add_common(sub, formats=formats)
-        sub.set_defaults(fn=fn)
+    def sub(name, fn, *options, formats=("text", "json")):
+        p = subs.add_parser(name)
+        p.add_argument("--format", choices=formats, default="text")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(fn=fn)
+        return p
 
-    sub = subs.add_parser("classify")
-    _add_common(sub)
-    sub.add_argument("--question", choices=("wellcovered", "cm", "gorenstein"),
-                     default="wellcovered")
-    sub.set_defaults(fn=cmd_classify)
+    sub("ring", cmd_ring, "--ring", "--max-ring-order")
+    sub("radical", cmd_radical, "--ring", "--max-ring-order")
+    sub("classify", cmd_classify, "--ring").add_argument(
+        "--question", choices=("wellcovered", "cm", "gorenstein"), default="wellcovered")
+    sub("graph", cmd_graph, "--ring", "--max-graph-vertices",
+        formats=("text", "json", "dot", "edge-ideal"))
+    sub("alpha", cmd_alpha, *_SEARCH_OPTIONS)
+    sub("wellcovered", cmd_wellcovered, *_SEARCH_OPTIONS)
+    sub("complex", cmd_complex, *_SEARCH_OPTIONS).add_argument(
+        "--shelling", action="store_true", help="also search for a shelling order")
 
-    sub = subs.add_parser("complex")
-    _add_common(sub)
-    sub.add_argument("--shelling", action="store_true",
-                     help="also search for a shelling order")
-    sub.set_defaults(fn=cmd_complex)
+    p = sub("construct", cmd_construct, "--max-ring-order", "--max-graph-vertices")
+    p.add_argument("--kind", required=True,
+                   choices=("dfamily", "reduced-diagonal", "avoidance", "product-witness"))
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--coeffs", default=None, help="comma-separated field indices")
+    p.add_argument("--matrix", default=None, help="semicolon-separated rows")
+    p.add_argument("--ring", default=None, help="left factor for product-witness")
 
-    sub = subs.add_parser("construct")
-    _add_common(sub, ring=False)
-    sub.add_argument("--kind", required=True,
-                     choices=("dfamily", "reduced-diagonal", "avoidance", "product-witness"))
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--l", type=int, default=None)
-    sub.add_argument("--coeffs", default=None, help="comma-separated field indices")
-    sub.add_argument("--matrix", default=None, help="semicolon-separated rows")
-    sub.add_argument("--ring", default=None, help="left factor for product-witness")
-    sub.set_defaults(fn=cmd_construct)
-
-    sub = subs.add_parser("export")
-    _add_common(sub)
-    sub.add_argument("--what", choices=("edge-ideal", "dot", "json"), default="edge-ideal")
-    sub.set_defaults(fn=cmd_export)
-
-    sub = subs.add_parser("verify-paper")
-    _add_common(sub, ring=False)
-    sub.add_argument("--scale", choices=("small", "medium"), default="small")
-    sub.set_defaults(fn=cmd_verify_paper)
+    sub("verify-paper", cmd_verify_paper, "--seed").add_argument(
+        "--scale", choices=("small", "medium"), default="small")
 
     return parser
 

@@ -148,9 +148,9 @@ def find_shelling(c, budget=None):
     """Search for a shelling order of a pure complex.
 
     Fast negative: a pure complex that is disconnected in codimension 1
-    admits no shelling.  Otherwise backtracking over facet orders (the
-    shelling condition only depends on the *set* of prior facets, so dead
-    prefixes are memoized by that set).
+    admits no shelling.  Otherwise backtracking over facet orders on an
+    explicit stack (the shelling condition only depends on the *set* of
+    prior facets, so dead prefixes are memoized by that set).
     """
     if not is_pure(c):
         raise ValueError("shellability is defined here for pure complexes only")
@@ -169,32 +169,36 @@ def find_shelling(c, budget=None):
                                      "(%d components)" % len(comps))
     facets = c.facets
     dead = set()
-
-    def extend(order, mask):
-        budget.tick()
-        if len(order) == t:
-            return order
-        if mask in dead:
-            return None
-        prior = [facets[j] for j in order]
-        for i in range(t):
-            if mask >> i & 1:
-                continue
-            if order and not _attaches(facets[i], prior):
-                continue
-            hit = extend(order + [i], mask | (1 << i))
-            if hit is not None:
-                return hit
-        dead.add(mask)
-        return None
-
+    order, mask = [], 0
+    frames = [[0, []]]  # one per prefix of the order: next facet to try, prefix facets
     try:
-        hit = extend([], 0)
+        budget.tick()
+        while frames:
+            frame = frames[-1]
+            i, prior = frame
+            while i < t and (mask >> i & 1 or (order and not _attaches(facets[i], prior))):
+                i += 1
+            if i == t:  # every extension of this prefix fails
+                dead.add(mask)
+                frames.pop()
+                if order:
+                    mask ^= 1 << order.pop()
+                continue
+            frame[0] = i + 1
+            order.append(i)
+            mask |= 1 << i
+            budget.tick()
+            if len(order) == t:
+                break
+            if mask in dead:
+                mask ^= 1 << order.pop()
+            else:
+                frames.append([0, [facets[j] for j in order]])
     except BudgetExceededError:
         return ShellingResult(SHELLING_UNKNOWN, detail="budget exhausted")
-    if hit is None:
+    if len(order) < t:
         return ShellingResult(SHELLING_NONE, detail="backtracking exhausted all orders")
-    order = tuple(hit)
+    order = tuple(order)
     assert is_shelling_order(c, order)
     return ShellingResult(SHELLING_FOUND, order)
 

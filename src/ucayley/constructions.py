@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import build_graph
+from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
 from .rings import MatRing, ProdRing, det_entries
 
@@ -99,7 +99,7 @@ class ProductWitness:
     competing: tuple  # M x M_n(F), also maximal, of size |M| * |M_n(F)|
 
 
-def product_witness(r_ring, n, field, graph_cap=2 ** 14):
+def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
     """Build N = (R x {0}) u (M x X) in R x M_n(F), X the non-units.
 
     M is the greedy maximal independent set of the Cayley graph of R

@@ -199,9 +199,9 @@ def _tokenize(text):
                 j += 1
             toks.append(("name", text[i:j], i))
             i = j
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             toks.append(("num", int(text[i:j]), i))
             i = j
@@ -620,7 +620,9 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
     validate_spec(spec)
     order = spec_order(spec)
     if order > cap:
-        raise CapExceededError("|R| = %d exceeds the cardinality cap %d" % (order, cap))
+        # int-to-str refuses more than 4300 digits, so a huge order is given as a power of 2
+        size = "= %d" % order if order < 2 ** 64 else ">= 2^%d" % (order.bit_length() - 1)
+        raise CapExceededError("|R| %s exceeds the cardinality cap %d" % (size, cap))
     if isinstance(spec, Z):
         return ZmRing(spec.m)
     if isinstance(spec, GF):

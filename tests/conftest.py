@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import strategies as st
 
+from ucayley.complexes import (SHELLING_FOUND, SHELLING_NONE, SHELLING_UNKNOWN,
+                               ShellingResult, _attaches, codim1_connected, is_pure)
 from ucayley.graphs import UGraph
-from ucayley.indsets import Budget, WellCoveredReport
+from ucayley.indsets import Budget, BudgetExceededError, WellCoveredReport
 from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, TriRing,
                            ZmRing, spec_order)
 
@@ -108,6 +110,51 @@ def seed_is_well_covered(g, budget=None):
             alpha = pbound_alpha(g, Budget(budget.max_nodes, budget.max_seconds))
             return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts)
     return WellCoveredReport("yes", max(counts, default=0), counts=counts, complete=True)
+
+
+def recursive_find_shelling(c, budget=None):
+    """Oracle: the recursive shelling search, one call per facet in the order."""
+    assert is_pure(c)
+    budget = budget or Budget()
+    t = len(c.facets)
+    if t <= 1:
+        return ShellingResult(SHELLING_FOUND, tuple(range(t)), "at most one facet")
+    if c.dim == 0:
+        return ShellingResult(SHELLING_FOUND, tuple(range(t)),
+                              "dimension 0: any order shells")
+    connected, comps = codim1_connected(c)
+    if not connected:
+        return ShellingResult(SHELLING_NONE,
+                              detail="disconnected in codimension 1 "
+                                     "(%d components)" % len(comps))
+    facets = c.facets
+    dead = set()
+
+    def extend(order, mask):
+        budget.tick()
+        if len(order) == t:
+            return order
+        if mask in dead:
+            return None
+        prior = [facets[j] for j in order]
+        for i in range(t):
+            if mask >> i & 1:
+                continue
+            if order and not _attaches(facets[i], prior):
+                continue
+            hit = extend(order + [i], mask | (1 << i))
+            if hit is not None:
+                return hit
+        dead.add(mask)
+        return None
+
+    try:
+        hit = extend([], 0)
+    except BudgetExceededError:
+        return ShellingResult(SHELLING_UNKNOWN, detail="budget exhausted")
+    if hit is None:
+        return ShellingResult(SHELLING_NONE, detail="backtracking exhausted all orders")
+    return ShellingResult(SHELLING_FOUND, tuple(hit))
 
 
 def is_maximal_independent(g, verts):

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import RING_SPECS
 from ucayley.cli import main
+from ucayley.rings import spec_order
 
 
 def run(capsys, *argv):
@@ -52,8 +60,13 @@ class TestCommands:
         assert code == 0 and out.count("--") == 4
 
     def test_export_edge_ideal(self, capsys):
-        code, out, _ = run(capsys, "export", "--ring", "Z(4)", "--what", "edge-ideal")
+        code, out, _ = run(capsys, "graph", "--ring", "Z(4)", "--format", "edge-ideal")
         assert code == 0 and len(out.splitlines()) == 5
+
+    def test_edge_ideal_over_the_export_cap_is_a_clean_error(self, capsys):
+        code, out, err = run(capsys, "graph", "--ring", "Z(5000)", "--format", "edge-ideal")
+        assert code == 1 and out == ""
+        assert err == "error: graph on 5000 vertices exceeds the export cap 4096\n"
 
     def test_complex_with_shelling(self, capsys):
         code, out, _ = run(capsys, "complex", "--ring", "prod(Z(2),Z(2))",
@@ -168,6 +181,19 @@ class TestReducedSearch:
         assert code == 0 and json.loads(out)["shelling"]["status"] == "shelling"
 
 
+    def test_complex_json_stats(self, capsys):
+        argv = ("complex", "--ring", "prod(Z(2),Z(2),Z(2))", "--shelling", "--format", "json")
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["stats"] == {"nodes": 48, "reductions": []}
+        _, out, _ = run(capsys, *argv, "--budget-nodes", "31")
+        assert json.loads(out)["stats"]["nodes"] == 32
+        code, out, _ = run(capsys, "complex", "--ring", "Z(6)", "--format", "json",
+                           "--budget-nodes", "3")
+        payload = json.loads(out)
+        assert code == 2 and payload["answer"] == "inconclusive"
+        assert payload["stats"] == {"nodes": 4, "reductions": []}
+
+
 class TestDeterminism:
     def test_json_round_trip(self, capsys):
         _, out, _ = run(capsys, "classify", "--ring", "M(2,GF(3))", "--format", "json")
@@ -175,7 +201,92 @@ class TestDeterminism:
         assert json.dumps(payload, sort_keys=True) == out.strip()
 
     def test_identical_runs_identical_output(self, capsys):
-        argv = ("wellcovered", "--ring", "Z(12)", "--format", "json", "--seed", "9")
+        argv = ("wellcovered", "--ring", "Z(12)", "--format", "json")
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+# A valid invocation of each subcommand, and the options it does not take.
+_VALID = {
+    "ring": ("ring", "--ring", "Z(4)"),
+    "radical": ("radical", "--ring", "Z(4)"),
+    "classify": ("classify", "--ring", "Z(4)"),
+    "graph": ("graph", "--ring", "Z(4)"),
+    "alpha": ("alpha", "--ring", "Z(4)"),
+    "wellcovered": ("wellcovered", "--ring", "Z(4)"),
+    "complex": ("complex", "--ring", "Z(4)"),
+    "construct": ("construct", "--kind", "dfamily", "--n", "2", "--q", "2"),
+    "verify-paper": ("verify-paper",),
+}
+_BUDGETS = ("--budget-nodes", "--budget-seconds")
+_NOT_TAKEN = {
+    "ring": ("--max-graph-vertices", *_BUDGETS, "--seed"),
+    "radical": ("--max-graph-vertices", *_BUDGETS, "--seed"),
+    "classify": ("--max-ring-order", "--max-graph-vertices", *_BUDGETS, "--seed"),
+    "graph": ("--max-ring-order", *_BUDGETS, "--seed"),
+    "alpha": ("--max-ring-order", "--seed"),
+    "wellcovered": ("--max-ring-order", "--seed"),
+    "complex": ("--max-ring-order", "--seed"),
+    "construct": (*_BUDGETS, "--seed"),
+    "verify-paper": ("--max-ring-order", "--max-graph-vertices", *_BUDGETS),
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, flags in _NOT_TAKEN.items()
+                                              for f in flags])
+    def test_option_not_taken_is_rejected(self, capsys, command, flag):
+        code, out, err = run(capsys, *_VALID[command], flag, "5")
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments: %s 5" % flag in err
+
+    def test_export_is_gone(self, capsys):
+        code, out, err = run(capsys, "export", "--ring", "Z(4)")
+        assert code == 1 and out == "" and "error:" in err
+
+
+_SMALL = RING_SPECS.filter(lambda s: spec_order(s) <= 64).map(str)
+_SPEC_TEXT = st.one_of(
+    _SMALL,
+    st.tuples(_SMALL, st.integers(0, 30)).map(lambda t: t[0][:t[1]] + t[0][t[1] + 1:]),
+    st.text(max_size=10),
+    # orders past every cap, some with more than the 4300 digits str() will print
+    st.builds("{}({},{})".format, st.sampled_from("MT"), st.integers(5, 300),
+              st.sampled_from(("GF(2)", "GF(9)"))),
+)
+_RING_COMMANDS = sorted(set(_VALID) - {"construct", "verify-paper"}) + ["product-witness"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=_SPEC_TEXT, command=st.sampled_from(_RING_COMMANDS),
+       nodes=st.integers(1, 40), shelling=st.booleans())
+def test_every_ring_command_exits_0_1_or_2(text, command, nodes, shelling):
+    # valid, damaged, huge and random spec text through each subcommand that takes a ring
+    if command == "product-witness":
+        argv = ["construct", "--kind", command, "--n", "2", "--q", "2", "--ring", text]
+    else:
+        argv = [command, "--ring", text]
+    if command in ("alpha", "wellcovered", "complex"):
+        argv += ["--budget-nodes", str(nodes)]
+    if command == "complex" and shelling:
+        argv.append("--shelling")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert ("error:" in err.getvalue()) == (code == 1)
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("ucayley ")]
+    assert commands, "README has no command-line examples"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(capsys, argv):
+    assert run(capsys, *argv)[0] == 0

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from conftest import recursive_find_shelling
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
                                SHELLING_UNKNOWN, codim1_connected,
                                export_stanley_reisner, find_shelling,
@@ -9,6 +12,7 @@ from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
 from ucayley.graphs import UGraph, build_graph
 from ucayley.indsets import Budget
 from ucayley.rings import make_ring
+from ucayley.verify import CATALOG
 
 
 def k2():
@@ -137,6 +141,30 @@ class TestShelling:
         c = independence_complex(build_graph(make_ring("prod(Z(2),Z(2),Z(2))")))
         res = find_shelling(c, Budget(max_nodes=2))
         assert res.status == SHELLING_UNKNOWN
+
+    def test_deep_path_needs_no_recursion(self):
+        # 1101 facets in a chain: one recursive call per facet overflowed the stack
+        c = Complex(1102, [(i, i + 1) for i in range(1101)])
+        budget = Budget()
+        res = find_shelling(c, budget)
+        assert res.status == SHELLING_FOUND and res.order == tuple(range(1101))
+        assert budget.nodes == 1102
+
+    @pytest.mark.parametrize("text", CATALOG)
+    def test_matches_recursive_oracle(self, text):
+        # the ring's complex if pure, and its pure skeletons small enough for the
+        # oracle's recursion, under a budget that trips and one that lets the
+        # search end: the 2-skeleton of ind(T(2,GF(2))) has no shelling, which
+        # takes 31,185 nodes and dead-prefix memo hits to prove
+        c = independence_complex(build_graph(make_ring(text)))
+        cases = [c] if is_pure(c) else []
+        cases += [pure_skeleton(c, d) for d in range(1, c.dim + 1)
+                  if math.comb(c.dim + 1, d + 1) * len(c.facets) <= 60]
+        for s in cases:
+            for nodes in (20, 40000):
+                got, want = Budget(max_nodes=nodes), Budget(max_nodes=nodes)
+                assert find_shelling(s, got) == recursive_find_shelling(s, want)
+                assert got.nodes == want.nodes
 
     def test_replay_rejects_bad_order(self):
         # a path of three edges: starting in the middle is fine, but a

@@ -46,6 +46,11 @@ class TestParser:
         with pytest.raises(SpecSyntaxError):
             parse_spec("Z(2))")
 
+    def test_non_decimal_digit(self):
+        # '²' is a digit to str.isdigit but not a decimal int() can read
+        with pytest.raises(SpecSyntaxError, match="unexpected character"):
+            parse_spec("Z(²)")
+
     def test_unknown_constructor(self):
         with pytest.raises(SpecSyntaxError, match="unknown"):
             parse_spec("Q(5)")
@@ -72,6 +77,11 @@ class TestMakeRing:
     def test_cardinality_cap(self):
         with pytest.raises(CapExceededError):
             make_ring("M(3,GF(3))", cap=2 ** 10)
+
+    def test_cap_error_on_an_order_too_long_to_print(self):
+        # 2^14400 has 4335 digits, past the int-to-str limit of 4300
+        with pytest.raises(CapExceededError, match=r"\|R\| >= 2\^14400 exceeds"):
+            make_ring("M(120,GF(2))")
 
     def test_zero_and_one(self):
         for text in ("Z(6)", "GF(9)", "M(2,GF(2))", "T(2,GF(3))", "prod(Z(4),GF(2))"):

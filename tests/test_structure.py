@@ -1,8 +1,12 @@
+import time
+
 import pytest
 
-from ucayley.rings import parse_spec
+from ucayley.rings import jacobson_radical, make_ring, parse_spec
 from ucayley.structure import (classify_cm, classify_gorenstein,
-                               classify_well_covered, semisimple_quotient)
+                               classify_well_covered, radical_is_zero,
+                               semisimple_quotient)
+from ucayley.verify import CATALOG
 
 
 class TestSemisimpleQuotient:
@@ -24,6 +28,22 @@ class TestSemisimpleQuotient:
         for p in parts:
             union.extend(semisimple_quotient(parse_spec(p)))
         assert combined == tuple(sorted(union))
+
+
+@pytest.mark.parametrize("text", CATALOG + ["T(1,GF(4))", "M(2,Z(6))",
+                                              "prod(Z(9),M(2,GF(2)))"])
+def test_radical_is_zero_matches_the_radical(text):
+    # J = 0 iff |R| = |R/J|; the radical itself is computed from the ring
+    assert radical_is_zero(parse_spec(text)) == (len(jacobson_radical(make_ring(text))) == 1)
+
+
+def test_classification_does_not_compute_the_ring_order():
+    # |M_3000(F_3)| = 3^9000000: the verdicts are read off the spec at once,
+    # while computing |R| to compare it with |R/J| takes seconds
+    start = time.monotonic()
+    for fn in (classify_well_covered, classify_cm, classify_gorenstein):
+        assert fn("M(3000,GF(3))").answer is False
+    assert time.monotonic() - start < 1.0
 
 
 class TestWellCovered:
