@@ -2,6 +2,13 @@
 
 Covers purity, pure skeletons, connectivity in codimension 1, a
 backtracking shelling search, and edge-ideal / Stanley-Reisner export.
+
+A complex keeps each facet as a vertex bitmask, and each vertex as the
+bitmask of the facets that hold it (its column).  The antichain check, the
+codimension-1 test, the shelling step and the walk over the faces for the
+minimal non-faces are bit operations on these.
+`independence_complex` enumerates the twin quotient of the graph, as the
+searches in `indsets` do, and lifts each maximal set to its twin classes.
 """
 from __future__ import annotations
 
@@ -9,31 +16,57 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import UGraph
-from .indsets import Budget, BudgetExceededError, enumerate_maximal_independent
+from .indsets import (Budget, BudgetExceededError, _bits, _lift, _reduce,
+                      enumerate_maximal_independent)
 
 SHELLING_FOUND = "shelling"
 SHELLING_NONE = "no shelling exists"
 SHELLING_UNKNOWN = "none found within budget"
+
+# minimal_nonfaces walks every face: it refuses a complex whose facets have
+# more than this many faces counted facet by facet (the sum of 2^|f|)
+MAX_FACE_COUNT = 1 << 20
 
 
 class Complex:
     """Simplicial complex on vertices 0..n-1, given by its facet list.
 
     Facets are stored canonically: sorted tuples, ordered by size then
-    lexicographically.  The facet list must be an antichain.
+    lexicographically.  `masks[i]` is the vertex bitmask of facets[i] and
+    `cols[v]` the bitmask of the indices of the facets holding v.  The facet
+    list must be an antichain of vertex sets: no facet repeats a vertex.
     """
 
     def __init__(self, n, facets):
         self.n = n
         canon = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
-        for f in canon:
+        masks = []
+        cols = [0] * n
+        for i, f in enumerate(canon):
+            m = 0
             for v in f:
                 if not 0 <= v < n:
                     raise ValueError("facet vertex %d out of range" % v)
-        for a, b in itertools.combinations(canon, 2):
-            if set(a) <= set(b) or set(b) <= set(a):
-                raise ValueError("facet list is not an antichain: %r, %r" % (a, b))
+                m |= 1 << v
+                cols[v] |= 1 << i
+            if m.bit_count() < len(f):
+                raise ValueError("facet %r repeats a vertex" % (f,))
+            masks.append(m)
+        # the facets holding all of facet i are i and its strict supersets,
+        # which the order puts after i
+        everyone = (1 << len(canon)) - 1
+        for i, f in enumerate(canon):
+            over = everyone ^ 1 << i
+            for v in f:
+                over &= cols[v]
+                if not over:
+                    break
+            if over:
+                j = (over & -over).bit_length() - 1
+                raise ValueError("facet list is not an antichain: %r, %r" % (f, canon[j]))
         self.facets = tuple(canon)
+        self.masks = tuple(masks)
+        self.cols = tuple(cols)
 
     @property
     def dim(self):
@@ -59,8 +92,15 @@ def from_face_list(n, faces):
 
 
 def independence_complex(g, budget=None):
-    """ind(g): the complex whose facets are the maximal independent sets."""
-    return Complex(g.n, list(enumerate_maximal_independent(g, budget)))
+    """ind(g): the complex whose facets are the maximal independent sets.
+
+    They are enumerated on the twin quotient of g where it applies, and each
+    lifts to the union of its twin classes.
+    """
+    if budget is None:
+        budget = Budget()
+    h, classes, _ = _reduce(g, budget)
+    return Complex(g.n, [_lift(s, classes) for s in enumerate_maximal_independent(h, budget)])
 
 
 def is_pure(c):
@@ -81,15 +121,15 @@ def codim1_connected(c):
     """Connectivity of the facet graph linking facets meeting in codimension 1.
 
     Returns (connected, components) where components partition the facet
-    list (by facet index into c.facets).  Input must be pure.
+    list (by facet index into c.facets).  Input must be pure.  Two facets of
+    a pure complex meet in codimension 1 exactly when they share a ridge (a
+    facet less one vertex), so facets are joined through a table of ridges.
     """
     if not is_pure(c):
         raise ValueError("codimension-1 connectivity requires a pure complex")
     t = len(c.facets)
     if t == 0:
         return True, []
-    sets = [set(f) for f in c.facets]
-    size = len(c.facets[0])
     parent = list(range(t))
 
     def find(i):
@@ -98,9 +138,12 @@ def codim1_connected(c):
             i = parent[i]
         return i
 
-    for i, j in itertools.combinations(range(t), 2):
-        if len(sets[i] & sets[j]) == size - 1:
-            parent[find(i)] = find(j)
+    first = {}  # ridge mask -> a facet holding it
+    for i, m in enumerate(c.masks):
+        for v in _bits(m):
+            j = first.setdefault(m ^ 1 << v, i)
+            if j != i:
+                parent[find(i)] = find(j)
     comps = {}
     for i in range(t):
         comps.setdefault(find(i), []).append(i)
@@ -108,26 +151,44 @@ def codim1_connected(c):
     return len(components) == 1, components
 
 
-def _attaches(facet, prior_facets):
+def _ridge_holders(verts, cols, among):
+    """For each k, the facets in the index mask `among` holding every vertex
+    of verts but verts[k]."""
+    tails = [among]  # tails[k]: those holding the last k vertices
+    for v in reversed(verts):
+        tails.append(tails[-1] & cols[v])
+    out, head = [], among
+    for k, v in enumerate(verts):
+        out.append(head & tails[len(verts) - 1 - k])
+        head &= cols[v]
+    return out
+
+
+def _attaches(m, prior, cols):
     """Shelling step: <prior> n <facet> must be pure of dim |facet| - 2.
 
-    Equivalently every intersection with a prior facet sits inside one of
-    size |facet| - 1.
+    m is the facet's vertex mask, prior the index mask of the prior facets
+    and cols the complex's columns.  Equivalently every prior facet misses
+    some vertex v of the facet whose ridge, the facet less v, lies in a
+    prior facet; so no prior facet may hold all such v.
     """
-    fs = set(facet)
-    inters = {tuple(sorted(fs & set(p))) for p in prior_facets}
-    want = len(facet) - 1
-    bigs = [set(i) for i in inters if len(i) == want]
-    return all(any(set(i) <= b for b in bigs) or len(i) == want for i in inters)
+    verts = list(_bits(m))
+    holds = prior  # the prior facets holding every such v
+    for v, ridge in zip(verts, _ridge_holders(verts, cols, prior)):
+        if ridge:
+            holds &= cols[v]
+    return not holds
 
 
 def is_shelling_order(c, order):
     """Replay an order of facet indices and check the shelling condition."""
     if sorted(order) != list(range(len(c.facets))):
         return False
-    for i in range(1, len(order)):
-        if not _attaches(c.facets[order[i]], [c.facets[j] for j in order[:i]]):
+    prior = 0
+    for i in order:
+        if not _attaches(c.masks[i], prior, c.cols):
             return False
+        prior |= 1 << i
     return True
 
 
@@ -167,16 +228,15 @@ def find_shelling(c, budget=None):
         return ShellingResult(SHELLING_NONE,
                               detail="disconnected in codimension 1 "
                                      "(%d components)" % len(comps))
-    facets = c.facets
+    masks, cols = c.masks, c.cols
     dead = set()
-    order, mask = [], 0
-    frames = [[0, []]]  # one per prefix of the order: next facet to try, prefix facets
+    order, mask = [], 0  # mask: the index mask of the facets in the order
+    frames = [0]  # one per prefix of the order: the next facet to try
     try:
         budget.tick()
         while frames:
-            frame = frames[-1]
-            i, prior = frame
-            while i < t and (mask >> i & 1 or (order and not _attaches(facets[i], prior))):
+            i = frames[-1]
+            while i < t and (mask >> i & 1 or not _attaches(masks[i], mask, cols)):
                 i += 1
             if i == t:  # every extension of this prefix fails
                 dead.add(mask)
@@ -184,7 +244,7 @@ def find_shelling(c, budget=None):
                 if order:
                     mask ^= 1 << order.pop()
                 continue
-            frame[0] = i + 1
+            frames[-1] = i + 1
             order.append(i)
             mask |= 1 << i
             budget.tick()
@@ -193,37 +253,59 @@ def find_shelling(c, budget=None):
             if mask in dead:
                 mask ^= 1 << order.pop()
             else:
-                frames.append([0, [facets[j] for j in order]])
+                frames.append(0)
     except BudgetExceededError:
         return ShellingResult(SHELLING_UNKNOWN, detail="budget exhausted")
     if len(order) < t:
         return ShellingResult(SHELLING_NONE, detail="backtracking exhausted all orders")
     order = tuple(order)
-    assert is_shelling_order(c, order)
+    if not is_shelling_order(c, order):  # a check, not an assert: it must survive -O
+        raise AssertionError("the search returned an order that is not a shelling")
     return ShellingResult(SHELLING_FOUND, order)
 
 
 def minimal_nonfaces(c):
-    """Minimal non-faces of a complex, sizes 1..dim+2, in canonical order."""
-    faces_by_size = {0: {()}}
-    for f in c.facets:
-        for s in range(1, len(f) + 1):
-            faces_by_size.setdefault(s, set()).update(itertools.combinations(f, s))
-    out = []
-    for s in range(1, c.dim + 3):
-        smaller = faces_by_size.get(s - 1, set())
-        here = faces_by_size.get(s, set())
-        cands = set()
-        for f in smaller:
-            for v in range(c.n):
-                if v not in f:
-                    cands.add(tuple(sorted(f + (v,))))
-        for cand in sorted(cands):
-            if cand in here:
-                continue
-            subs = list(itertools.combinations(cand, s - 1))
-            if all(sub in smaller for sub in subs):
-                out.append(cand)
+    """Minimal non-faces of a complex, sizes 1..dim+2, in canonical order.
+
+    The vertices in no facet are the minimal non-faces of size 1.  From the
+    other vertices a depth-first walk visits each nonempty face f once, with
+    the facets holding it, and tries f + v for each vertex v above max(f): a
+    non-face whose every subset f - u + v lies in a facet is minimal, and
+    each minimal non-face N arises once, from N less its largest vertex.
+    The walk is refused up front when the facets have more than
+    MAX_FACE_COUNT faces, counted facet by facet.
+    """
+    count = sum(1 << len(f) for f in c.facets)
+    if count > MAX_FACE_COUNT:
+        raise ValueError("complex has %d faces counted facet by facet, over the limit %d"
+                         % (count, MAX_FACE_COUNT))
+    if not c.facets:
+        return []  # the void complex has no faces, not even the empty one
+    cols = c.cols
+    everyone = (1 << len(c.facets)) - 1
+    support = 0  # the vertices in some facet
+    near = []  # near[v]: the vertices sharing a facet with v
+    for v in range(c.n):
+        shared = 0
+        for j in _bits(cols[v]):
+            shared |= c.masks[j]
+        near.append(shared)
+        support |= shared
+    out = [(v,) for v in range(c.n) if not cols[v]]
+    # (face, the facets holding it, the vertices near all of its vertices)
+    stack = [((v,), cols[v], near[v]) for v in reversed(range(c.n)) if cols[v]]
+    while stack:
+        face, holders, common = stack.pop()
+        ridges = _ridge_holders(face, cols, everyone)
+        # past one vertex, f + v is a face or a minimal non-face only when
+        # each w in f shares a facet with v (one holding f - u + v, u != w)
+        above = (support if len(face) == 1 else common) >> face[-1] + 1 << face[-1] + 1
+        for v in _bits(above):
+            held = holders & cols[v]
+            if held:
+                stack.append((face + (v,), held, common & near[v]))
+            elif all(r & cols[v] for r in ridges):
+                out.append(face + (v,))
     return sorted(out, key=lambda f: (len(f), f))
 
 

@@ -5,7 +5,8 @@ complement graph (Bron-Kerbosch with pivoting, on an explicit stack); all
 orders are deterministic so streams can be golden-tested.
 `enumerate_maximal_independent` searches the graph as given: it is the
 exhaustive oracle.  The two search questions, `independence_number` and
-`is_well_covered`, first apply exact reductions:
+`is_well_covered`, first apply exact reductions, and so does
+`complexes.independence_complex` (the twin quotient only):
 
 - Twin quotient.  Vertices with equal adjacency rows are twins: they are
   pairwise non-adjacent, and a maximal independent set holds all of a twin
@@ -165,6 +166,14 @@ def _reduce(g, budget):
     return h, classes, len(classes[0])
 
 
+def _lift(s, classes):
+    """A sorted vertex set of the quotient lifted to the union of its twin
+    classes (unchanged when classes is None: no quotient was taken)."""
+    if classes is None:
+        return s
+    return tuple(sorted(v for i in s for v in classes[i]))
+
+
 def _cover(adj, P, floor):
     """A greedy clique cover of P: (vertices, class numbers), classes ascending.
 
@@ -293,8 +302,7 @@ def is_well_covered(g, budget=None):
     except BudgetExceededError:
         exhausted = True
     if smallest is not None and largest is not None and len(smallest) < len(largest):
-        if classes is not None:
-            smallest = tuple(sorted(v for i in smallest for v in classes[i]))
+        smallest = _lift(smallest, classes)
         try:
             alpha, exact = independence_number(g, budget), True
         except BudgetExceededError as exc:

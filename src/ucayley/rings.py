@@ -182,6 +182,26 @@ def spec_order(spec):
     raise SpecConstraintError("not a ring spec: %r" % (spec,))
 
 
+def _order_log2_64ths(spec):
+    """A lower bound on 64 log2 |R|, with no power of |R| taken: the sum over
+    the spec's Z(m) and GF(q) leaves of their multiplicity times
+    floor(64 log2 m).
+
+    It falls short by less than 1 per leaf occurrence, so by under 1/64 of
+    64 log2 |R| (each occurrence adds log2 m >= 1 bit), and not at all when
+    |R| is a power of 2.
+    """
+    if isinstance(spec, (Z, GF)):
+        return ((spec.m if isinstance(spec, Z) else spec.q) ** 64).bit_length() - 1
+    if isinstance(spec, M):
+        return spec.n * spec.n * _order_log2_64ths(spec.base)
+    if isinstance(spec, T):
+        return spec.n * (spec.n + 1) // 2 * _order_log2_64ths(spec.base)
+    if isinstance(spec, Prod):
+        return sum(_order_log2_64ths(f) for f in spec.factors)
+    raise SpecConstraintError("not a ring spec: %r" % (spec,))
+
+
 # ---------------------------------------------------------------------------
 # spec parser
 #   spec := Z(m) | GF(q) | M(n,spec) | T(n,spec) | prod(spec{,spec})
@@ -618,9 +638,12 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
     if isinstance(spec, str):
         spec = parse_spec(spec)
     validate_spec(spec)
-    order = spec_order(spec)
+    # int-to-str refuses more than 4300 digits, so a huge order is given as a power of 2
+    low = _order_log2_64ths(spec) // 64
+    if low >= max(64, cap.bit_length()):  # |R| >= 2^low > cap: no power is taken
+        raise CapExceededError("|R| >= 2^%d exceeds the cardinality cap %d" % (low, cap))
+    order = spec_order(spec)  # below 4^(low + 1) here, so cheap
     if order > cap:
-        # int-to-str refuses more than 4300 digits, so a huge order is given as a power of 2
         size = "= %d" % order if order < 2 ** 64 else ">= 2^%d" % (order.bit_length() - 1)
         raise CapExceededError("|R| %s exceeds the cardinality cap %d" % (size, cap))
     if isinstance(spec, Z):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ucayley.complexes import (SHELLING_FOUND, SHELLING_NONE, SHELLING_UNKNOWN,
-                               ShellingResult, _attaches, codim1_connected, is_pure)
+                               ShellingResult, is_pure)
 from ucayley.graphs import UGraph
 from ucayley.indsets import Budget, BudgetExceededError, WellCoveredReport
 from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, TriRing,
@@ -112,6 +112,78 @@ def seed_is_well_covered(g, budget=None):
     return WellCoveredReport("yes", max(counts, default=0), counts=counts, complete=True)
 
 
+def antichain_error(n, facets):
+    """Oracle: the pairwise set check of a facet list, as `Complex()` states it.
+
+    The error message `Complex()` raises for these facets, or None if they
+    are a valid facet list.
+    """
+    canon = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
+    for f in canon:
+        for v in f:
+            if not 0 <= v < n:
+                return "facet vertex %d out of range" % v
+    for a, b in itertools.combinations(canon, 2):
+        if set(a) <= set(b) or set(b) <= set(a):
+            return "facet list is not an antichain: %r, %r" % (a, b)
+    return None
+
+
+def set_codim1_components(facets):
+    """Oracle: the codimension-1 components of a pure facet list, by pairwise
+    set intersection and union-find, as sorted lists of facet indices."""
+    t = len(facets)
+    sets = [set(f) for f in facets]
+    parent = list(range(t))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(t), 2):
+        if len(sets[i] & sets[j]) == len(facets[0]) - 1:
+            parent[find(i)] = find(j)
+    comps = {}
+    for i in range(t):
+        comps.setdefault(find(i), []).append(i)
+    return sorted(comps.values())
+
+
+def set_attaches(facet, prior_facets):
+    """Oracle: the shelling step on vertex sets.  <prior> n <facet> must be
+    pure of dim |facet| - 2: every intersection with a prior facet sits inside
+    one of size |facet| - 1."""
+    fs = set(facet)
+    inters = {tuple(sorted(fs & set(p))) for p in prior_facets}
+    want = len(facet) - 1
+    bigs = [set(i) for i in inters if len(i) == want]
+    return all(any(set(i) <= b for b in bigs) or len(i) == want for i in inters)
+
+
+def seed_minimal_nonfaces(c):
+    """Oracle: minimal non-faces from every face of every facet, size by size."""
+    faces_by_size = {0: {()}}
+    for f in c.facets:
+        for s in range(1, len(f) + 1):
+            faces_by_size.setdefault(s, set()).update(itertools.combinations(f, s))
+    out = []
+    for s in range(1, c.dim + 3):
+        smaller = faces_by_size.get(s - 1, set())
+        here = faces_by_size.get(s, set())
+        cands = set()
+        for f in smaller:
+            for v in range(c.n):
+                if v not in f:
+                    cands.add(tuple(sorted(f + (v,))))
+        for cand in sorted(cands):
+            if cand in here:
+                continue
+            if all(sub in smaller for sub in itertools.combinations(cand, s - 1)):
+                out.append(cand)
+    return sorted(out, key=lambda f: (len(f), f))
+
+
 def recursive_find_shelling(c, budget=None):
     """Oracle: the recursive shelling search, one call per facet in the order."""
     assert is_pure(c)
@@ -122,8 +194,8 @@ def recursive_find_shelling(c, budget=None):
     if c.dim == 0:
         return ShellingResult(SHELLING_FOUND, tuple(range(t)),
                               "dimension 0: any order shells")
-    connected, comps = codim1_connected(c)
-    if not connected:
+    comps = set_codim1_components(c.facets)
+    if len(comps) > 1:
         return ShellingResult(SHELLING_NONE,
                               detail="disconnected in codimension 1 "
                                      "(%d components)" % len(comps))
@@ -140,7 +212,7 @@ def recursive_find_shelling(c, budget=None):
         for i in range(t):
             if mask >> i & 1:
                 continue
-            if order and not _attaches(facets[i], prior):
+            if order and not set_attaches(facets[i], prior):
                 continue
             hit = extend(order + [i], mask | (1 << i))
             if hit is not None:

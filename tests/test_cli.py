@@ -193,6 +193,13 @@ class TestReducedSearch:
         assert code == 2 and payload["answer"] == "inconclusive"
         assert payload["stats"] == {"nodes": 4, "reductions": []}
 
+    def test_complex_json_reports_the_twin_quotient(self, capsys):
+        # J(M(2,Z(4))) != 0: the complex is enumerated on Gamma(M(2,GF(2)))
+        code, out, _ = run(capsys, "complex", "--ring", "M(2,Z(4))", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["stats"] == {"nodes": 108, "reductions": ["twin-quotient"]}
+        assert len(payload["facets"]) == 24 and payload["dim"] == 63
+
 
 class TestDeterminism:
     def test_json_round_trip(self, capsys):

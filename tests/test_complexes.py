@@ -1,18 +1,35 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import recursive_find_shelling
+import ucayley.complexes as complexes
+from conftest import (RING_SPECS, antichain_error, recursive_find_shelling,
+                      seed_minimal_nonfaces, set_attaches, set_codim1_components)
+from test_indsets import blow_up, random_graph
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
-                               SHELLING_UNKNOWN, codim1_connected,
+                               SHELLING_UNKNOWN, _attaches, codim1_connected,
                                export_stanley_reisner, find_shelling,
                                from_face_list, independence_complex, is_pure,
                                is_shelling_order, minimal_nonfaces,
                                pure_skeleton)
 from ucayley.graphs import UGraph, build_graph
-from ucayley.indsets import Budget
+from ucayley.indsets import (TWIN_QUOTIENT, Budget, BudgetExceededError,
+                             enumerate_maximal_independent)
 from ucayley.rings import make_ring
 from ucayley.verify import CATALOG
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# facet lists on vertices 0..6, with repeated and empty facets
+FACET_LISTS = st.lists(st.lists(st.integers(0, 6), max_size=5, unique=True), max_size=8)
 
 
 def k2():
@@ -29,6 +46,37 @@ class TestComplexType:
     def test_rejects_nested_facets(self):
         with pytest.raises(ValueError, match="antichain"):
             Complex(4, [(0, 1), (0, 1, 2)])
+
+    def test_masks_and_columns(self):
+        c = Complex(5, [(1, 3), (0, 1, 4)])
+        assert c.facets == ((1, 3), (0, 1, 4))
+        assert c.masks == (0b01010, 0b10011)
+        assert c.cols == (0b10, 0b11, 0b00, 0b01, 0b10)
+
+    def test_nested_pair_is_named_as_before(self):
+        # the first nested pair in facet order: (0, 1) in (0, 1, 2)
+        with pytest.raises(ValueError) as info:
+            Complex(5, [(3, 4), (0, 1), (2, 3, 4), (0, 1, 2)])
+        assert str(info.value) == "facet list is not an antichain: (0, 1), (0, 1, 2)"
+
+    def test_rejects_bad_vertices(self):
+        with pytest.raises(ValueError, match="facet vertex -1 out of range"):
+            Complex(3, [(-1, 0)])
+        with pytest.raises(ValueError, match=r"facet \(0, 2, 2\) repeats a vertex"):
+            Complex(3, [(0, 2, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(5, 7), FACET_LISTS)
+    def test_accepts_and_rejects_as_the_pairwise_check(self, n, facets):
+        # on n < 7 vertices some facets hold a vertex out of range
+        want = antichain_error(n, facets)
+        if want is None:
+            assert Complex(n, facets).facets == tuple(sorted(
+                {tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f)))
+        else:
+            with pytest.raises(ValueError) as info:
+                Complex(n, facets)
+            assert str(info.value) == want
 
     def test_from_face_list_prunes(self):
         c = from_face_list(4, [(0,), (0, 1), (2,), (1,)])
@@ -47,6 +95,48 @@ class TestIndependenceComplex:
         c = independence_complex(build_graph(make_ring("Z(6)")))
         assert len(c.facets) == 5
         assert sorted(len(f) - 1 for f in c.facets) == [1, 1, 1, 2, 2]
+
+    def test_quotient_recorded_and_lifted(self):
+        # Gamma(M(2,Z(4))) is the 16-fold blow-up of Gamma(M(2,GF(2)))
+        g = build_graph(make_ring("M(2,Z(4))"))
+        budget = Budget()
+        c = independence_complex(g, budget)
+        assert budget.reductions == [TWIN_QUOTIENT]
+        assert budget.nodes < 200  # the full graph's enumeration takes 2,494
+        assert c == Complex(g.n, enumerate_maximal_independent(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS)
+    def test_random_specs_match_the_full_enumeration(self, spec):
+        g = build_graph(make_ring(spec))
+        try:
+            want = Complex(g.n, enumerate_maximal_independent(g, Budget(max_nodes=20_000)))
+        except BudgetExceededError:
+            assume(False)  # beyond the oracle's budget
+        assert independence_complex(g) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_blow_ups_match_the_full_enumeration(self, seed):
+        # classes of one size (the quotient applies) and of unequal sizes (it does not)
+        rng = random.Random(seed)
+        base = random_graph(rng.randint(1, 6), rng.random(), seed)
+        sizes = [rng.randint(1, 3) for _ in range(base.n)]
+        if rng.random() < 0.5:
+            sizes = [rng.randint(1, 14 // base.n)] * base.n
+        g = blow_up(base, sizes, rng)
+        assert independence_complex(g) == Complex(g.n, enumerate_maximal_independent(g))
+
+    @pytest.mark.parametrize("text", ["prod(Z(5),Z(5),Z(5))", "T(3,GF(3))"])
+    def test_complex_and_shelling_within_a_second(self, text):
+        # the two slowest rings of the benchmark's enumerate workload; both
+        # complexes are impure, so the shelling search runs on the top skeleton
+        g = build_graph(make_ring(text))
+        start = time.monotonic()
+        c = independence_complex(g)
+        top = c if is_pure(c) else pure_skeleton(c, c.dim)
+        assert find_shelling(top).status == SHELLING_NONE
+        assert time.monotonic() - start < 1.0
 
 
 class TestPurity:
@@ -103,6 +193,17 @@ class TestCodim1:
         c = independence_complex(build_graph(make_ring("M(2,GF(2))")))
         ok, _ = codim1_connected(pure_skeleton(c, c.dim))
         assert not ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.lists(st.lists(st.integers(0, 7), min_size=7, max_size=7),
+                                       max_size=12))
+    def test_components_match_the_pairwise_check(self, size, rows):
+        # a pure complex: distinct sets of `size` vertices out of 8
+        facets = {tuple(sorted(set(row[:size]))) for row in rows}
+        facets = [f for f in facets if len(f) == size]
+        c = Complex(8, facets)
+        ok, comps = codim1_connected(c)
+        assert comps == set_codim1_components(c.facets) and ok == (len(comps) <= 1)
 
     def test_z4_disconnected(self):
         c = independence_complex(build_graph(make_ring("Z(4)")))
@@ -166,6 +267,36 @@ class TestShelling:
                 assert find_shelling(s, got) == recursive_find_shelling(s, want)
                 assert got.nodes == want.nodes
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=4), min_size=2,
+                    max_size=10), st.integers(0, 2 ** 10 - 1), st.integers(0, 9))
+    def test_attaches_matches_the_set_version(self, faces, prior, i):
+        c = from_face_list(7, faces)  # the maximal faces: an antichain
+        i %= len(c.facets)
+        prior &= (1 << len(c.facets)) - 1 & ~(1 << i)
+        want = set_attaches(c.facets[i], [c.facets[j] for j in range(len(c.facets))
+                                          if prior >> j & 1])
+        assert _attaches(c.masks[i], prior, c.cols) == want
+
+    def test_final_check_survives_optimisation(self):
+        # under python -O an assert would vanish: a replay that fails must still raise
+        code = (
+            "import sys, ucayley.complexes as cx\n"
+            "if __debug__: sys.exit('asserts are on')\n"
+            "c = cx.Complex(4, [(0, 1), (1, 2), (2, 3)])\n"
+            "print(cx.find_shelling(c).status)\n"
+            "cx.is_shelling_order = lambda c, order: False\n"
+            "try:\n"
+            "    cx.find_shelling(c)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env=env, timeout=60, check=True).stdout
+        assert out.splitlines() == [
+            "shelling", "raised: the search returned an order that is not a shelling"]
+
     def test_replay_rejects_bad_order(self):
         # a path of three edges: starting in the middle is fine, but a
         # disconnected prefix 0,2 fails the attachment condition
@@ -191,6 +322,40 @@ class TestStanleyReisner:
         g = build_graph(make_ring("Z(6)"))
         c = independence_complex(g)
         assert minimal_nonfaces(c) == [tuple(e) for e in g.edges()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=8))
+    def test_nonfaces_match_the_face_by_face_oracle(self, n, faces):
+        c = from_face_list(n, [{v for v in f if v < n} for f in faces])
+        assert minimal_nonfaces(c) == seed_minimal_nonfaces(c)
+
+    @pytest.mark.parametrize("text", ["Z(6)", "Z(12)", "M(2,GF(2))", "prod(Z(3),Z(3),Z(3))",
+                                      "T(2,GF(3))", "prod(Z(2),Z(2),Z(2),Z(2))"])
+    def test_ring_nonfaces_match_the_oracle(self, text):
+        c = independence_complex(build_graph(make_ring(text)))
+        assert minimal_nonfaces(c) == seed_minimal_nonfaces(c)
+
+    def test_void_and_empty_complexes(self):
+        assert minimal_nonfaces(Complex(3, [])) == []
+        assert minimal_nonfaces(Complex(3, [()])) == [(0,), (1,), (2,)]
+
+    def test_face_count_limit(self):
+        # T(3,GF(2)): 16 facets of 32 vertices, 16 * 2^32 faces; refused at once
+        c = independence_complex(build_graph(make_ring("T(3,GF(2))")))
+        assert [len(f) for f in c.facets] == [32] * 16
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="68719476736 faces"):
+            minimal_nonfaces(c)
+        with pytest.raises(ValueError, match="68719476736 faces"):
+            export_stanley_reisner(c)
+        assert time.monotonic() - start < 0.5
+
+    def test_face_count_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(complexes, "MAX_FACE_COUNT", 8)
+        assert minimal_nonfaces(Complex(4, [(0, 1, 2)])) == [(3,)]  # 8 faces
+        with pytest.raises(ValueError, match="10 faces counted facet by facet, over the "
+                                             "limit 8"):
+            minimal_nonfaces(Complex(4, [(0, 1, 2), (3,)]))
 
     def test_missing_vertex_is_a_nonface(self):
         c = Complex(3, [(0, 1)])  # vertex 2 not in the complex

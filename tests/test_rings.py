@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from ucayley.rings import (GF, M, Prod, SpecConstraintError, SpecSyntaxError,
                            T, Z, det_entries, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, quotient_ring, ring_metadata, RingError,
-                           CapExceededError, smallest_irreducible, split_digits)
+                           CapExceededError, _order_log2_64ths, smallest_irreducible,
+                           spec_order, split_digits)
 from conftest import RING_SPECS, leibniz_det, structural_add, structural_neg
 
 
@@ -82,6 +84,35 @@ class TestMakeRing:
         # 2^14400 has 4335 digits, past the int-to-str limit of 4300
         with pytest.raises(CapExceededError, match=r"\|R\| >= 2\^14400 exceeds"):
             make_ring("M(120,GF(2))")
+
+    @pytest.mark.parametrize("n,bits", [(3000, 14_203_125), (10000, 157_812_500)])
+    def test_cap_error_takes_no_big_power(self, n, bits):
+        # |R| = 3^(n^2) >= 2^(n^2 floor(64 log2 3) / 64), with floor(64 log2 3) = 101:
+        # the check compares these bounds instead of computing |R|
+        start = time.monotonic()
+        with pytest.raises(CapExceededError, match=r"\|R\| >= 2\^%d exceeds" % bits):
+            make_ring("M(%d,GF(3))" % n)
+        assert time.monotonic() - start < 0.5
+
+    def test_cap_check_near_the_cap(self):
+        # 2^81 is over a cap one below it and within a cap equal to it
+        with pytest.raises(CapExceededError, match=r"\|R\| >= 2\^81 exceeds"):
+            make_ring("M(9,GF(2))", cap=2 ** 81 - 1)
+        assert make_ring("M(9,GF(2))", cap=2 ** 81).order == 2 ** 81
+        with pytest.raises(CapExceededError, match=r"\|R\| = 81 exceeds"):
+            make_ring("prod(Z(3),M(2,Z(1)),T(2,GF(3)))", cap=80)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS, st.integers(1, 400))
+    def test_cap_check_matches_the_order(self, spec, cap):
+        order = spec_order(spec)
+        low = _order_log2_64ths(spec)  # short by under 1 per leaf, and a leaf adds >= 64
+        assert 2 ** low <= order ** 64 < 2 ** (low + low // 64 + 1)
+        if order > cap:
+            with pytest.raises(CapExceededError, match=r"\|R\| = %d exceeds" % order):
+                make_ring(spec, cap=cap)
+        else:
+            assert make_ring(spec, cap=cap).order == order
 
     def test_zero_and_one(self):
         for text in ("Z(6)", "GF(9)", "M(2,GF(2))", "T(2,GF(3))", "prod(Z(4),GF(2))"):
