@@ -5,8 +5,7 @@ backtracking shelling search, and edge-ideal / Stanley-Reisner export.
 
 A complex keeps each facet as a vertex bitmask, and each vertex as the
 bitmask of the facets that hold it (its column).  The antichain check, the
-codimension-1 test, the shelling step and the walk over the faces for the
-minimal non-faces are bit operations on these.
+codimension-1 test and the shelling step are bit operations on these.
 `independence_complex` enumerates the twin quotient of the graph, as the
 searches in `indsets` do, and lifts each maximal set to its twin classes.
 """
@@ -23,7 +22,7 @@ SHELLING_FOUND = "shelling"
 SHELLING_NONE = "no shelling exists"
 SHELLING_UNKNOWN = "none found within budget"
 
-# minimal_nonfaces walks every face: it refuses a complex whose facets have
+# minimal_nonfaces lists every face: it refuses a complex whose facets have
 # more than this many faces counted facet by facet (the sum of 2^|f|)
 MAX_FACE_COUNT = 1 << 20
 
@@ -151,19 +150,6 @@ def codim1_connected(c):
     return len(components) == 1, components
 
 
-def _ridge_holders(verts, cols, among):
-    """For each k, the facets in the index mask `among` holding every vertex
-    of verts but verts[k]."""
-    tails = [among]  # tails[k]: those holding the last k vertices
-    for v in reversed(verts):
-        tails.append(tails[-1] & cols[v])
-    out, head = [], among
-    for k, v in enumerate(verts):
-        out.append(head & tails[len(verts) - 1 - k])
-        head &= cols[v]
-    return out
-
-
 def _attaches(m, prior, cols):
     """Shelling step: <prior> n <facet> must be pure of dim |facet| - 2.
 
@@ -173,10 +159,15 @@ def _attaches(m, prior, cols):
     prior facet; so no prior facet may hold all such v.
     """
     verts = list(_bits(m))
+    tails = [prior]  # tails[k]: the prior facets holding the last k vertices
+    for v in reversed(verts):
+        tails.append(tails[-1] & cols[v])
+    head = prior  # the prior facets holding the vertices before v
     holds = prior  # the prior facets holding every such v
-    for v, ridge in zip(verts, _ridge_holders(verts, cols, prior)):
-        if ridge:
+    for k, v in enumerate(verts):
+        if head & tails[len(verts) - 1 - k]:  # the facet less v lies in one
             holds &= cols[v]
+        head &= cols[v]
     return not holds
 
 
@@ -267,45 +258,32 @@ def find_shelling(c, budget=None):
 def minimal_nonfaces(c):
     """Minimal non-faces of a complex, sizes 1..dim+2, in canonical order.
 
-    The vertices in no facet are the minimal non-faces of size 1.  From the
-    other vertices a depth-first walk visits each nonempty face f once, with
-    the facets holding it, and tries f + v for each vertex v above max(f): a
-    non-face whose every subset f - u + v lies in a facet is minimal, and
-    each minimal non-face N arises once, from N less its largest vertex.
-    The walk is refused up front when the facets have more than
-    MAX_FACE_COUNT faces, counted facet by facet.
+    Every face of every facet is listed, so a complex whose facets have more
+    than MAX_FACE_COUNT faces, counted facet by facet, is refused up front.
     """
     count = sum(1 << len(f) for f in c.facets)
     if count > MAX_FACE_COUNT:
         raise ValueError("complex has %d faces counted facet by facet, over the limit %d"
                          % (count, MAX_FACE_COUNT))
-    if not c.facets:
-        return []  # the void complex has no faces, not even the empty one
-    cols = c.cols
-    everyone = (1 << len(c.facets)) - 1
-    support = 0  # the vertices in some facet
-    near = []  # near[v]: the vertices sharing a facet with v
-    for v in range(c.n):
-        shared = 0
-        for j in _bits(cols[v]):
-            shared |= c.masks[j]
-        near.append(shared)
-        support |= shared
-    out = [(v,) for v in range(c.n) if not cols[v]]
-    # (face, the facets holding it, the vertices near all of its vertices)
-    stack = [((v,), cols[v], near[v]) for v in reversed(range(c.n)) if cols[v]]
-    while stack:
-        face, holders, common = stack.pop()
-        ridges = _ridge_holders(face, cols, everyone)
-        # past one vertex, f + v is a face or a minimal non-face only when
-        # each w in f shares a facet with v (one holding f - u + v, u != w)
-        above = (support if len(face) == 1 else common) >> face[-1] + 1 << face[-1] + 1
-        for v in _bits(above):
-            held = holders & cols[v]
-            if held:
-                stack.append((face + (v,), held, common & near[v]))
-            elif all(r & cols[v] for r in ridges):
-                out.append(face + (v,))
+    faces_by_size = {0: {()}}
+    for f in c.facets:
+        for s in range(1, len(f) + 1):
+            faces_by_size.setdefault(s, set()).update(itertools.combinations(f, s))
+    out = []
+    for s in range(1, c.dim + 3):
+        smaller = faces_by_size.get(s - 1, set())
+        here = faces_by_size.get(s, set())
+        cands = set()
+        for f in smaller:
+            for v in range(c.n):
+                if v not in f:
+                    cands.add(tuple(sorted(f + (v,))))
+        for cand in sorted(cands):
+            if cand in here:
+                continue
+            subs = list(itertools.combinations(cand, s - 1))
+            if all(sub in smaller for sub in subs):
+                out.append(cand)
     return sorted(out, key=lambda f: (len(f), f))
 
 

@@ -161,29 +161,6 @@ def set_attaches(facet, prior_facets):
     return all(any(set(i) <= b for b in bigs) or len(i) == want for i in inters)
 
 
-def seed_minimal_nonfaces(c):
-    """Oracle: minimal non-faces from every face of every facet, size by size."""
-    faces_by_size = {0: {()}}
-    for f in c.facets:
-        for s in range(1, len(f) + 1):
-            faces_by_size.setdefault(s, set()).update(itertools.combinations(f, s))
-    out = []
-    for s in range(1, c.dim + 3):
-        smaller = faces_by_size.get(s - 1, set())
-        here = faces_by_size.get(s, set())
-        cands = set()
-        for f in smaller:
-            for v in range(c.n):
-                if v not in f:
-                    cands.add(tuple(sorted(f + (v,))))
-        for cand in sorted(cands):
-            if cand in here:
-                continue
-            if all(sub in smaller for sub in itertools.combinations(cand, s - 1)):
-                out.append(cand)
-    return sorted(out, key=lambda f: (len(f), f))
-
-
 def recursive_find_shelling(c, budget=None):
     """Oracle: the recursive shelling search, one call per facet in the order."""
     assert is_pure(c)

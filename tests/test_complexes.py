@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ucayley.complexes as complexes
 from conftest import (RING_SPECS, antichain_error, recursive_find_shelling,
-                      seed_minimal_nonfaces, set_attaches, set_codim1_components)
+                      set_attaches, set_codim1_components)
 from test_indsets import blow_up, random_graph
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
                                SHELLING_UNKNOWN, _attaches, codim1_connected,
@@ -322,18 +322,6 @@ class TestStanleyReisner:
         g = build_graph(make_ring("Z(6)"))
         c = independence_complex(g)
         assert minimal_nonfaces(c) == [tuple(e) for e in g.edges()]
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 8), st.lists(st.sets(st.integers(0, 7), max_size=5), max_size=8))
-    def test_nonfaces_match_the_face_by_face_oracle(self, n, faces):
-        c = from_face_list(n, [{v for v in f if v < n} for f in faces])
-        assert minimal_nonfaces(c) == seed_minimal_nonfaces(c)
-
-    @pytest.mark.parametrize("text", ["Z(6)", "Z(12)", "M(2,GF(2))", "prod(Z(3),Z(3),Z(3))",
-                                      "T(2,GF(3))", "prod(Z(2),Z(2),Z(2),Z(2))"])
-    def test_ring_nonfaces_match_the_oracle(self, text):
-        c = independence_complex(build_graph(make_ring(text)))
-        assert minimal_nonfaces(c) == seed_minimal_nonfaces(c)
 
     def test_void_and_empty_complexes(self):
         assert minimal_nonfaces(Complex(3, [])) == []
