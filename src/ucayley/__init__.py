@@ -1,12 +1,13 @@
 """Unitary Cayley graphs of finite rings: construction, classification,
 independent-set enumeration, and combinatorial Cohen-Macaulay checks."""
 
-from .complexes import (Complex, codim1_connected, export_stanley_reisner,
-                        find_shelling, independence_complex, is_pure,
-                        is_shelling_order, minimal_nonfaces, pure_skeleton)
+from .complexes import (Complex, codim1_connected, find_shelling,
+                        independence_complex, is_pure, is_shelling_order,
+                        pure_skeleton)
 from .constructions import (avoidance_partner, d_family, product_witness,
                             reduced_diagonal, row_mix)
-from .graphs import UGraph, build_graph, conjunction_product, export_dot, graph_json
+from .graphs import (UGraph, build_graph, conjunction_product, export_dot,
+                     export_stanley_reisner, graph_json)
 from .indsets import (Budget, BudgetExceededError, WellCoveredReport,
                       enumerate_maximal_independent, greedy_extend,
                       independence_number, is_well_covered, radical_saturate)

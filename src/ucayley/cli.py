@@ -12,11 +12,12 @@ import os
 import sys
 
 from . import constructions as cons
-from .complexes import (SHELLING_UNKNOWN, codim1_connected, export_stanley_reisner,
-                        find_shelling, independence_complex, is_pure)
-from .graphs import DEFAULT_GRAPH_CAP, build_graph, export_dot, graph_json
+from .complexes import (SHELLING_UNKNOWN, codim1_connected, find_shelling,
+                        independence_complex, is_pure)
+from .graphs import (DEFAULT_GRAPH_CAP, build_graph, export_dot, export_stanley_reisner,
+                     graph_json)
 from .indsets import Budget, BudgetExceededError, independence_number, is_well_covered
-from .rings import (DEFAULT_RING_CAP, GFRing, RingError,
+from .rings import (DEFAULT_RING_CAP, GF, M, GFRing, Prod, RingError,
                     jacobson_radical, make_ring, parse_spec, ring_metadata)
 from .structure import classify_cm, classify_gorenstein, classify_well_covered
 from .verify import run_checks
@@ -238,8 +239,11 @@ def _construct(args):
     else:  # product-witness
         if args.ring is None:
             raise CliError("product-witness requires --ring for the left factor")
-        left = _ring_for(args)
-        wit = cons.product_witness(left, n, field, graph_cap=args.max_graph_vertices)
+        # the cap covers the ring built, R x M_n(F_q), not R alone
+        prod = make_ring(Prod((parse_spec(args.ring), M(n, GF(args.q)))),
+                         cap=args.max_ring_order)
+        wit = cons.product_witness(prod.factors[0], n, field,
+                                   graph_cap=args.max_graph_vertices)
         payload = {"kind": "product-witness", "ring": args.ring, "n": n, "q": args.q,
                    "witness": list(wit.witness), "witness_size": len(wit.witness),
                    "competing_size": len(wit.competing)}

@@ -1,7 +1,9 @@
 """Independence complexes and the combinatorial Cohen-Macaulay obstructions.
 
-Covers purity, pure skeletons, connectivity in codimension 1, a
-backtracking shelling search, and edge-ideal / Stanley-Reisner export.
+Covers purity, pure skeletons, connectivity in codimension 1 and a
+backtracking shelling search.  ind(G) is a flag complex: its minimal
+non-faces are the edges of G, so its Stanley-Reisner ideal is the edge
+ideal that `graphs.export_stanley_reisner` prints.
 
 A complex keeps each facet as a vertex bitmask, and each vertex as the
 bitmask of the facets that hold it (its column).  The antichain check, the
@@ -14,17 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import UGraph
 from .indsets import (Budget, BudgetExceededError, _bits, _lift, _reduce,
                       enumerate_maximal_independent)
 
 SHELLING_FOUND = "shelling"
 SHELLING_NONE = "no shelling exists"
 SHELLING_UNKNOWN = "none found within budget"
-
-# minimal_nonfaces lists every face: it refuses a complex whose facets have
-# more than this many faces counted facet by facet (the sum of 2^|f|)
-MAX_FACE_COUNT = 1 << 20
 
 
 class Complex:
@@ -78,16 +75,6 @@ class Complex:
 
     def __repr__(self):
         return "Complex(n=%d, facets=%d, dim=%d)" % (self.n, len(self.facets), self.dim)
-
-
-def from_face_list(n, faces):
-    """Build a complex from an arbitrary face list, keeping the maximal ones."""
-    faces = sorted({tuple(sorted(f)) for f in faces}, key=len, reverse=True)
-    facets = []
-    for f in faces:
-        if not any(set(f) <= set(g) for g in facets):
-            facets.append(f)
-    return Complex(n, facets)
 
 
 def independence_complex(g, budget=None):
@@ -253,60 +240,3 @@ def find_shelling(c, budget=None):
     if not is_shelling_order(c, order):  # a check, not an assert: it must survive -O
         raise AssertionError("the search returned an order that is not a shelling")
     return ShellingResult(SHELLING_FOUND, order)
-
-
-def minimal_nonfaces(c):
-    """Minimal non-faces of a complex, sizes 1..dim+2, in canonical order.
-
-    Every face of every facet is listed, so a complex whose facets have more
-    than MAX_FACE_COUNT faces, counted facet by facet, is refused up front.
-    """
-    count = sum(1 << len(f) for f in c.facets)
-    if count > MAX_FACE_COUNT:
-        raise ValueError("complex has %d faces counted facet by facet, over the limit %d"
-                         % (count, MAX_FACE_COUNT))
-    faces_by_size = {0: {()}}
-    for f in c.facets:
-        for s in range(1, len(f) + 1):
-            faces_by_size.setdefault(s, set()).update(itertools.combinations(f, s))
-    out = []
-    for s in range(1, c.dim + 3):
-        smaller = faces_by_size.get(s - 1, set())
-        here = faces_by_size.get(s, set())
-        cands = set()
-        for f in smaller:
-            for v in range(c.n):
-                if v not in f:
-                    cands.add(tuple(sorted(f + (v,))))
-        for cand in sorted(cands):
-            if cand in here:
-                continue
-            subs = list(itertools.combinations(cand, s - 1))
-            if all(sub in smaller for sub in subs):
-                out.append(cand)
-    return sorted(out, key=lambda f: (len(f), f))
-
-
-def export_stanley_reisner(obj, cap=4096):
-    """Squarefree monomial generators, one per line.
-
-    For a graph: the edge ideal x_u*x_v per edge.  For a complex: the
-    minimal non-faces.  A header names the variable count; an empty
-    generator list is the zero ideal.
-    """
-    if isinstance(obj, UGraph):
-        if obj.n > cap:
-            raise ValueError("graph on %d vertices exceeds the export cap %d" % (obj.n, cap))
-        gens = [(u, v) for u, v in obj.edges()]
-        n = obj.n
-    elif isinstance(obj, Complex):
-        if obj.n > cap:
-            raise ValueError("complex on %d vertices exceeds the export cap %d" % (obj.n, cap))
-        gens = minimal_nonfaces(obj)
-        n = obj.n
-    else:
-        raise TypeError("expected a UGraph or a Complex")
-    lines = ["# squarefree monomial ideal in %d variables x_0 .. x_%d" % (n, n - 1)]
-    for gen in gens:
-        lines.append("*".join("x_%d" % v for v in gen))
-    return "\n".join(lines) + "\n"

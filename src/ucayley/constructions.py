@@ -135,15 +135,3 @@ def zero_pattern_positions(n):
         col = (2 * k) % n or n
         out.append((k - 1, col - 1))
     return out
-
-
-def permuted_identity(n, field):
-    """diag(I_{n-2}, antidiag(1,1)): a unit matching the forced-zero pattern."""
-    if n < 2:
-        raise ValueError("requires n >= 2")
-    entries = [0] * (n * n)
-    for i in range(n - 2):
-        entries[i * n + i] = field.one
-    entries[(n - 2) * n + (n - 1)] = field.one
-    entries[(n - 1) * n + (n - 2)] = field.one
-    return tuple(entries)

@@ -1,4 +1,5 @@
-"""Unitary Cayley graphs, conjunction products, DOT/JSON export.
+"""Unitary Cayley graphs, conjunction products, and every graph text format:
+DOT, JSON and the edge ideal.
 
 Adjacency is stored as one Python int bitset per vertex; the downstream
 enumeration kernels live on word-parallel set intersections.
@@ -8,6 +9,8 @@ from __future__ import annotations
 from .rings import CapExceededError
 
 DEFAULT_GRAPH_CAP = 2 ** 14
+
+EXPORT_CAP = 4096  # vertices, for export_stanley_reisner
 
 
 class UGraph:
@@ -58,9 +61,6 @@ class UGraph:
 
     def __eq__(self, other):
         return isinstance(other, UGraph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.adj)))
 
 
 def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
@@ -148,3 +148,17 @@ def export_dot(g):
 def graph_json(g):
     """JSON-ready dict {N, edges} with the sorted edge list."""
     return {"N": g.n, "edges": [list(e) for e in g.edges()]}
+
+
+def export_stanley_reisner(g):
+    """The edge ideal of g: one squarefree generator x_u*x_v per edge and line.
+
+    ind(g) is a flag complex whose minimal non-faces are the edges of g, so
+    this is also the Stanley-Reisner ideal of ind(g).  A header names the
+    variable count; a header alone is the zero ideal.
+    """
+    if g.n > EXPORT_CAP:
+        raise ValueError("graph on %d vertices exceeds the export cap %d" % (g.n, EXPORT_CAP))
+    lines = ["# squarefree monomial ideal in %d variables x_0 .. x_%d" % (g.n, g.n - 1)]
+    lines.extend("x_%d*x_%d" % e for e in g.edges())
+    return "\n".join(lines) + "\n"

@@ -52,9 +52,10 @@ class Budget:
     """
 
     def __init__(self, max_nodes=None, max_seconds=None):
-        if max_nodes is not None and max_nodes <= 0:
+        # `not > 0` also refuses NaN, under which no limit would ever trip
+        if max_nodes is not None and not max_nodes > 0:
             raise ValueError("max_nodes must be positive")
-        if max_seconds is not None and max_seconds <= 0:
+        if max_seconds is not None and not max_seconds > 0:
             raise ValueError("max_seconds must be positive")
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds

@@ -714,7 +714,7 @@ def is_two_sided_ideal(ring, elems):
 
 
 class QuotientRing(Ring):
-    """R/I on minimal coset representatives, with the projection map exposed.
+    """R/I on minimal coset representatives; `projection[x]` is the coset of x.
 
     The quotient has no digit structure: its arithmetic is table lookup.
     """
@@ -742,7 +742,6 @@ class QuotientRing(Ring):
         self.one = proj[ring.one]
         self.labels = [ring.element_repr(r) + "+J" for r in reps]
         self.source = ring
-        self.reps = reps
         self.projection = proj
 
     def add(self, a, b):
@@ -768,10 +767,6 @@ class QuotientRing(Ring):
 
     def __str__(self):
         return "table ring of order %d" % self.order
-
-    def project(self, a):
-        self.source.check_index(a)
-        return self.projection[a]
 
     def preimage(self, coset_index):
         self.check_index(coset_index)

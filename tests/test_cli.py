@@ -1,7 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import shlex
+import time
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -121,6 +124,27 @@ class TestExitCodes:
         monkeypatch.setenv(name, "abc")
         code, _, err = run(capsys, "wellcovered", "--ring", "Z(4)")
         assert code == 1 and err.startswith("error: bad budget")
+
+    def test_nan_budget_flag(self, capsys):
+        code, out, err = run(capsys, "wellcovered", "--ring", "Z(4)", "--budget-seconds", "nan")
+        assert code == 1 and out == ""
+        assert err == "error: bad budget: max_seconds must be positive\n"
+
+    def test_nan_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("UCAYLEY_BUDGET_SECONDS", "nan")
+        code, out, err = run(capsys, "wellcovered", "--ring", "Z(4)")
+        assert code == 1 and out == ""
+        assert err == "error: bad budget: max_seconds must be positive\n"
+
+    @pytest.mark.parametrize("n,q,cap,order", [(4, 3, 1000, 2 * 3 ** 16), (2, 3, 100, 162)])
+    def test_product_witness_cap_covers_the_product(self, capsys, n, q, cap, order):
+        # the ring built is Z(2) x M_n(F_q), whatever the size of Z(2) alone
+        start = time.monotonic()
+        code, out, err = run(capsys, "construct", "--kind", "product-witness", "--ring", "Z(2)",
+                             "--n", str(n), "--q", str(q), "--max-ring-order", str(cap))
+        assert time.monotonic() - start < 0.5
+        assert code == 1 and out == ""
+        assert err == "error: |R| = %d exceeds the cardinality cap %d\n" % (order, cap)
 
     def test_inconclusive_budget(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(3))",
@@ -297,3 +321,32 @@ def _readme_commands():
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_command_runs(capsys, argv):
     assert run(capsys, *argv)[0] == 0
+
+
+def _leading_literal(comment):
+    """The value at the start of a `# value` comment, e.g. False in '# False -- why'."""
+    words = comment.split(" ")
+    for k in range(len(words), 0, -1):
+        try:
+            return ast.literal_eval(" ".join(words[:k]))
+        except (ValueError, SyntaxError):
+            continue
+    raise AssertionError("no value at the start of the comment %r" % comment)
+
+
+def test_readme_library_values():
+    # run README's Library block, comparing each expression with its `# value`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    source = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string.lstrip("# ")
+                for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, 0
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr) and stmt.end_lineno in comments:
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+            assert got == _leading_literal(comments[stmt.end_lineno]), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked == 8

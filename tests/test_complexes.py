@@ -10,17 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import ucayley.complexes as complexes
 from conftest import (RING_SPECS, antichain_error, recursive_find_shelling,
                       set_attaches, set_codim1_components)
 from test_indsets import blow_up, random_graph
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
                                SHELLING_UNKNOWN, _attaches, codim1_connected,
-                               export_stanley_reisner, find_shelling,
-                               from_face_list, independence_complex, is_pure,
-                               is_shelling_order, minimal_nonfaces,
-                               pure_skeleton)
-from ucayley.graphs import UGraph, build_graph
+                               find_shelling, independence_complex, is_pure,
+                               is_shelling_order, pure_skeleton)
+from ucayley.graphs import UGraph, build_graph, export_stanley_reisner
 from ucayley.indsets import (TWIN_QUOTIENT, Budget, BudgetExceededError,
                              enumerate_maximal_independent)
 from ucayley.rings import make_ring
@@ -30,6 +27,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # facet lists on vertices 0..6, with repeated and empty facets
 FACET_LISTS = st.lists(st.lists(st.integers(0, 6), max_size=5, unique=True), max_size=8)
+
+
+def from_face_list(n, faces):
+    """The complex whose facets are the maximal faces of an arbitrary face list."""
+    faces = sorted({tuple(sorted(f)) for f in faces}, key=len, reverse=True)
+    facets = []
+    for f in faces:
+        if not any(set(f) <= set(g) for g in facets):
+            facets.append(f)
+    return Complex(n, facets)
+
+
+def assert_minimal_nonfaces_are_edges(g, c):
+    # every vertex is a face of c = ind(g), and a pair is a face exactly when
+    # it is not an edge: so the minimal non-faces of ind(g) are the edges of g,
+    # and its Stanley-Reisner ideal is the edge ideal
+    assert all(c.cols[v] for v in range(g.n))
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert bool(c.cols[u] & c.cols[v]) == (not g.has_edge(u, v)), (u, v)
 
 
 def k2():
@@ -77,10 +94,6 @@ class TestComplexType:
             with pytest.raises(ValueError) as info:
                 Complex(n, facets)
             assert str(info.value) == want
-
-    def test_from_face_list_prunes(self):
-        c = from_face_list(4, [(0,), (0, 1), (2,), (1,)])
-        assert c.facets == ((2,), (0, 1))
 
 
 class TestIndependenceComplex:
@@ -318,33 +331,19 @@ class TestStanleyReisner:
         out = export_stanley_reisner(build_graph(make_ring("Z(4)")))
         assert len(out.splitlines()) == 5
 
-    def test_complex_minimal_nonfaces_are_edges(self):
-        g = build_graph(make_ring("Z(6)"))
-        c = independence_complex(g)
-        assert minimal_nonfaces(c) == [tuple(e) for e in g.edges()]
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS)
+    def test_minimal_nonfaces_of_ind_are_the_edges_on_random_specs(self, spec):
+        g = build_graph(make_ring(spec))
+        try:
+            c = independence_complex(g, Budget(max_nodes=20_000))
+        except BudgetExceededError:
+            assume(False)
+        assert_minimal_nonfaces_are_edges(g, c)
 
-    def test_void_and_empty_complexes(self):
-        assert minimal_nonfaces(Complex(3, [])) == []
-        assert minimal_nonfaces(Complex(3, [()])) == [(0,), (1,), (2,)]
-
-    def test_face_count_limit(self):
-        # T(3,GF(2)): 16 facets of 32 vertices, 16 * 2^32 faces; refused at once
-        c = independence_complex(build_graph(make_ring("T(3,GF(2))")))
-        assert [len(f) for f in c.facets] == [32] * 16
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="68719476736 faces"):
-            minimal_nonfaces(c)
-        with pytest.raises(ValueError, match="68719476736 faces"):
-            export_stanley_reisner(c)
-        assert time.monotonic() - start < 0.5
-
-    def test_face_count_at_the_limit(self, monkeypatch):
-        monkeypatch.setattr(complexes, "MAX_FACE_COUNT", 8)
-        assert minimal_nonfaces(Complex(4, [(0, 1, 2)])) == [(3,)]  # 8 faces
-        with pytest.raises(ValueError, match="10 faces counted facet by facet, over the "
-                                             "limit 8"):
-            minimal_nonfaces(Complex(4, [(0, 1, 2), (3,)]))
-
-    def test_missing_vertex_is_a_nonface(self):
-        c = Complex(3, [(0, 1)])  # vertex 2 not in the complex
-        assert (2,) in minimal_nonfaces(c)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_minimal_nonfaces_of_ind_are_the_edges_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng.randint(1, 12), rng.random(), seed)
+        assert_minimal_nonfaces_are_edges(g, independence_complex(g))

@@ -3,10 +3,8 @@ import random
 
 import pytest
 
-from ucayley.constructions import (avoidance_partner, d_family,
-                                   permuted_identity, product_witness,
-                                   reduced_diagonal, row_mix,
-                                   zero_pattern_positions)
+from ucayley.constructions import (avoidance_partner, d_family, product_witness,
+                                   reduced_diagonal, row_mix, zero_pattern_positions)
 from ucayley.graphs import build_graph
 from ucayley.indsets import greedy_extend
 from ucayley.rings import GFRing, det_entries, make_ring
@@ -18,6 +16,16 @@ def rows_of(entries, n):
 
 def singular(entries, n, field):
     return not field.is_unit(det_entries(rows_of(entries, n), field))
+
+
+def permuted_identity(n, field):
+    """diag(I_{n-2}, antidiag(1,1)): a unit matching the forced-zero pattern."""
+    entries = [0] * (n * n)
+    for i in range(n - 2):
+        entries[i * n + i] = field.one
+    entries[(n - 2) * n + (n - 1)] = field.one
+    entries[(n - 1) * n + (n - 2)] = field.one
+    return tuple(entries)
 
 
 class TestReducedDiagonal:

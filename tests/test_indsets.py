@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -331,6 +332,14 @@ class TestGenericGraphs:
 
 
 class TestBudgetContract:
+    def test_limits_must_be_positive(self):
+        # NaN compares false with everything: a NaN limit would never trip
+        for kwargs in ({"max_nodes": 0}, {"max_nodes": math.nan}, {"max_seconds": -1.0},
+                       {"max_seconds": 0.0}, {"max_seconds": math.nan}):
+            with pytest.raises(ValueError, match="must be positive"):
+                Budget(**kwargs)
+        assert Budget(max_nodes=1, max_seconds=1e-9).stats() == {"nodes": 0, "reductions": []}
+
     def test_no_answer_survives_a_tripped_alpha_step(self):
         g = build_graph(make_ring("M(3,GF(2))"))
         budget = Budget(max_nodes=200)
