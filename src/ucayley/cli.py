@@ -17,7 +17,7 @@ from .complexes import (SHELLING_UNKNOWN, codim1_connected, find_shelling,
 from .graphs import (DEFAULT_GRAPH_CAP, build_graph, export_dot, export_stanley_reisner,
                      graph_json)
 from .indsets import Budget, BudgetExceededError, independence_number, is_well_covered
-from .rings import (DEFAULT_RING_CAP, GF, M, GFRing, Prod, RingError,
+from .rings import (DEFAULT_RING_CAP, GF, M, Prod, RingError,
                     jacobson_radical, make_ring, parse_spec, ring_metadata)
 from .structure import classify_cm, classify_gorenstein, classify_well_covered
 from .verify import run_checks
@@ -213,7 +213,7 @@ def cmd_construct(args):
 
 
 def _construct(args):
-    field = GFRing(args.q)
+    field = make_ring(GF(args.q), cap=args.max_ring_order)
     n = args.n
     if args.kind == "dfamily":
         fam = cons.d_family(n, field)

@@ -15,6 +15,8 @@ from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
 from .rings import MatRing, ProdRing, det_entries
 
+MAX_FAMILY_SIZE = 2 ** 20
+
 
 def reduced_diagonal(n, k, l, coeffs, field):
     """The matrix D_{k,l}(a_1,...,a_{n-1}) as a row-major entries tuple.
@@ -48,6 +50,10 @@ def d_family(n, field):
     """
     if n < 1:
         raise ValueError("n must be positive")
+    # q^(n-1) >= 2^(n-1), so every n past the limit's bit length is over it
+    q = field.order
+    if n > MAX_FAMILY_SIZE.bit_length() or n * (q ** (n - 1) - 1) + 1 > MAX_FAMILY_SIZE:
+        raise ValueError("the family for n=%d, q=%d has over %d members" % (n, q, MAX_FAMILY_SIZE))
     out = set()
     for k in range(1, n + 1):
         for coeffs in itertools.product(range(field.order), repeat=n - 1):

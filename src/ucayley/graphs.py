@@ -66,28 +66,18 @@ class UGraph:
 def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
     """The unitary Cayley graph of a ring: x ~ y iff x - y is a unit.
 
-    Row x is the unit set translated by x.  For a ring with radices, x walks
-    the indices in order and the row is carried along: going from x to x + 1
-    adds the digit unit e_i of the last digit and of every digit the
-    increment carries through.  Translating a bitmask by e_i (stride s,
-    radix d) shifts the elements whose digit i is below d - 1 up by s and
-    wraps the others down by s * (d - 1).  Table rings are built
-    element-wise.  Either way the graph is a Cayley graph of (R, +), so it is
-    marked vertex-transitive; labels are `ring.element_repr`, on demand.
+    Row x is the unit set translated by x.  x walks the indices in order and
+    the row is carried along: going from x to x + 1 adds the digit unit e_i
+    of the last digit and of every digit the increment carries through.
+    Translating a bitmask by e_i (stride s, radix d) shifts the elements
+    whose digit i is below d - 1 up by s and wraps the others down by
+    s * (d - 1).  The graph is a Cayley graph of (R, +), so it is marked
+    vertex-transitive; labels are `ring.element_repr`, on demand.
     """
     if ring.order > cap:
         raise CapExceededError("|R| = %d exceeds the graph cap %d" % (ring.order, cap))
     g = UGraph(ring.order, labels=ring.element_repr, transitive=True)
     units = ring.units()
-    if ring.radices is None:
-        for x in range(ring.order):
-            row = 0
-            for u in units:
-                y = ring.add(x, u)
-                if y != x:  # zero ring: 0 is a unit but loops are dropped
-                    row |= 1 << y
-            g.adj[x] = row
-        return g
     if units == [0]:  # the zero ring: its one vertex would only carry a loop
         return g
     everything = (1 << ring.order) - 1

@@ -1,18 +1,20 @@
 """Exact finite-ring kernel: specs, construction, arithmetic, radicals, quotients.
 
 Every ring hands out elements as integer indices 0..order-1, with index 0
-the additive zero.  Structured rings (Z(m), GF(q), square/triangular matrix
-rings, products) index an element by the big-endian mixed-radix value of its
-digit vector, and one digit-wise add/neg serves them all; quotient rings are
-table-backed.
+the additive zero.  Every ring (Z(m), GF(q), square/triangular matrix rings,
+products) indexes an element by the big-endian mixed-radix value of its
+digit vector, and one digit-wise add/neg serves them all.  J(R) is one
+subgroup per digit, so R/J(R) is again such a ring.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 DEFAULT_RING_CAP = 2 ** 20
+
+# trial division stops here: a cofactor past 2^40 with no factor below is refused
+TRIAL_DIVISION_LIMIT = 2 ** 20
 
 # largest ring on which the O(|R|^2) quasi-regularity scan is attempted
 BRUTE_FORCE_RADICAL_CAP = 4096
@@ -44,6 +46,8 @@ def factorize(m):
     fs = {}
     d = 2
     while d * d <= m:
+        if d > TRIAL_DIVISION_LIMIT:
+            raise SpecConstraintError("cannot factor %d: it has no prime factor up to 2^20" % m)
         while m % d == 0:
             fs[d] = fs.get(d, 0) + 1
             m //= d
@@ -316,24 +320,19 @@ def join_digits(digits, radices):
 class Ring:
     """A finite ring with indexed elements.  Index 0 is the additive zero.
 
-    A structured ring's additive group is Z_{d_0} x ... x Z_{d_{L-1}} for its
-    big-endian `radices` (d_0, .., d_{L-1}): an element index is the
-    mixed-radix number of its digit vector, digit i has index weight
-    `strides[i]`, and addition is digit-wise.  Table rings have radices None.
+    The additive group is Z_{d_0} x ... x Z_{d_{L-1}} for the big-endian
+    `radices` (d_0, .., d_{L-1}): an element index is the mixed-radix number
+    of its digit vector, digit i has index weight `strides[i]`, and addition
+    is digit-wise.  `radical_steps[i]` divides d_i, and J(R) is the set of
+    elements whose digit i is a multiple of it, for every i.
     """
 
-    spec = None
-    order = 0
-    one = 0
-    radices = strides = None
-
-    def __init__(self, radices=None):
+    def __init__(self, radices, radical_steps):
         self._unit_cache = {}
-        if radices is not None:
-            self.radices = tuple(radices)
-            self.order = math.prod(self.radices)
-            self.strides = tuple(math.prod(self.radices[i + 1:])
-                                 for i in range(len(self.radices)))
+        self.radices = tuple(radices)
+        self.radical_steps = tuple(radical_steps)
+        self.order = math.prod(self.radices)
+        self.strides = tuple(math.prod(self.radices[i + 1:]) for i in range(len(self.radices)))
 
     def check_index(self, a):
         if not (isinstance(a, int) and 0 <= a < self.order):
@@ -388,12 +387,12 @@ class Ring:
         return str(a)
 
     def __str__(self):
-        return str(self.spec) if self.spec is not None else self.__class__.__name__
+        return str(self.spec)
 
 
 class ZmRing(Ring):
     def __init__(self, m):
-        super().__init__((m,))
+        super().__init__((m,), (squarefree_part(m),))
         self.spec = Z(m)
         self.m = m
         self.one = 1 % m
@@ -457,7 +456,7 @@ class GFRing(Ring):
         if pk is None:
             raise SpecConstraintError("GF(q) requires a prime power, %d is not one" % q)
         self.p, self.k = pk
-        super().__init__((self.p,) * self.k)
+        super().__init__((self.p,) * self.k, (self.p,) * self.k)
         self.spec = GF(q)
         self.q = q
         self.one = 1
@@ -516,8 +515,8 @@ class _EntryRing(Ring):
     most significant), so the radices are the base's, once per entry.
     """
 
-    def __init__(self, base, size):
-        super().__init__(base.radices * size)
+    def __init__(self, base, size, radical_steps):
+        super().__init__(base.radices * size, radical_steps)
         self.base = base
         self._entry_radices = (base.order,) * size
 
@@ -533,7 +532,7 @@ class MatRing(_EntryRing):
     """M(n, base) for a commutative base ring; entries are row-major."""
 
     def __init__(self, n, base):
-        super().__init__(base, n * n)
+        super().__init__(base, n * n, base.radical_steps * (n * n))
         self.n = n
         self.spec = M(n, base.spec)
         ident = [0] * (n * n)
@@ -574,7 +573,11 @@ class TriRing(_EntryRing):
     def __init__(self, n, base):
         self.positions = [(i, j) for i in range(n) for j in range(i, n)]
         self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
-        super().__init__(base, len(self.positions))
+        # J(T_n(F)) is the strictly upper part: the diagonal keeps F's steps
+        above = (1,) * len(base.radices)
+        super().__init__(base, len(self.positions),
+                         [t for i, j in self.positions
+                          for t in (base.radical_steps if i == j else above)])
         self.n = n
         self.spec = T(n, base.spec)
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
@@ -609,7 +612,8 @@ class ProdRing(Ring):
 
     def __init__(self, factors):
         self.factors = list(factors)
-        super().__init__(tuple(d for f in self.factors for d in f.radices))
+        super().__init__([d for f in self.factors for d in f.radices],
+                         [t for f in self.factors for t in f.radical_steps])
         self.spec = Prod(tuple(f.spec for f in self.factors))
         self._factor_orders = tuple(f.order for f in self.factors)
         self.one = self.encode_components(tuple(f.one for f in self.factors))
@@ -674,108 +678,44 @@ def jacobson_radical_bruteforce(ring):
 
 
 def jacobson_radical(ring):
-    """The set of element indices of J(R); structured rule where available."""
-    if isinstance(ring, ZmRing):
-        step = squarefree_part(ring.m)
-        return tuple(range(0, ring.m, step))
-    if isinstance(ring, GFRing):
-        return (0,)
-    if isinstance(ring, MatRing):
-        rad = jacobson_radical(ring.base)
-        out = [ring.encode_entries(e) for e in itertools.product(rad, repeat=ring.n * ring.n)]
-        return tuple(sorted(out))
-    if isinstance(ring, TriRing):
-        choices = [(0,) if i == j else range(ring.base.order) for i, j in ring.positions]
-        out = [ring.encode_entries(e) for e in itertools.product(*choices)]
-        return tuple(sorted(out))
-    if isinstance(ring, ProdRing):
-        rads = [jacobson_radical(f) for f in ring.factors]
-        out = [ring.encode_components(c) for c in itertools.product(*rads)]
-        return tuple(sorted(out))
-    return jacobson_radical_bruteforce(ring)
+    """The sorted element indices of J(R): digit i runs over the multiples of
+    radical_steps[i], most significant digit first, so the sums stay sorted."""
+    out = [0]
+    for s, d, t in zip(ring.strides, ring.radices, ring.radical_steps):
+        out = [a + c for a in out for c in range(0, d * s, t * s)]
+    return tuple(out)
 
 
-def is_two_sided_ideal(ring, elems):
-    """Check closure of elems under +, -, and two-sided multiplication by R."""
-    iset = set(elems)
-    if 0 not in iset:
-        return False
-    for x in iset:
-        if ring.neg(x) not in iset:
-            return False
-        for y in iset:
-            if ring.add(x, y) not in iset:
-                return False
-    for r in range(ring.order):
-        for x in iset:
-            if ring.mul(r, x) not in iset or ring.mul(x, r) not in iset:
-                return False
-    return True
+def radical_spec(spec):
+    """The spec of R/J(R): J(Z_m) = rad(m) Z_m, J(M_n(A)) = M_n(J(A)), and
+    J(T_n(F)) is the strictly upper part, leaving the diagonal F^n."""
+    if isinstance(spec, Z):
+        return Z(squarefree_part(spec.m))
+    if isinstance(spec, GF):
+        return spec
+    if isinstance(spec, M):
+        return M(spec.n, radical_spec(spec.base))
+    if isinstance(spec, T):
+        return spec if spec.n == 1 else Prod((spec.base,) * spec.n)
+    if isinstance(spec, Prod):
+        return Prod(tuple(radical_spec(f) for f in spec.factors))
+    raise SpecConstraintError("not a ring spec: %r" % (spec,))
 
 
-class QuotientRing(Ring):
-    """R/I on minimal coset representatives; `projection[x]` is the coset of x.
+def radical_quotient(ring):
+    """(R/J(R), projection): projection[x] is x's digits reduced mod the
+    radical steps and joined with the steps as radices.
 
-    The quotient has no digit structure: its arithmetic is table lookup.
+    R/J's digit vector is R's reduced mod the steps, less the digits of step
+    1, so the projection is the quotient map.  It numbers the cosets of J by
+    their least elements in increasing order, as `indsets._twin_quotient`
+    numbers the twin classes of R's unitary Cayley graph.
     """
-
-    def __init__(self, ring, ideal):
-        super().__init__()
-        ideal = tuple(sorted(set(ideal)))
-        if not is_two_sided_ideal(ring, ideal):
-            raise RingError("the given set is not a two-sided ideal of %s" % ring)
-        rep_of = {}
-        reps = []
-        for x in range(ring.order):
-            if x in rep_of:
-                continue
-            coset = sorted(ring.add(x, j) for j in ideal)
-            for y in coset:
-                rep_of[y] = x
-            reps.append(x)
-        index_of = {r: i for i, r in enumerate(reps)}
-        proj = [index_of[rep_of[x]] for x in range(ring.order)]
-        t = len(reps)
-        self.order = t
-        self._add = [[proj[ring.add(reps[i], reps[j])] for j in range(t)] for i in range(t)]
-        self._mul = [[proj[ring.mul(reps[i], reps[j])] for j in range(t)] for i in range(t)]
-        self.one = proj[ring.one]
-        self.labels = [ring.element_repr(r) + "+J" for r in reps]
-        self.source = ring
-        self.projection = proj
-
-    def add(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        return self._add[a][b]
-
-    def neg(self, a):
-        self.check_index(a)
-        return self._add[a].index(0)
-
-    def mul(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        return self._mul[a][b]
-
-    def _unit(self, a):
-        return any(self._mul[a][b] == self.one and self._mul[b][a] == self.one
-                   for b in range(self.order))
-
-    def element_repr(self, a):
-        return self.labels[a]
-
-    def __str__(self):
-        return "table ring of order %d" % self.order
-
-    def preimage(self, coset_index):
-        self.check_index(coset_index)
-        return tuple(sorted(x for x in range(self.source.order)
-                            if self.projection[x] == coset_index))
-
-
-def quotient_ring(ring, ideal):
-    return QuotientRing(ring, ideal)
+    quotient = make_ring(radical_spec(ring.spec), cap=ring.order)
+    projection = [0]
+    for d, t in zip(ring.radices, ring.radical_steps):
+        projection = [p * t + c % t for p in projection for c in range(d)]
+    return quotient, projection
 
 
 def ring_metadata(ring):

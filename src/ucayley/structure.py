@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rings import (GF, M, Prod, T, Z, factorize, parse_spec, squarefree_part,
-                    validate_spec)
+from .rings import GF, M, Prod, T, Z, factorize, parse_spec, radical_spec, validate_spec
 
 CLAUSE_FIELD = "R/J(R) is a field F"
 CLAUSE_FXF = "R/J(R) is F x F for a finite field F"
@@ -62,18 +61,8 @@ def _factors(spec):
 
 
 def radical_is_zero(spec):
-    """Whether J(R) = 0, from the structured radical rules."""
-    if isinstance(spec, Z):
-        return spec.m == squarefree_part(spec.m)
-    if isinstance(spec, GF):
-        return True
-    if isinstance(spec, M):
-        return radical_is_zero(spec.base)
-    if isinstance(spec, T):
-        return spec.n == 1
-    if isinstance(spec, Prod):
-        return all(radical_is_zero(f) for f in spec.factors)
-    raise AssertionError("unreachable")
+    """Whether J(R) = 0, that is, whether R is its own semisimple quotient."""
+    return radical_spec(spec) == spec
 
 
 def _spec_and_factors(spec):

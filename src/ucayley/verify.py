@@ -17,7 +17,7 @@ from .indsets import (enumerate_maximal_independent, greedy_extend,
                       independence_number, is_well_covered, radical_saturate)
 # det_entries is not called here; bench/spans.py times it in this namespace
 from .rings import (GFRing, det_entries, jacobson_radical,  # noqa: F401
-                    jacobson_radical_bruteforce, make_ring, quotient_ring)
+                    jacobson_radical_bruteforce, make_ring, radical_quotient)
 from .structure import classify_gorenstein, classify_well_covered
 
 CATALOG = (
@@ -162,13 +162,15 @@ def check_radical_correspondence(ctx, text):
     rad = jacobson_radical(ring)
     _need(rad == jacobson_radical_bruteforce(ring),
           "%s: structured and brute-force radicals disagree" % text)
-    quot = quotient_ring(ring, rad)
+    quot, proj = radical_quotient(ring)
+    _need(tuple(x for x, c in enumerate(proj) if c == 0) == rad,
+          "%s: the projection's kernel is not J(R)" % text)
     g_r = ctx.graph(text)
     g_q = build_graph(quot)
     max_r = set(enumerate_maximal_independent(g_r))
     max_q = set(enumerate_maximal_independent(g_q))
-    lifted = {tuple(sorted(itertools.chain.from_iterable(
-        quot.preimage(c) for c in s))) for s in max_q}
+    # a set of R/J lifts to every x whose coset lies in it
+    lifted = {tuple(x for x, c in enumerate(proj) if c in s) for s in max_q}
     _need(max_r == lifted,
           "%s: maximal sets are not the saturated lifts from R/J" % text)
     for s in max_r:

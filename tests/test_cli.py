@@ -146,6 +146,27 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: |R| = %d exceeds the cardinality cap %d\n" % (order, cap)
 
+    @pytest.mark.parametrize("argv", [
+        ("ring", "--ring", "GF(1000000000000000003)"),
+        ("classify", "--ring", "Z(1000000000000000003)"),
+        ("classify", "--ring", "T(2,Z(1000000000000000003))"),
+        ("construct", "--kind", "avoidance", "--n", "2", "--q", str(2 ** 40),
+         "--matrix", "1,0;0,0"),
+        ("construct", "--kind", "dfamily", "--n", "30", "--q", "2"),
+    ])
+    def test_huge_input_is_refused_at_once(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["Z(1099511627689)", "Z(%d)" % 2 ** 100])
+    def test_large_spec_still_classifies(self, capsys, text):
+        # a prime below 2^40, and a huge power of 2
+        code, out, _ = run(capsys, "classify", "--ring", text)
+        assert code == 0 and out.startswith("wellcovered: yes")
+
     def test_inconclusive_budget(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(3))",
                            "--budget-nodes", "3")
@@ -349,4 +370,4 @@ def test_readme_library_values():
             checked += 1
         else:
             exec(compile(ast.Module([stmt], type_ignores=[]), "README.md", "exec"), namespace)
-    assert checked == 8
+    assert checked == 9

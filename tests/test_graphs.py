@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from conftest import RING_SPECS, elementwise_graph, elementwise_row
 from ucayley.graphs import (UGraph, build_graph, conjunction_product,
                             export_dot, graph_json)
-from ucayley.rings import CapExceededError, jacobson_radical, make_ring, quotient_ring
+from ucayley.rings import CapExceededError, make_ring, radical_quotient
 
 
 def k(n):
@@ -84,12 +84,6 @@ class TestTranslationBuild:
         for x in [0, r.order - 1] + [rng.randrange(r.order) for _ in range(30)]:
             assert g.adj[x] == elementwise_row(r, units, x)
 
-    def test_table_ring_is_built_elementwise(self):
-        r = make_ring("T(2,GF(3))")
-        q = quotient_ring(r, jacobson_radical(r))
-        assert q.radices is None
-        assert build_graph(q) == elementwise_graph(q)
-
     @settings(max_examples=100, deadline=None)
     @given(RING_SPECS)
     def test_random_specs_match_elementwise_oracle(self, spec):
@@ -101,7 +95,7 @@ class TestTransitiveFlag:
     def test_ring_graphs_are_transitive(self):
         r = make_ring("T(2,GF(3))")
         assert build_graph(r).transitive
-        assert build_graph(quotient_ring(r, jacobson_radical(r))).transitive
+        assert build_graph(radical_quotient(r)[0]).transitive
         assert not UGraph(3).transitive
 
     def test_conjunction_product_needs_both_factors_transitive(self):

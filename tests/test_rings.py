@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -5,13 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucayley.graphs import build_graph
+from ucayley.indsets import _twin_quotient
 from ucayley.rings import (GF, M, Prod, SpecConstraintError, SpecSyntaxError,
-                           T, Z, det_entries, jacobson_radical,
+                           T, Z, det_entries, factorize, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
-                           parse_spec, quotient_ring, ring_metadata, RingError,
+                           parse_spec, radical_quotient, ring_metadata, RingError,
                            CapExceededError, _order_log2_64ths, smallest_irreducible,
                            spec_order, split_digits)
 from conftest import RING_SPECS, leibniz_det, structural_add, structural_neg
+
+
+class TestFactorize:
+    def test_smooth_numbers(self):
+        assert factorize(1) == {}
+        assert factorize(360) == {2: 3, 3: 2, 5: 1}
+        assert factorize(2 ** 100) == {2: 100}
+
+    def test_prime_below_2_40(self):
+        assert factorize(1099511627689) == {1099511627689: 1}
+
+    @pytest.mark.parametrize("m,left", [(2 ** 61 - 1, 2 ** 61 - 1), (6 * (2 ** 61 - 1), 2 ** 61 - 1),
+                                        (10 ** 18 + 3, 10 ** 18 + 3)])
+    def test_large_cofactor_is_refused(self, m, left):
+        # the cofactor left after the small primes is named, not guessed prime
+        start = time.monotonic()
+        with pytest.raises(SpecConstraintError, match="cannot factor %d:" % left):
+            factorize(m)
+        assert time.monotonic() - start < 1
 
 
 class TestParser:
@@ -178,9 +200,6 @@ class TestDigits:
         assert r.radices == radices
         assert r.strides[-1] == 1 and r.strides[0] * radices[0] == r.order
 
-    def test_quotient_has_no_radices(self):
-        assert quotient_ring(make_ring("Z(4)"), (0, 2)).radices is None
-
     def test_split_join_round_trip(self):
         radices = (3, 1, 4, 2)
         for a in range(24):
@@ -337,34 +356,53 @@ class TestRadical:
 
 class TestQuotient:
     def test_z4_mod_j(self):
-        q = quotient_ring(make_ring("Z(4)"), (0, 2))
-        assert q.order == 2
+        q, p = radical_quotient(make_ring("Z(4)"))
+        assert str(q) == "Z(2)" and p == [0, 1, 0, 1]
         assert q.mul(1, 1) == 1
 
-    def test_zero_ideal(self):
+    def test_semisimple_ring_is_its_own_quotient(self):
         r = make_ring("Z(6)")
-        q = quotient_ring(r, (0,))
-        assert q.order == 6
-        assert q.projection == list(range(6))
+        q, p = radical_quotient(r)
+        assert q.spec == r.spec
+        assert p == list(range(6))
 
     def test_t2f2_mod_j(self):
-        r = make_ring("T(2,GF(2))")
-        q = quotient_ring(r, jacobson_radical(r))
+        q, _ = radical_quotient(make_ring("T(2,GF(2))"))
+        assert str(q) == "prod(GF(2),GF(2))"
         assert q.order == 4
         assert q.unit_count() == 1
 
-    def test_rejects_non_ideal(self):
-        with pytest.raises(RingError, match="ideal"):
-            quotient_ring(make_ring("Z(6)"), (0, 1))
-
     def test_projection_is_homomorphism(self):
-        r = make_ring("Z(12)")
-        q = quotient_ring(r, jacobson_radical(r))
-        for a in range(r.order):
-            for b in range(r.order):
-                p = q.projection
-                assert p[r.add(a, b)] == q.add(p[a], p[b])
-                assert p[r.mul(a, b)] == q.mul(p[a], p[b])
+        for text in ("Z(12)", "Z(1)", "T(1,GF(4))", "T(3,GF(2))", "M(2,Z(4))",
+                     "prod(T(2,GF(2)),Z(9))"):
+            r = make_ring(text)
+            q, p = radical_quotient(r)
+            assert p[r.one] == q.one, text
+            # every pair up to order 100; 4096 random pairs of M(2,Z(4))
+            rng = random.Random(text)
+            pairs = (itertools.product(range(r.order), repeat=2) if r.order <= 100 else
+                     [(rng.randrange(r.order), rng.randrange(r.order)) for _ in range(4096)])
+            for a, b in pairs:
+                assert p[r.add(a, b)] == q.add(p[a], p[b]), text
+                assert p[r.mul(a, b)] == q.mul(p[a], p[b]), text
+
+    @settings(max_examples=40, deadline=None)
+    @given(RING_SPECS)
+    def test_radical_quotient_on_random_specs(self, spec):
+        r = make_ring(spec)
+        q, p = radical_quotient(r)
+        assert sorted(set(p)) == list(range(q.order))
+        assert p[r.one] == q.one
+        rng = random.Random(0)
+        for _ in range(100):
+            a, b = rng.randrange(r.order), rng.randrange(r.order)
+            assert p[r.add(a, b)] == q.add(p[a], p[b])
+            assert p[r.mul(a, b)] == q.mul(p[a], p[b])
+        rad = jacobson_radical_bruteforce(r)
+        assert tuple(x for x in range(r.order) if p[x] == 0) == rad
+        assert jacobson_radical(r) == rad
+        if len(rad) > 1:
+            assert _twin_quotient(build_graph(r))[0] == build_graph(q)
 
 
 def test_ring_metadata():
