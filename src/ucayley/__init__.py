@@ -14,9 +14,9 @@ from .indsets import (Budget, BudgetExceededError, WellCoveredReport,
 from .rings import (GF, M, Prod, RingError, SpecConstraintError,
                     SpecSyntaxError, T, Z, CapExceededError, det_entries,
                     jacobson_radical, jacobson_radical_bruteforce, make_ring,
-                    parse_spec, radical_quotient, ring_metadata)
+                    parse_spec, radical_quotient)
 from .structure import (Verdict, classify_cm, classify_gorenstein,
-                        classify_well_covered, semisimple_quotient)
+                        classify_well_covered, ring_metadata, semisimple_quotient)
 from .verify import run_checks
 
 __all__ = [name for name in dir() if not name.startswith("_")]

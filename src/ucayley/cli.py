@@ -18,8 +18,8 @@ from .graphs import (DEFAULT_GRAPH_CAP, build_graph, export_dot, export_stanley_
                      graph_json)
 from .indsets import Budget, BudgetExceededError, independence_number, is_well_covered
 from .rings import (DEFAULT_RING_CAP, GF, M, Prod, RingError,
-                    jacobson_radical, make_ring, parse_spec, ring_metadata)
-from .structure import classify_cm, classify_gorenstein, classify_well_covered
+                    jacobson_radical, make_ring, parse_spec)
+from .structure import classify_cm, classify_gorenstein, classify_well_covered, ring_metadata
 from .verify import run_checks
 
 EXIT_OK = 0

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
-from .rings import MatRing, ProdRing, det_entries
+from .rings import MatRing, ProdRing, is_invertible, residue_fields
+# det_entries is not called here; bench/spans.py times it in this namespace
+from .rings import det_entries  # noqa: F401
 
 MAX_FAMILY_SIZE = 2 ** 20
 
@@ -92,7 +94,7 @@ def avoidance_partner(a_entries, n, field):
     ones = (field.one,) * (n - 1)
     d = reduced_diagonal(n, k, i, ones, field)
     a_prime = tuple(0 if t // n == i - 1 else e for t, e in enumerate(a_entries))
-    return tuple(field.sub(x, y) for x, y in zip(a_prime, d))
+    return tuple(map(field.sub, a_prime, d))
 
 
 @dataclass
@@ -127,8 +129,15 @@ def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
 
 
 def matrix_is_singular(entries, n, field):
-    rows = tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n))
-    return not field.is_unit(det_entries(rows, field))
+    """Whether the n x n row-major matrix `entries` over `field` is singular,
+    by row reduction."""
+    if len(entries) != n * n:
+        raise ValueError("entry tuple must have length %d" % (n * n))
+    order = field.order
+    if not all(isinstance(x, int) and 0 <= x < order for x in entries):
+        for x in entries:
+            field.check_index(x)
+    return not is_invertible(entries, n, residue_fields(field))
 
 
 def zero_pattern_positions(n):

@@ -339,8 +339,8 @@ class Ring:
             raise RingError("element index %r out of range for %s" % (a, self))
 
     def add(self, a, b):
-        # One inline check of both indices, and the one-digit case first: this
-        # is the determinant's hot path over Z(p) and GF(p).
+        # One inline check of both indices, and the one-digit case first: with
+        # sub, this is the hot path of matrix arithmetic over Z(p) and GF(p).
         order = self.order
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
             self.check_index(a)
@@ -365,7 +365,16 @@ class Ring:
         raise NotImplementedError
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        order = self.order
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
+            self.check_index(a)
+            self.check_index(b)
+        if len(self.radices) == 1:
+            return (a - b) % order
+        out = 0
+        for s, d in zip(self.strides, self.radices):
+            out += (a // s - b // s) % d * s
+        return out
 
     def _unit(self, a):
         raise NotImplementedError
@@ -490,7 +499,8 @@ def det_entries(rows, base):
     """Determinant of a square matrix of base-ring element indices.
 
     Cofactor expansion along the first row; needs no division, hence valid
-    over any commutative base.
+    over any commutative base.  Units are found by `is_invertible`; this is
+    `MatRing.det` and the oracle that the row reduction is tested against.
     """
     n = len(rows)
     if n == 1:
@@ -506,6 +516,61 @@ def det_entries(rows, base):
             term = base.neg(term)
         acc = base.add(acc, term)
     return acc
+
+
+def residue_fields(ring):
+    """The residue fields R/m of a commutative ring R, one per maximal ideal m,
+    as (field, reduce) pairs: `reduce` maps a list of element indices of R to
+    a new list of their images in R/m.  `field` is a prime p when R/m = Z_p,
+    whose elements are then plain ints mod p, and otherwise the GFRing R/m.
+    """
+    if isinstance(ring, ZmRing):
+        return [(p, lambda xs, p=p: [x % p for x in xs]) for p in factorize(ring.m)]
+    if isinstance(ring, GFRing):
+        return [(ring.p if ring.k == 1 else ring, list)]
+    if isinstance(ring, ProdRing):
+        out = []
+        for c, factor in enumerate(ring.factors):
+            s, d = math.prod(f.order for f in ring.factors[c + 1:]), factor.order
+            out += [(field, lambda xs, s=s, d=d, reduce=reduce: reduce([x // s % d for x in xs]))
+                    for field, reduce in residue_fields(factor)]
+        return out
+    raise RingError("%s is not commutative" % ring)
+
+
+def _full_rank(m, n, field):
+    """Whether the n x n row-major list m over a residue field has rank n.
+
+    Inverse-free elimination, in place: with pivot a != 0 in column c, each
+    lower row r becomes a*row_r - f*row_c, where f is its entry in column c.
+    That keeps the rank and never divides.  Over a prime field the entries
+    are ints mod p; over GF(p^k), k > 1, the field's mul and sub combine them.
+    """
+    prime = isinstance(field, int)
+    for c in range(n):
+        top, width = c * n + c, n - c
+        pivot = next((r for r in range(top, n * n, n) if m[r]), None)
+        if pivot is None:
+            return False
+        if pivot != top:  # columns left of c are dead in both rows
+            m[top:top + width], m[pivot:pivot + width] = m[pivot:pivot + width], m[top:top + width]
+        a, row_c = m[top], m[top + 1:top + width]
+        for r in range(top + n, n * n, n):
+            f = m[r]
+            if f:
+                rest = m[r + 1:r + width]
+                m[r + 1:r + width] = (
+                    [(a * x - f * y) % field for x, y in zip(rest, row_c)] if prime else
+                    [field.sub(field.mul(a, x), field.mul(f, y)) for x, y in zip(rest, row_c)])
+    return True
+
+
+def is_invertible(entries, n, residues):
+    """Whether the n x n row-major matrix `entries` over a commutative base is
+    invertible, given `residue_fields(base)`: its determinant is a unit
+    exactly when it lies in no maximal ideal, so when the matrix has full rank
+    over every residue field."""
+    return all(_full_rank(reduce(entries), n, field) for field, reduce in residues)
 
 
 class _EntryRing(Ring):
@@ -535,6 +600,7 @@ class MatRing(_EntryRing):
         super().__init__(base, n * n, base.radical_steps * (n * n))
         self.n = n
         self.spec = M(n, base.spec)
+        self._residues = residue_fields(base)
         ident = [0] * (n * n)
         for i in range(n):
             ident[i * n + i] = base.one
@@ -561,7 +627,7 @@ class MatRing(_EntryRing):
         return det_entries(self.rows(a), self.base)
 
     def _unit(self, a):
-        return self.base.is_unit(self.det(a))
+        return is_invertible(self.decode_entries(a), self.n, self._residues)
 
     def element_repr(self, a):
         return ";".join(",".join(str(x) for x in row) for row in self.rows(a))
@@ -716,13 +782,3 @@ def radical_quotient(ring):
     for d, t in zip(ring.radices, ring.radical_steps):
         projection = [p * t + c % t for p in projection for c in range(d)]
     return quotient, projection
-
-
-def ring_metadata(ring):
-    """JSON-ready summary {spec, order, unit_count, radical_size}."""
-    return {
-        "spec": str(ring),
-        "order": ring.order,
-        "unit_count": ring.unit_count(),
-        "radical_size": len(jacobson_radical(ring)),
-    }

@@ -2,10 +2,12 @@
 
 Works purely on ring specs: factor the semisimple quotient R/J(R) into
 matrix rings over finite fields, then read off the well-covered /
-Cohen-Macaulay / Gorenstein verdicts for the unitary Cayley graph.
+Cohen-Macaulay / Gorenstein verdicts for the unitary Cayley graph, and
+the sizes of U(R) and J(R).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .rings import GF, M, Prod, T, Z, factorize, parse_spec, radical_spec, validate_spec
@@ -58,6 +60,26 @@ def _factors(spec):
             out.extend(_factors(f))
         return out
     raise AssertionError("unreachable")
+
+
+def gl_order(n, q):
+    """|GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1))."""
+    return math.prod(q ** n - q ** i for i in range(n))
+
+
+def ring_metadata(ring):
+    """JSON-ready summary {spec, order, unit_count, radical_size}, in closed
+    form from R/J(R) = prod M_{n_i}(F_{q_i}): |J| = |R| / prod q_i^(n_i^2),
+    and x is a unit of R exactly when x + J is a unit of R/J, so
+    |U(R)| = |J| prod |GL_{n_i}(F_{q_i})|.  `Ring.unit_count` is the scan."""
+    factors = semisimple_quotient(ring.spec)
+    radical_size = ring.order // math.prod(q ** (n * n) for n, q in factors)
+    return {
+        "spec": str(ring),
+        "order": ring.order,
+        "unit_count": radical_size * math.prod(gl_order(n, q) for n, q in factors),
+        "radical_size": radical_size,
+    }
 
 
 def radical_is_zero(spec):

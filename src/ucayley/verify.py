@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
 
 from . import constructions as cons
@@ -18,7 +19,7 @@ from .indsets import (enumerate_maximal_independent, greedy_extend,
 # det_entries is not called here; bench/spans.py times it in this namespace
 from .rings import (GFRing, det_entries, jacobson_radical,  # noqa: F401
                     jacobson_radical_bruteforce, make_ring, radical_quotient)
-from .structure import classify_gorenstein, classify_well_covered
+from .structure import classify_gorenstein, classify_well_covered, gl_order
 
 CATALOG = (
     ["Z(%d)" % m for m in range(1, 17)]
@@ -42,6 +43,7 @@ class CheckResult:
     description: str
     ok: bool
     detail: str
+    elapsed_s: float
 
 
 class _Ctx:
@@ -133,7 +135,7 @@ def check_family_independent(ctx, pairs=((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
         _need(len(fam) == want,
               "family size for (n=%d,q=%d) is %d, expected %d" % (n, q, len(fam), want))
         for a, b in itertools.combinations(fam, 2):
-            diff = tuple(field.sub(x, y) for x, y in zip(a, b))
+            diff = tuple(map(field.sub, a, b))
             _need(cons.matrix_is_singular(diff, n, field),
                   "family not independent for (n=%d,q=%d)" % (n, q))
         details.append("(%d,%d): %d matrices" % (n, q, want))
@@ -196,7 +198,7 @@ def check_avoidance_partner(ctx, random_count=500):
             b = cons.avoidance_partner(entries, n, field)
             _need(cons.matrix_is_singular(b, n, field),
                   "B is a unit for A=%s over GF(%d)" % (entries, q))
-            diff = tuple(field.sub(x, y) for x, y in zip(entries, b))
+            diff = tuple(map(field.sub, entries, b))
             _need(not cons.matrix_is_singular(diff, n, field),
                   "A - B is singular for A=%s over GF(%d)" % (entries, q))
             total += 1
@@ -210,7 +212,7 @@ def check_avoidance_partner(ctx, random_count=500):
         b = cons.avoidance_partner(entries, 3, field)
         _need(cons.matrix_is_singular(b, 3, field),
               "B is a unit for A=%s in M_3(F_3)" % (entries,))
-        diff = tuple(field.sub(x, y) for x, y in zip(entries, b))
+        diff = tuple(map(field.sub, entries, b))
         _need(not cons.matrix_is_singular(diff, 3, field),
               "A - B singular for A=%s in M_3(F_3)" % (entries,))
     details.append("M_3(F_3): %d random matrices" % random_count)
@@ -289,9 +291,7 @@ def check_unit_count_formula(ctx):
     details = []
     for n, q in ((2, 2), (2, 3), (3, 2)):
         ring = ctx.ring("M(%d,GF(%d))" % (n, q))
-        want = 1
-        for i in range(n):
-            want *= q ** n - q ** i
+        want = gl_order(n, q)
         got = ring.unit_count()
         _need(got == want, "|U(M_%d(F_%d))| = %d, expected %d" % (n, q, got, want))
         details.append("(%d,%d): %d" % (n, q, want))
@@ -350,18 +350,21 @@ def run_checks(scale="small", seed=0):
     ctx = _Ctx(seed=seed)
     results = []
     for check_id, description, fn in checks:
+        start = time.perf_counter()
         try:
-            detail = fn(ctx)
-            results.append(CheckResult(check_id, description, True, detail))
+            ok, detail = True, fn(ctx)
         except CheckFailure as exc:
-            results.append(CheckResult(check_id, description, False, str(exc)))
+            ok, detail = False, str(exc)
+        results.append(CheckResult(check_id, description, ok, detail,
+                                   round(time.perf_counter() - start, 6)))
     return {
         "scale": scale,
         "seed": seed,
         "passed": all(r.ok for r in results),
         "checks": [
             {"id": r.id, "description": r.description,
-             "status": "pass" if r.ok else "fail", "detail": r.detail}
+             "status": "pass" if r.ok else "fail", "detail": r.detail,
+             "elapsed_s": r.elapsed_s}
             for r in results
         ],
     }

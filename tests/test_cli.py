@@ -54,6 +54,16 @@ class TestCommands:
         assert json.loads(out) == {"spec": "Z(6)", "order": 6,
                                    "unit_count": 2, "radical_size": 1}
 
+    def test_ring_metadata_in_closed_form(self, capsys):
+        # 2^20 elements: a unit scan would take half a minute
+        start = time.monotonic()
+        code, out, _ = run(capsys, "ring", "--ring", "M(2,GF(32))", "--format", "json")
+        assert time.monotonic() - start < 1
+        assert code == 0
+        assert json.loads(out) == {"spec": "M(2,GF(32))", "order": 2 ** 20,
+                                   "unit_count": (32 ** 2 - 1) * (32 ** 2 - 32),
+                                   "radical_size": 1}
+
     def test_radical(self, capsys):
         code, out, _ = run(capsys, "radical", "--ring", "Z(8)")
         assert code == 0 and out.split() == ["0", "2", "4", "6"]
@@ -95,6 +105,8 @@ class TestCommands:
         assert payload["passed"] is True
         ids = {c["id"] for c in payload["checks"]}
         assert "thm-mnf-refute-3-2" in ids and "prop-rj-z4" in ids
+        assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0
+                   for c in payload["checks"])
 
 
 class TestExitCodes:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from ucayley.graphs import build_graph
 from ucayley.indsets import _twin_quotient
 from ucayley.rings import (GF, M, Prod, SpecConstraintError, SpecSyntaxError,
-                           T, Z, det_entries, factorize, jacobson_radical,
+                           T, Z, det_entries, factorize, is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
-                           parse_spec, radical_quotient, ring_metadata, RingError,
+                           parse_spec, radical_quotient, residue_fields, RingError,
                            CapExceededError, _order_log2_64ths, smallest_irreducible,
                            spec_order, split_digits)
+from ucayley.structure import ring_metadata
 from conftest import RING_SPECS, leibniz_det, structural_add, structural_neg
 
 
@@ -170,6 +171,21 @@ class TestArith:
         with pytest.raises(RingError):
             r.add(0, 6)
 
+    @pytest.mark.parametrize("text", ["Z(6)", "M(2,GF(3))"])
+    @pytest.mark.parametrize("a,b", [(0, "order"), (-1, 0), (1.0, 0), ("1", 0), (0, None)])
+    def test_sub_index_checked(self, text, a, b):
+        r = make_ring(text)
+        with pytest.raises(RingError):
+            r.sub(a, r.order if b == "order" else b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS, st.randoms(use_true_random=False))
+    def test_sub_is_add_neg(self, spec, rng):
+        r = make_ring(spec)
+        for _ in range(10):
+            a, b = rng.randrange(r.order), rng.randrange(r.order)
+            assert r.sub(a, b) == r.add(a, r.neg(b))
+
     @pytest.mark.parametrize("text", ["Z(12)", "GF(8)", "T(2,GF(3))",
                                       "M(2,Z(4))", "prod(Z(2),GF(4))"])
     def test_ring_axioms_sampled(self, text):
@@ -269,6 +285,27 @@ class TestUnits:
             u, v = rng.choice(units), rng.choice(units)
             assert r.is_unit(x) == r.is_unit(r.neg(x))
             assert r.is_unit(x) == r.is_unit(r.mul(u, r.mul(x, v)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)", "Z(4)", "Z(6)",
+                            "Z(12)", "prod(Z(2),GF(3))"]),
+           st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_row_reduction_matches_cofactor_det(self, text, n, rng):
+        base = make_ring(text)
+        residues = residue_fields(base)
+        for _ in range(10):
+            entries = tuple(rng.randrange(base.order) for _ in range(n * n))
+            rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            assert is_invertible(entries, n, residues) == base.is_unit(det_entries(rows, base))
+
+    # |U(R)| = |J| prod |GL_{n_i}(F_{q_i})| over R/J(R) = prod M_{n_i}(F_{q_i})
+    @pytest.mark.parametrize("text,want", [
+        ("M(2,Z(4))", 16 * 6),  # |J| = 2^4, R/J = M_2(F_2)
+        ("M(2,prod(Z(2),Z(3)))", 6 * 48),  # M_2(F_2) x M_2(F_3)
+        ("M(3,GF(4))", 63 * 60 * 48),  # (4^3 - 1)(4^3 - 4)(4^3 - 16)
+    ])
+    def test_unit_scan_has_closed_form_size(self, text, want):
+        assert len(make_ring(text).units()) == want
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_m2f_nonunit_row_shape(self, q):

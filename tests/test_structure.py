@@ -1,11 +1,13 @@
 import time
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import RING_SPECS
 from ucayley.rings import jacobson_radical, make_ring, parse_spec
 from ucayley.structure import (classify_cm, classify_gorenstein,
                                classify_well_covered, radical_is_zero,
-                               semisimple_quotient)
+                               ring_metadata, semisimple_quotient)
 from ucayley.verify import CATALOG
 
 
@@ -106,3 +108,20 @@ class TestCmAndGorenstein:
             go = classify_gorenstein(text).answer
             assert not cm or wc, text
             assert not go or cm, text
+
+
+def _assert_metadata_matches_scan(ring):
+    meta = ring_metadata(ring)
+    assert meta["unit_count"] == ring.unit_count()
+    assert meta["radical_size"] == len(jacobson_radical(ring))
+
+
+class TestRingMetadata:
+    @pytest.mark.parametrize("text", CATALOG)
+    def test_closed_form_matches_scan_on_catalog(self, text):
+        _assert_metadata_matches_scan(make_ring(text))
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS)
+    def test_closed_form_matches_scan_on_random_specs(self, spec):
+        _assert_metadata_matches_scan(make_ring(spec))
