@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import constructions as cons
@@ -45,14 +44,8 @@ def _emit(args, payload, text):
 
 
 def _budget(args):
-    nodes = args.budget_nodes
-    seconds = args.budget_seconds
     try:
-        if nodes is None and "UCAYLEY_BUDGET_NODES" in os.environ:
-            nodes = int(os.environ["UCAYLEY_BUDGET_NODES"])
-        if seconds is None and "UCAYLEY_BUDGET_SECONDS" in os.environ:
-            seconds = float(os.environ["UCAYLEY_BUDGET_SECONDS"])
-        return Budget(max_nodes=nodes, max_seconds=seconds)
+        return Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_seconds)
     except ValueError as exc:
         raise CliError("bad budget: %s" % exc) from None
 

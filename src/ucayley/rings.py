@@ -9,7 +9,10 @@ subgroup per digit, so R/J(R) is again such a ring.
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 DEFAULT_RING_CAP = 2 ** 20
 
@@ -186,6 +189,20 @@ def spec_order(spec):
     raise SpecConstraintError("not a ring spec: %r" % (spec,))
 
 
+def _leaf_sum(spec, weight):
+    """The sum of weight(leaf) over the spec's Z(m) and GF(q) leaves, each
+    counted as often as it occurs in R: once per matrix entry and per factor."""
+    if isinstance(spec, (Z, GF)):
+        return weight(spec)
+    if isinstance(spec, M):
+        return spec.n * spec.n * _leaf_sum(spec.base, weight)
+    if isinstance(spec, T):
+        return spec.n * (spec.n + 1) // 2 * _leaf_sum(spec.base, weight)
+    if isinstance(spec, Prod):
+        return sum(_leaf_sum(f, weight) for f in spec.factors)
+    raise SpecConstraintError("not a ring spec: %r" % (spec,))
+
+
 def _order_log2_64ths(spec):
     """A lower bound on 64 log2 |R|, with no power of |R| taken: the sum over
     the spec's Z(m) and GF(q) leaves of their multiplicity times
@@ -195,105 +212,82 @@ def _order_log2_64ths(spec):
     64 log2 |R| (each occurrence adds log2 m >= 1 bit), and not at all when
     |R| is a power of 2.
     """
-    if isinstance(spec, (Z, GF)):
-        return ((spec.m if isinstance(spec, Z) else spec.q) ** 64).bit_length() - 1
-    if isinstance(spec, M):
-        return spec.n * spec.n * _order_log2_64ths(spec.base)
-    if isinstance(spec, T):
-        return spec.n * (spec.n + 1) // 2 * _order_log2_64ths(spec.base)
-    if isinstance(spec, Prod):
-        return sum(_order_log2_64ths(f) for f in spec.factors)
-    raise SpecConstraintError("not a ring spec: %r" % (spec,))
+    return _leaf_sum(spec, lambda leaf: (spec_order(leaf) ** 64).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
 # spec parser
 #   spec := Z(m) | GF(q) | M(n,spec) | T(n,spec) | prod(spec{,spec})
 
-def _tokenize(text):
-    toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-        elif c.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            toks.append(("num", int(text[i:j]), i))
-            i = j
-        elif c in "(),":
-            toks.append((c, c, i))
-            i += 1
-        else:
-            raise SpecSyntaxError("unexpected character %r" % c, i)
-    toks.append(("end", None, len(text)))
-    return toks
+# deeper specs are refused, so the recursive spec functions stay far from Python's limit
+MAX_SPEC_DEPTH = 64
 
+# int() reads at most this many digits
+MAX_SPEC_DIGITS = 4300
 
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
+# name -> (spec class, argument kinds): a number, a spec, or one or more specs
+_CONSTRUCTORS = {
+    "Z": (Z, ("num",)),
+    "GF": (GF, ("num",)),
+    "M": (M, ("num", "spec")),
+    "T": (T, ("num", "spec")),
+    "prod": (Prod, ("specs",)),
+}
 
-    def peek(self):
-        return self.toks[self.i]
-
-    def expect(self, kind):
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            raise SpecSyntaxError("expected %s, got %r" % (kind, tok[1]), tok[2])
-        self.i += 1
-        return tok
-
-    def parse_spec(self):
-        kind, value, pos = self.peek()
-        if kind != "name":
-            raise SpecSyntaxError("expected a constructor name, got %r" % (value,), pos)
-        self.i += 1
-        if value == "Z":
-            self.expect("(")
-            m = self.expect("num")[1]
-            self.expect(")")
-            return Z(m)
-        if value == "GF":
-            self.expect("(")
-            q = self.expect("num")[1]
-            self.expect(")")
-            return GF(q)
-        if value in ("M", "T"):
-            self.expect("(")
-            n = self.expect("num")[1]
-            self.expect(",")
-            base = self.parse_spec()
-            self.expect(")")
-            return (M if value == "M" else T)(n, base)
-        if value == "prod":
-            self.expect("(")
-            factors = [self.parse_spec()]
-            while self.peek()[0] == ",":
-                self.i += 1
-                factors.append(self.parse_spec())
-            self.expect(")")
-            return Prod(tuple(factors))
-        raise SpecSyntaxError("unknown constructor %r" % value, pos)
+_TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|(?P<punct>[(),])|(?P<other>\S)")
 
 
 def parse_spec(text):
     """Parse a ring-spec string to its AST, validating all constraints."""
-    parser = _Parser(_tokenize(text))
-    spec = parser.parse_spec()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise SpecSyntaxError("trailing input %r" % (tok[1],), tok[2])
-    return validate_spec(spec)
+    toks = []  # (kind, value, position); the kind of "(", ")" or "," is the character
+    for tok in _TOKEN.finditer(text):
+        kind, value, pos = tok.lastgroup, tok.group(), tok.start()
+        if kind == "other":
+            raise SpecSyntaxError("unexpected character %r" % value, pos)
+        if kind == "num" and len(value) > MAX_SPEC_DIGITS:
+            raise SpecSyntaxError("a number has at most %d digits" % MAX_SPEC_DIGITS, pos)
+        toks.append((value if kind == "punct" else kind,
+                     int(value) if kind == "num" else value, pos))
+    toks.append(("end", None, len(text)))
+    i = 0
+
+    def expect(kind):
+        nonlocal i
+        tok = toks[i]
+        if tok[0] != kind:
+            raise SpecSyntaxError("expected %s, got %r" % (kind, tok[1]), tok[2])
+        i += 1
+        return tok[1]
+
+    def spec(depth):
+        nonlocal i
+        kind, value, pos = toks[i]
+        if kind != "name":
+            raise SpecSyntaxError("expected a constructor name, got %r" % (value,), pos)
+        if value not in _CONSTRUCTORS:
+            raise SpecSyntaxError("unknown constructor %r" % value, pos)
+        if depth > MAX_SPEC_DEPTH:
+            raise SpecSyntaxError("specs nest at most %d deep" % MAX_SPEC_DEPTH, pos)
+        cls, kinds = _CONSTRUCTORS[value]
+        i += 1
+        expect("(")
+        args = []
+        for arg in kinds:
+            if args:
+                expect(",")
+            args.append(expect("num") if arg == "num" else spec(depth + 1))
+        if kinds[-1] == "specs":  # prod: one or more factors
+            while toks[i][0] == ",":
+                i += 1
+                args.append(spec(depth + 1))
+            args = [tuple(args)]
+        expect(")")
+        return cls(*args)
+
+    out = spec(1)
+    if toks[i][0] != "end":
+        raise SpecSyntaxError("trailing input %r" % (toks[i][1],), toks[i][2])
+    return validate_spec(out)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +322,10 @@ class Ring:
     """
 
     def __init__(self, radices, radical_steps):
-        self._unit_cache = {}
         self.radices = tuple(radices)
         self.radical_steps = tuple(radical_steps)
-        self.order = math.prod(self.radices)
-        self.strides = tuple(math.prod(self.radices[i + 1:]) for i in range(len(self.radices)))
+        self.strides = tuple(accumulate(self.radices[:0:-1], operator.mul, initial=1))[::-1]
+        self.order = self.strides[0] * self.radices[0]
 
     def check_index(self, a):
         if not (isinstance(a, int) and 0 <= a < self.order):
@@ -381,10 +374,7 @@ class Ring:
 
     def is_unit(self, a):
         self.check_index(a)
-        hit = self._unit_cache.get(a)
-        if hit is None:
-            hit = self._unit_cache[a] = self._unit(a)
-        return hit
+        return self._unit(a)
 
     def units(self):
         return [a for a in range(self.order) if self.is_unit(a)]
@@ -472,24 +462,33 @@ class GFRing(Ring):
         self.modulus = smallest_irreducible(self.p, self.k) if self.k > 1 else None
 
     def mul(self, a, b):
-        self.check_index(a)
-        self.check_index(b)
-        p, k = self.p, self.k
+        q, p, k = self.q, self.p, self.k
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < q and 0 <= b < q):
+            self.check_index(a)
+            self.check_index(b)
         if k == 1:
-            return (a * b) % p
-        ca, cb = split_digits(a, self.radices)[::-1], split_digits(b, self.radices)[::-1]
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(ca):
+            return a * b % p
+        cb = []  # coefficient j of b, c_0 first: the index's base-p digits
+        for _ in range(k):
+            b, y = divmod(b, p)
+            cb.append(y)
+        prod = [0] * (2 * k - 1)  # exact sums, reduced mod p once below
+        i = 0
+        while a:
+            a, x = divmod(a, p)
             if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        for i in range(2 * k - 2, k - 1, -1):
-            c = prod[i]
+                for j, y in enumerate(cb, i):
+                    prod[j] += x * y
+            i += 1
+        for i in range(2 * k - 2, k - 1, -1):  # less c x^(i-k) modulus(x): clears x^i
+            c = prod[i] % p
             if c:
-                prod[i] = 0
-                for j in range(k):
-                    prod[i - k + j] = (prod[i - k + j] - c * self.modulus[j]) % p
-        return join_digits(prod[k - 1::-1], self.radices)
+                for j, m in zip(range(i - k, i), self.modulus):
+                    prod[j] -= c * m
+        out = 0
+        for c in reversed(prod[:k]):
+            out = out * p + c % p
+        return out
 
     def _unit(self, a):
         return a != 0
@@ -574,16 +573,15 @@ def is_invertible(entries, n, residues):
 
 
 class _EntryRing(Ring):
-    """A ring whose elements are tuples of `size` base-ring entries.
+    """A ring whose elements are tuples of entries, entry t in `entry_rings[t]`.
 
     The index is the big-endian mixed-radix value of the entry tuple (entry 0
-    most significant), so the radices are the base's, once per entry.
+    most significant), so the radices are the entry rings', in entry order.
     """
 
-    def __init__(self, base, size, radical_steps):
-        super().__init__(base.radices * size, radical_steps)
-        self.base = base
-        self._entry_radices = (base.order,) * size
+    def __init__(self, entry_rings, radical_steps):
+        super().__init__([d for r in entry_rings for d in r.radices], radical_steps)
+        self._entry_radices = tuple(r.order for r in entry_rings)
 
     def decode_entries(self, a):
         self.check_index(a)
@@ -597,7 +595,8 @@ class MatRing(_EntryRing):
     """M(n, base) for a commutative base ring; entries are row-major."""
 
     def __init__(self, n, base):
-        super().__init__(base, n * n, base.radical_steps * (n * n))
+        super().__init__([base] * (n * n), base.radical_steps * (n * n))
+        self.base = base
         self.n = n
         self.spec = M(n, base.spec)
         self._residues = residue_fields(base)
@@ -641,9 +640,10 @@ class TriRing(_EntryRing):
         self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
         # J(T_n(F)) is the strictly upper part: the diagonal keeps F's steps
         above = (1,) * len(base.radices)
-        super().__init__(base, len(self.positions),
+        super().__init__([base] * len(self.positions),
                          [t for i, j in self.positions
                           for t in (base.radical_steps if i == j else above)])
+        self.base = base
         self.n = n
         self.spec = T(n, base.spec)
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
@@ -673,33 +673,24 @@ class TriRing(_EntryRing):
         return ";".join(rows)
 
 
-class ProdRing(Ring):
-    """Direct product of rings; big-endian mixed-radix element encoding."""
+class ProdRing(_EntryRing):
+    """Direct product of rings: entry t lies in factor t."""
 
     def __init__(self, factors):
         self.factors = list(factors)
-        super().__init__([d for f in self.factors for d in f.radices],
-                         [t for f in self.factors for t in f.radical_steps])
+        super().__init__(self.factors, [t for f in self.factors for t in f.radical_steps])
         self.spec = Prod(tuple(f.spec for f in self.factors))
-        self._factor_orders = tuple(f.order for f in self.factors)
-        self.one = self.encode_components(tuple(f.one for f in self.factors))
-
-    def decode_components(self, a):
-        self.check_index(a)
-        return split_digits(a, self._factor_orders)
-
-    def encode_components(self, comps):
-        return join_digits(comps, self._factor_orders)
+        self.one = self.encode_entries(tuple(f.one for f in self.factors))
 
     def mul(self, a, b):
-        ca, cb = self.decode_components(a), self.decode_components(b)
-        return self.encode_components(tuple(f.mul(x, y) for f, x, y in zip(self.factors, ca, cb)))
+        ca, cb = self.decode_entries(a), self.decode_entries(b)
+        return self.encode_entries(tuple(f.mul(x, y) for f, x, y in zip(self.factors, ca, cb)))
 
     def _unit(self, a):
-        return all(f.is_unit(x) for f, x in zip(self.factors, self.decode_components(a)))
+        return all(f.is_unit(x) for f, x in zip(self.factors, self.decode_entries(a)))
 
     def element_repr(self, a):
-        comps = self.decode_components(a)
+        comps = self.decode_entries(a)
         return "(" + "|".join(f.element_repr(x) for f, x in zip(self.factors, comps)) + ")"
 
 
@@ -716,6 +707,9 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
     if order > cap:
         size = "= %d" % order if order < 2 ** 64 else ">= 2^%d" % (order.bit_length() - 1)
         raise CapExceededError("|R| %s exceeds the cardinality cap %d" % (size, cap))
+    # len(radices): a digit per Z(m) entry and k per GF(p^k) entry; a Z(1) entry adds no order
+    if _leaf_sum(spec, lambda leaf: 1 if isinstance(leaf, Z) else prime_power(leaf.q)[1]) > cap:
+        raise CapExceededError("R has more digits than the cardinality cap %d" % cap)
     if isinstance(spec, Z):
         return ZmRing(spec.m)
     if isinstance(spec, GF):
@@ -777,7 +771,8 @@ def radical_quotient(ring):
     their least elements in increasing order, as `indsets._twin_quotient`
     numbers the twin classes of R's unitary Cayley graph.
     """
-    quotient = make_ring(radical_spec(ring.spec), cap=ring.order)
+    # R/J has no more elements or digits than R
+    quotient = make_ring(radical_spec(ring.spec), cap=max(ring.order, len(ring.radices)))
     projection = [0]
     for d, t in zip(ring.radices, ring.radical_steps):
         projection = [p * t + c % t for p in projection for c in range(d)]

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
-from .rings import GF, M, Prod, T, Z, factorize, parse_spec, radical_spec, validate_spec
+from .rings import (GF, M, Prod, T, Z, SpecConstraintError, factorize, parse_spec,
+                    radical_spec, validate_spec)
+
+MAX_SIMPLE_FACTORS = 2 ** 20
 
 CLAUSE_FIELD = "R/J(R) is a field F"
 CLAUSE_FXF = "R/J(R) is F x F for a finite field F"
@@ -41,25 +45,26 @@ class Verdict:
 def semisimple_quotient(spec):
     """R/J(R) as a sorted multiset of (n_i, q_i) with R/J ~= prod M_{n_i}(F_{q_i})."""
     validate_spec(spec)
-    return tuple(sorted(_factors(spec)))
+    factors = list(islice(_factors(spec), MAX_SIMPLE_FACTORS + 1))
+    if len(factors) > MAX_SIMPLE_FACTORS:
+        raise SpecConstraintError("R/J(R) has more than %d simple factors" % MAX_SIMPLE_FACTORS)
+    return tuple(sorted(factors))
 
 
 def _factors(spec):
     if isinstance(spec, Z):
-        return [(1, p) for p in sorted(factorize(spec.m))]
-    if isinstance(spec, GF):
-        return [(1, spec.q)]
-    if isinstance(spec, T):
-        q = spec.base.q if isinstance(spec.base, GF) else spec.base.m
-        return [(1, q)] * spec.n
-    if isinstance(spec, M):
-        return [(spec.n * a, q) for a, q in _factors(spec.base)]
-    if isinstance(spec, Prod):
-        out = []
+        yield from ((1, p) for p in sorted(factorize(spec.m)))
+    elif isinstance(spec, GF):
+        yield 1, spec.q
+    elif isinstance(spec, T):
+        yield from repeat((1, spec.base.q if isinstance(spec.base, GF) else spec.base.m), spec.n)
+    elif isinstance(spec, M):
+        yield from ((spec.n * a, q) for a, q in _factors(spec.base))
+    elif isinstance(spec, Prod):
         for f in spec.factors:
-            out.extend(_factors(f))
-        return out
-    raise AssertionError("unreachable")
+            yield from _factors(f)
+    else:
+        raise AssertionError("unreachable")
 
 
 def gl_order(n, q):

@@ -247,8 +247,8 @@ def elementwise_graph(ring):
 def structural_add(ring, a, b):
     """Oracle: a + b entry-, component- or coefficient-wise, down to Z(m)."""
     if isinstance(ring, ProdRing):
-        comps = zip(ring.factors, ring.decode_components(a), ring.decode_components(b))
-        return ring.encode_components(tuple(structural_add(f, x, y) for f, x, y in comps))
+        comps = zip(ring.factors, ring.decode_entries(a), ring.decode_entries(b))
+        return ring.encode_entries(tuple(structural_add(f, x, y) for f, x, y in comps))
     if isinstance(ring, (MatRing, TriRing)):
         entries = zip(ring.decode_entries(a), ring.decode_entries(b))
         return ring.encode_entries(tuple(structural_add(ring.base, x, y) for x, y in entries))
@@ -262,8 +262,8 @@ def structural_add(ring, a, b):
 def structural_neg(ring, a):
     """Oracle: -a entry-, component- or coefficient-wise, down to Z(m)."""
     if isinstance(ring, ProdRing):
-        comps = zip(ring.factors, ring.decode_components(a))
-        return ring.encode_components(tuple(structural_neg(f, x) for f, x in comps))
+        comps = zip(ring.factors, ring.decode_entries(a))
+        return ring.encode_entries(tuple(structural_neg(f, x) for f, x in comps))
     if isinstance(ring, (MatRing, TriRing)):
         return ring.encode_entries(tuple(structural_neg(ring.base, x)
                                          for x in ring.decode_entries(a)))
@@ -272,6 +272,22 @@ def structural_neg(ring, a):
         return sum(-(a // p ** i) % p * p ** i for i in range(ring.k))
     assert isinstance(ring, ZmRing)
     return -a % ring.m
+
+
+def gf_mul(field, a, b):
+    """Oracle: a * b in GF(p^k) on coefficient lists (index = sum(c_i * p**i)),
+    by the schoolbook product and long division by the field's modulus."""
+    p, k = field.p, field.k
+    ca = [a // p ** i % p for i in range(k)]
+    cb = [b // p ** i % p for i in range(k)]
+    prod = [sum(ca[i] * cb[d - i] for i in range(k) if 0 <= d - i < k) % p
+            for d in range(2 * k - 1)]
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        for j in range(k + 1):
+            prod[d - k + j] = (prod[d - k + j] - c * field.modulus[j]) % p
+    assert not any(prod[k:])
+    return sum(c * p ** i for i, c in enumerate(prod[:k]))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13)

@@ -131,20 +131,8 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("name", ["UCAYLEY_BUDGET_NODES", "UCAYLEY_BUDGET_SECONDS"])
-    def test_bad_env_budget(self, capsys, monkeypatch, name):
-        monkeypatch.setenv(name, "abc")
-        code, _, err = run(capsys, "wellcovered", "--ring", "Z(4)")
-        assert code == 1 and err.startswith("error: bad budget")
-
     def test_nan_budget_flag(self, capsys):
         code, out, err = run(capsys, "wellcovered", "--ring", "Z(4)", "--budget-seconds", "nan")
-        assert code == 1 and out == ""
-        assert err == "error: bad budget: max_seconds must be positive\n"
-
-    def test_nan_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("UCAYLEY_BUDGET_SECONDS", "nan")
-        code, out, err = run(capsys, "wellcovered", "--ring", "Z(4)")
         assert code == 1 and out == ""
         assert err == "error: bad budget: max_seconds must be positive\n"
 
@@ -165,6 +153,12 @@ class TestExitCodes:
         ("construct", "--kind", "avoidance", "--n", "2", "--q", str(2 ** 40),
          "--matrix", "1,0;0,0"),
         ("construct", "--kind", "dfamily", "--n", "30", "--q", "2"),
+        # a zero ring's entries are digits of radix 1: its size is not its order
+        *[(command, "--ring", "M(%d,Z(1))" % n) for n in (3000, 100000, 10 ** 20 - 1)
+          for command in ("ring", "alpha")],
+        ("classify", "--ring", "T(99999999999,GF(2))"),  # R/J(R) has 10^11 - 1 factors
+        ("classify", "--ring", "Z(%s)" % ("7" * 5000)),
+        ("classify", "--ring", "prod(" * 400 + "Z(2)" + ")" * 400),
     ])
     def test_huge_input_is_refused_at_once(self, capsys, argv):
         start = time.monotonic()
@@ -179,14 +173,21 @@ class TestExitCodes:
         code, out, _ = run(capsys, "classify", "--ring", text)
         assert code == 0 and out.startswith("wellcovered: yes")
 
+    @pytest.mark.parametrize("command", ["classify", "alpha"])
+    def test_specs_nest_at_most_64_deep(self, capsys, command):
+        def nest(depth):
+            return "prod(" * (depth - 1) + "Z(2)" + ")" * (depth - 1)
+        code, out, _ = run(capsys, command, "--ring", nest(64))
+        assert code == 0 and out.strip() == ("1" if command == "alpha" else
+                                             "wellcovered: yes (clause: R/J(R) is a field F)")
+        code, out, err = run(capsys, command, "--ring", nest(65))
+        assert code == 1 and out == ""
+        # the Z(2) at depth 65 follows 64 "prod(" of 5 characters each
+        assert err == "error: syntax error at position 320: specs nest at most 64 deep\n"
+
     def test_inconclusive_budget(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(3))",
                            "--budget-nodes", "3")
-        assert code == 2
-
-    def test_env_budget_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("UCAYLEY_BUDGET_NODES", "3")
-        code, _, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(3))")
         assert code == 2
 
 
@@ -318,6 +319,11 @@ _SPEC_TEXT = st.one_of(
     # orders past every cap, some with more than the 4300 digits str() will print
     st.builds("{}({},{})".format, st.sampled_from("MT"), st.integers(5, 300),
               st.sampled_from(("GF(2)", "GF(9)"))),
+    # nests past the parser's depth limit, and numbers past the 4300 digits int() reads
+    st.integers(1, 400).map(lambda d: "prod(" * (d - 1) + "Z(2)" + ")" * (d - 1)),
+    st.integers(4301, 5000).map(lambda k: "Z(%s)" % ("1" * k)),
+    # zero rings with up to 10^40 entries
+    st.integers(1, 10 ** 20).map("M({},Z(1))".format),
 )
 _RING_COMMANDS = sorted(set(_VALID) - {"construct", "verify-paper"}) + ["product-witness"]
 

@@ -15,7 +15,7 @@ from ucayley.rings import (GF, M, Prod, SpecConstraintError, SpecSyntaxError,
                            CapExceededError, _order_log2_64ths, smallest_irreducible,
                            spec_order, split_digits)
 from ucayley.structure import ring_metadata
-from conftest import RING_SPECS, leibniz_det, structural_add, structural_neg
+from conftest import RING_SPECS, gf_mul, leibniz_det, structural_add, structural_neg
 
 
 class TestFactorize:
@@ -72,17 +72,19 @@ class TestParser:
             parse_spec("Z(2))")
 
     def test_non_decimal_digit(self):
-        # '²' is a digit to str.isdigit but not a decimal int() can read
-        with pytest.raises(SpecSyntaxError, match="unexpected character"):
-            parse_spec("Z(²)")
+        # '²' is a digit to str.isdigit but not a decimal int() can read; '٣' is a
+        # decimal int() reads as 3, but spec numbers are ASCII
+        for text in ("Z(²)", "Z(٣)"):
+            with pytest.raises(SpecSyntaxError, match="unexpected character"):
+                parse_spec(text)
 
     def test_unknown_constructor(self):
         with pytest.raises(SpecSyntaxError, match="unknown"):
             parse_spec("Q(5)")
 
-    def test_str_round_trip(self):
-        for text in ("Z(6)", "GF(8)", "M(2,Z(4))", "T(3,GF(2))", "prod(Z(2),M(2,GF(2)))"):
-            assert str(parse_spec(text)) == text
+    @given(RING_SPECS)
+    def test_str_round_trip(self, spec):
+        assert parse_spec(str(spec)) == spec
 
 
 class TestMakeRing:
@@ -124,6 +126,10 @@ class TestMakeRing:
         assert make_ring("M(9,GF(2))", cap=2 ** 81).order == 2 ** 81
         with pytest.raises(CapExceededError, match=r"\|R\| = 81 exceeds"):
             make_ring("prod(Z(3),M(2,Z(1)),T(2,GF(3)))", cap=80)
+        # the zero ring M(3,Z(1)) has one element and 9 digits
+        with pytest.raises(CapExceededError, match="more digits than the cardinality cap 8"):
+            make_ring("M(3,Z(1))", cap=8)
+        assert make_ring("M(3,Z(1))", cap=9).radices == (1,) * 9
 
     @settings(max_examples=100, deadline=None)
     @given(RING_SPECS, st.integers(1, 400))
@@ -131,8 +137,12 @@ class TestMakeRing:
         order = spec_order(spec)
         low = _order_log2_64ths(spec)  # short by under 1 per leaf, and a leaf adds >= 64
         assert 2 ** low <= order ** 64 < 2 ** (low + low // 64 + 1)
+        digits = len(make_ring(spec).radices)  # more than log2 |R| only with Z(1) entries
         if order > cap:
             with pytest.raises(CapExceededError, match=r"\|R\| = %d exceeds" % order):
+                make_ring(spec, cap=cap)
+        elif digits > cap:
+            with pytest.raises(CapExceededError, match="more digits than the cardinality cap"):
                 make_ring(spec, cap=cap)
         else:
             assert make_ring(spec, cap=cap).order == order
@@ -153,6 +163,18 @@ class TestMakeRing:
 
 
 class TestArith:
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+    def test_gf_mul_matches_coefficient_lists(self, q):
+        f = make_ring("GF(%d)" % q)
+        for a in range(q):
+            for b in range(q):
+                assert f.mul(a, b) == gf_mul(f, a, b)
+        for bad in (q, -1, 1.0, None):
+            with pytest.raises(RingError):
+                f.mul(bad, 1)
+            with pytest.raises(RingError):
+                f.mul(1, bad)
+
     def test_z6_sub(self):
         r = make_ring("Z(6)")
         assert r.sub(1, 5) == 2
@@ -231,7 +253,7 @@ class TestDigits:
         with pytest.raises(RingError):
             make_ring("M(2,GF(2))").encode_entries((0, 0, 0, 2))
         with pytest.raises(RingError):
-            make_ring("prod(Z(2),Z(3))").encode_components((1, 3))
+            make_ring("prod(Z(2),Z(3))").encode_entries((1, 3))
 
     @pytest.mark.parametrize("text", ["Z(12)", "GF(8)", "GF(9)", "GF(27)", "M(2,Z(4))",
                                       "M(2,GF(4))", "T(3,GF(2))", "T(2,GF(9))",
@@ -266,8 +288,8 @@ class TestUnits:
 
     def test_product_componentwise(self):
         r = make_ring("prod(Z(2),Z(3))")
-        assert r.is_unit(r.encode_components((1, 2)))
-        assert not r.is_unit(r.encode_components((0, 2)))
+        assert r.is_unit(r.encode_entries((1, 2)))
+        assert not r.is_unit(r.encode_entries((0, 2)))
 
     def test_triangular_diagonal(self):
         r = make_ring("T(2,GF(3))")
