@@ -2,15 +2,26 @@
 DOT, JSON and the edge ideal.
 
 Adjacency is stored as one Python int bitset per vertex; the downstream
-enumeration kernels live on word-parallel set intersections.
+enumeration kernels live on word-parallel set intersections.  The edge lists
+and text formats read a row's neighbours through `_selector` and
+`itertools.compress`, one C-level pass per row, not one bit at a time.
 """
 from __future__ import annotations
+
+from itertools import compress
 
 from .rings import CapExceededError
 
 DEFAULT_GRAPH_CAP = 2 ** 14
 
 EXPORT_CAP = 4096  # vertices, for export_stanley_reisner
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _selector(mask):
+    """Byte i is 1 if bit i of mask is set and 0 if not, for `compress`."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 class UGraph:
@@ -47,14 +58,8 @@ class UGraph:
         return self.adj[v].bit_count()
 
     def edges(self):
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                b = m & -m
-                out.append((u, b.bit_length() - 1))
-                m ^= b
-        return out
+        return [(u, v) for u in range(self.n)
+                for v in compress(range(u + 1, self.n), _selector(self.adj[u] >> (u + 1)))]
 
     def edge_count(self):
         return sum(self.degree(v) for v in range(self.n)) // 2
@@ -108,17 +113,22 @@ def conjunction_product(g1, g2):
     if g1.labels is not None and g2.labels is not None:
         out.labels = lambda v: "(%s|%s)" % (g1.label(v // n2), g2.label(v % n2))
     for v1 in range(n1):
-        m1 = g1.adj[v1]
+        # one copy of row v2 of g2 per neighbour w of v1, at bit w * n2: the
+        # copies are n2 bits wide and n2 apart, so the product has no carries
+        spread = sum(1 << w * n2 for w in compress(range(n1), _selector(g1.adj[v1])))
         for v2 in range(n2):
-            row = 0
-            block = g2.adj[v2]
-            m = m1
-            while m:
-                b = m & -m
-                row |= block << ((b.bit_length() - 1) * n2)
-                m ^= b
-            out.adj[v1 * n2 + v2] = row
+            out.adj[v1 * n2 + v2] = g2.adj[v2] * spread
     return out
+
+
+def _edge_lines(g, prefix, names):
+    """One text block per vertex u with a neighbour above it: a line
+    `prefix % u + names[v]` for each such neighbour v, in order."""
+    for u in range(g.n):
+        above = list(compress(names[u + 1:], _selector(g.adj[u] >> (u + 1))))
+        if above:
+            head = prefix % u
+            yield head + ("\n" + head).join(above)
 
 
 def export_dot(g):
@@ -129,15 +139,16 @@ def export_dot(g):
             lines.append('  %d [label="%s"];' % (v, g.label(v)))
         else:
             lines.append("  %d;" % v)
-    for u, v in g.edges():
-        lines.append("  %d -- %d;" % (u, v))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.extend(_edge_lines(g, "  %d -- ", ["%d;" % v for v in range(g.n)]))
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def graph_json(g):
     """JSON-ready dict {N, edges} with the sorted edge list."""
-    return {"N": g.n, "edges": [list(e) for e in g.edges()]}
+    edges = [[u, v] for u in range(g.n)
+             for v in compress(range(u + 1, g.n), _selector(g.adj[u] >> (u + 1)))]
+    return {"N": g.n, "edges": edges}
 
 
 def export_stanley_reisner(g):
@@ -150,5 +161,6 @@ def export_stanley_reisner(g):
     if g.n > EXPORT_CAP:
         raise ValueError("graph on %d vertices exceeds the export cap %d" % (g.n, EXPORT_CAP))
     lines = ["# squarefree monomial ideal in %d variables x_0 .. x_%d" % (g.n, g.n - 1)]
-    lines.extend("x_%d*x_%d" % e for e in g.edges())
-    return "\n".join(lines) + "\n"
+    lines.extend(_edge_lines(g, "x_%d*", ["x_%d" % v for v in range(g.n)]))
+    lines.append("")
+    return "\n".join(lines)

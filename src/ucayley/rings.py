@@ -50,7 +50,10 @@ def factorize(m):
     d = 2
     while d * d <= m:
         if d > TRIAL_DIVISION_LIMIT:
-            raise SpecConstraintError("cannot factor %d: it has no prime factor up to 2^20" % m)
+            name = str(m)
+            if len(name) > 40:
+                name = "a %d-digit number" % len(name)
+            raise SpecConstraintError("cannot factor %s: it has no prime factor up to 2^20" % name)
         while m % d == 0:
             fs[d] = fs.get(d, 0) + 1
             m //= d

@@ -226,6 +226,59 @@ def leibniz_det(rows, base):
     return acc
 
 
+def bitwise_edges(g):
+    """Oracle: the edges (u, v), u < v, in order, one bit of a row at a time."""
+    out = []
+    for u in range(g.n):
+        m = g.adj[u] >> (u + 1) << (u + 1)
+        while m:
+            b = m & -m
+            out.append((u, b.bit_length() - 1))
+            m ^= b
+    return out
+
+
+def tuple_dot(g):
+    """Oracle: DOT text formatted one edge tuple at a time."""
+    lines = ["graph G {"]
+    for v in range(g.n):
+        if g.labels is not None:
+            lines.append('  %d [label="%s"];' % (v, g.label(v)))
+        else:
+            lines.append("  %d;" % v)
+    for u, v in bitwise_edges(g):
+        lines.append("  %d -- %d;" % (u, v))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def tuple_json(g):
+    """Oracle: the JSON edge list built from edge tuples."""
+    return {"N": g.n, "edges": [list(e) for e in bitwise_edges(g)]}
+
+
+def tuple_edge_ideal(g):
+    """Oracle: the edge ideal formatted one edge tuple at a time."""
+    lines = ["# squarefree monomial ideal in %d variables x_0 .. x_%d" % (g.n, g.n - 1)]
+    lines.extend("x_%d*x_%d" % e for e in bitwise_edges(g))
+    return "\n".join(lines) + "\n"
+
+
+def bitwise_conjunction_adj(g1, g2):
+    """Oracle: the conjunction product's rows, one neighbour bit of g1 at a time."""
+    n2 = g2.n
+    adj = []
+    for v1 in range(g1.n):
+        for v2 in range(n2):
+            row, m = 0, g1.adj[v1]
+            while m:
+                b = m & -m
+                row |= g2.adj[v2] << ((b.bit_length() - 1) * n2)
+                m ^= b
+            adj.append(row)
+    return adj
+
+
 def elementwise_row(ring, units, x):
     """Oracle: the bitmask of {x + u : u in units} - {x}, through ring.add."""
     row = 0

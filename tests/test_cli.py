@@ -167,6 +167,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_long_unfactored_number_is_named_by_its_length(self, capsys):
+        # 2^14281 - 1 has 4,300 digits and no prime factor up to 2^20
+        code, out, err = run(capsys, "classify", "--ring", "Z(%d)" % (2 ** 14281 - 1))
+        assert code == 1 and out == ""
+        assert err == ("error: cannot factor a 4300-digit number: "
+                       "it has no prime factor up to 2^20\n")
+        assert len(err) < 200
+
     @pytest.mark.parametrize("text", ["Z(1099511627689)", "Z(%d)" % 2 ** 100])
     def test_large_spec_still_classifies(self, capsys, text):
         # a prime below 2^40, and a huge power of 2

@@ -1,11 +1,16 @@
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import RING_SPECS, elementwise_graph, elementwise_row
-from ucayley.graphs import (UGraph, build_graph, conjunction_product,
-                            export_dot, graph_json)
+from conftest import (RING_SPECS, bitwise_conjunction_adj, bitwise_edges, elementwise_graph,
+                      elementwise_row, tuple_dot, tuple_edge_ideal, tuple_json)
+from ucayley.cli import main
+from ucayley.graphs import (UGraph, build_graph, conjunction_product, export_dot,
+                            export_stanley_reisner, graph_json)
 from ucayley.rings import CapExceededError, make_ring, radical_quotient
 
 
@@ -15,6 +20,34 @@ def k(n):
         for v in range(u + 1, n):
             g.add_edge(u, v)
     return g
+
+
+@st.composite
+def simple_graphs(draw, max_n=80):
+    """Symmetric loop-free graphs: empty, complete or random, with no labels,
+    a label list or a label function."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["empty", "complete", "random"]))
+    if kind == "complete":
+        g = k(n)
+    else:
+        g = UGraph(n)
+        if kind == "random":
+            rng = random.Random(draw(st.integers(0, 2 ** 32)))
+            density = draw(st.floats(0, 1))
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < density:
+                        g.add_edge(u, v)
+    g.labels = draw(st.sampled_from([None, ["v%d" % v for v in range(n)], "(%d)".__mod__]))
+    return g
+
+
+def assert_text_formats_match_oracles(g):
+    assert g.edges() == bitwise_edges(g)
+    assert graph_json(g) == tuple_json(g)
+    assert export_dot(g) == tuple_dot(g)
+    assert export_stanley_reisner(g) == tuple_edge_ideal(g)
 
 
 class TestBuildGraph:
@@ -119,6 +152,11 @@ class TestConjunctionProduct:
         g_conj = conjunction_product(build_graph(make_ring(a)), build_graph(make_ring(b)))
         assert g_prod.adj == g_conj.adj
 
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs(max_n=12), simple_graphs(max_n=12))
+    def test_random_graphs_match_bitwise_oracle(self, g1, g2):
+        assert conjunction_product(g1, g2).adj == bitwise_conjunction_adj(g1, g2)
+
     def test_crt_relabeling_z6(self):
         # x -> (x mod 2, x mod 3) carries the 6-cycle onto the product graph
         g6 = build_graph(make_ring("Z(6)"))
@@ -160,3 +198,45 @@ class TestExport:
     def test_json(self):
         assert graph_json(build_graph(make_ring("Z(4)"))) == {
             "N": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
+
+
+class TestTextFormatsMatchOracles:
+    """edges(), JSON, DOT and the edge ideal against the per-edge tuple code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graphs())
+    def test_random_graphs(self, g):
+        assert_text_formats_match_oracles(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 80])
+    def test_empty_and_complete_graphs(self, n):
+        assert_text_formats_match_oracles(UGraph(n))
+        assert_text_formats_match_oracles(k(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS)
+    def test_random_ring_graphs(self, spec):
+        assert_text_formats_match_oracles(build_graph(make_ring(spec)))
+
+    @pytest.mark.parametrize("text", ["M(2,GF(5))", "T(3,GF(3))", "prod(Z(3),M(2,GF(3)))"])
+    def test_ring_graphs_up_to_729_vertices(self, text):
+        assert_text_formats_match_oracles(build_graph(make_ring(text)))
+
+    @pytest.mark.parametrize("fmt,oracle", [
+        ("dot", tuple_dot), ("edge-ideal", tuple_edge_ideal),
+        ("json", lambda g: json.dumps(tuple_json(g), sort_keys=True) + "\n")])
+    def test_cli_on_t3f3(self, capsys, fmt, oracle):
+        assert main(["graph", "--ring", "T(3,GF(3))", "--format", fmt]) == 0
+        assert capsys.readouterr().out == oracle(build_graph(make_ring("T(3,GF(3))")))
+
+    def test_edge_ideal_memory_stays_near_its_length(self):
+        # one tuple per edge took about 14 times the text's length
+        g = build_graph(make_ring("T(3,GF(3))"))
+        tracemalloc.start()
+        try:
+            text = export_stanley_reisner(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 921_082
+        assert peak < 5 * len(text)
