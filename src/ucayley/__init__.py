@@ -12,9 +12,9 @@ from .indsets import (Budget, BudgetExceededError, WellCoveredReport,
                       enumerate_maximal_independent, greedy_extend,
                       independence_number, is_well_covered, radical_saturate)
 from .rings import (GF, M, Prod, RingError, SpecConstraintError,
-                    SpecSyntaxError, T, Z, CapExceededError, det_entries,
-                    jacobson_radical, jacobson_radical_bruteforce, make_ring,
-                    parse_spec, radical_quotient)
+                    SpecSyntaxError, T, Z, CapExceededError, jacobson_radical,
+                    jacobson_radical_bruteforce, make_ring, parse_spec,
+                    radical_quotient)
 from .structure import (Verdict, classify_cm, classify_gorenstein,
                         classify_well_covered, ring_metadata, semisimple_quotient)
 from .verify import run_checks

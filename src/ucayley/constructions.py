@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
-from .rings import MatRing, ProdRing, is_invertible, residue_fields
+from .rings import MatRing, is_invertible, residue_fields
 # det_entries is not called here; bench/spans.py times it in this namespace
 from .rings import det_entries  # noqa: F401
 
@@ -100,8 +100,6 @@ def avoidance_partner(a_entries, n, field):
 @dataclass
 class ProductWitness:
     """The short maximal independent set of a product ring R x M_n(F)."""
-    prod_ring: ProdRing
-    mat_ring: MatRing
     base_max_set: tuple  # M, a maximal independent set of the Cayley graph of R
     witness: tuple  # N = (R x {0}) u (M x non-units), as product-ring indices
     competing: tuple  # M x M_n(F), also maximal, of size |M| * |M_n(F)|
@@ -116,7 +114,6 @@ def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
     if n <= 1:
         raise ValueError("requires n > 1")
     mat = MatRing(n, field)
-    prod = ProdRing([r_ring, mat])
     g_r = build_graph(r_ring, cap=graph_cap)
     m_set = greedy_extend(g_r, ())
     nonunits = [x for x in range(mat.order) if not mat.is_unit(x)]
@@ -125,7 +122,7 @@ def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
         for x in nonunits:
             witness.add(m * mat.order + x)
     competing = tuple(sorted(m * mat.order + x for m in m_set for x in range(mat.order)))
-    return ProductWitness(prod, mat, m_set, tuple(sorted(witness)), competing)
+    return ProductWitness(m_set, tuple(sorted(witness)), competing)
 
 
 def matrix_is_singular(entries, n, field):

@@ -1,10 +1,10 @@
 """Exact finite-ring kernel: specs, construction, arithmetic, radicals, quotients.
 
 Every ring hands out elements as integer indices 0..order-1, with index 0
-the additive zero.  Every ring (Z(m), GF(q), square/triangular matrix rings,
-products) indexes an element by the big-endian mixed-radix value of its
-digit vector, and one digit-wise add/neg serves them all.  J(R) is one
-subgroup per digit, so R/J(R) is again such a ring.
+the additive zero.  Every ring (Z(m), GF(q), the matrix rings M and T, which
+differ only in their stored entries, and products) indexes an element by the
+big-endian mixed-radix value of its digit vector, and one digit-wise add/sub
+serves them all.  J(R) is one subgroup per digit, so R/J(R) is again such a ring.
 """
 from __future__ import annotations
 
@@ -45,15 +45,21 @@ class CapExceededError(RingError):
 # small number-theory helpers
 
 def factorize(m):
-    """Prime factorization of m >= 1 as a dict prime -> exponent."""
+    """Prime factorization of m >= 1 as a dict prime -> exponent, by trial
+    division up to 2^20.  From 2^128 on, the odd d come in runs of
+    m.bit_length() // 64, and one gcd with a run's product skips a run that
+    holds no factor of m; a smaller m is divided by each d."""
     fs = {}
-    d = 2
+    run, d, screened = m.bit_length() // 64, 2, 3  # the odd d below `screened` are screened
     while d * d <= m:
         if d > TRIAL_DIVISION_LIMIT:
-            name = str(m)
-            if len(name) > 40:
-                name = "a %d-digit number" % len(name)
+            name = str(m) if m < 10 ** 40 else "a %d-digit number" % len(str(m))
             raise SpecConstraintError("cannot factor %s: it has no prime factor up to 2^20" % name)
+        if run > 1 and d >= screened:  # a run stops at 2^20 + 1, where m is refused
+            screened = min(d + 2 * run, TRIAL_DIVISION_LIMIT + 1)
+            if math.gcd(m, math.prod(range(d, screened, 2))) == 1:
+                d = screened
+                continue
         while m % d == 0:
             fs[d] = fs.get(d, 0) + 1
             m //= d
@@ -174,36 +180,28 @@ def validate_spec(spec):
     return spec
 
 
+def _leaves(spec):
+    """The spec's Z(m) and GF(q) leaves as (leaf, copies) pairs, copies being how
+    often the leaf occurs in R: once per matrix entry and per factor, at any depth."""
+    stack = [(spec, 1)]
+    while stack:
+        node, copies = stack.pop()
+        if isinstance(node, (Z, GF)):
+            yield node, copies
+        elif isinstance(node, M):
+            stack.append((node.base, copies * node.n * node.n))
+        elif isinstance(node, T):
+            stack.append((node.base, copies * (node.n * (node.n + 1) // 2)))
+        elif isinstance(node, Prod):
+            stack.extend((f, copies) for f in node.factors)
+        else:
+            raise SpecConstraintError("not a ring spec: %r" % (node,))
+
+
 def spec_order(spec):
     """Cardinality of the ring described by spec, without building it."""
-    if isinstance(spec, Z):
-        return spec.m
-    if isinstance(spec, GF):
-        return spec.q
-    if isinstance(spec, M):
-        return spec_order(spec.base) ** (spec.n * spec.n)
-    if isinstance(spec, T):
-        return spec_order(spec.base) ** (spec.n * (spec.n + 1) // 2)
-    if isinstance(spec, Prod):
-        out = 1
-        for f in spec.factors:
-            out *= spec_order(f)
-        return out
-    raise SpecConstraintError("not a ring spec: %r" % (spec,))
-
-
-def _leaf_sum(spec, weight):
-    """The sum of weight(leaf) over the spec's Z(m) and GF(q) leaves, each
-    counted as often as it occurs in R: once per matrix entry and per factor."""
-    if isinstance(spec, (Z, GF)):
-        return weight(spec)
-    if isinstance(spec, M):
-        return spec.n * spec.n * _leaf_sum(spec.base, weight)
-    if isinstance(spec, T):
-        return spec.n * (spec.n + 1) // 2 * _leaf_sum(spec.base, weight)
-    if isinstance(spec, Prod):
-        return sum(_leaf_sum(f, weight) for f in spec.factors)
-    raise SpecConstraintError("not a ring spec: %r" % (spec,))
+    return math.prod((leaf.m if isinstance(leaf, Z) else leaf.q) ** copies
+                     for leaf, copies in _leaves(spec))
 
 
 def _order_log2_64ths(spec):
@@ -215,7 +213,8 @@ def _order_log2_64ths(spec):
     64 log2 |R| (each occurrence adds log2 m >= 1 bit), and not at all when
     |R| is a power of 2.
     """
-    return _leaf_sum(spec, lambda leaf: (spec_order(leaf) ** 64).bit_length() - 1)
+    return sum(copies * ((spec_order(leaf) ** 64).bit_length() - 1)
+               for leaf, copies in _leaves(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +348,7 @@ class Ring:
         return out
 
     def neg(self, a):
-        self.check_index(a)
-        if len(self.radices) == 1:
-            return -a % self.order
-        out = 0
-        for s, d in zip(self.strides, self.radices):
-            out += -(a // s) % d * s
-        return out
+        return self.sub(0, a)
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -513,10 +506,7 @@ def det_entries(rows, base):
         if a == 0:
             continue
         minor = tuple(tuple(r[c] for c in range(n) if c != j) for r in rows[1:])
-        term = base.mul(a, det_entries(minor, base))
-        if j % 2:
-            term = base.neg(term)
-        acc = base.add(acc, term)
+        acc = (base.sub if j % 2 else base.add)(acc, base.mul(a, det_entries(minor, base)))
     return acc
 
 
@@ -595,34 +585,45 @@ class _EntryRing(Ring):
 
 
 class MatRing(_EntryRing):
-    """M(n, base) for a commutative base ring; entries are row-major."""
+    """M(n, base) for a commutative base ring.
+
+    The entries are stored at `positions`, the row-major (i, j) that
+    `stored_positions(n)` picks: all n^2 here, i <= j in TriRing, and every
+    other entry is 0.  So one constructor, product, identity, radical steps
+    and labels serve M_n(A) and its upper triangular subring T_n(F)."""
+
+    spec_class = M
+
+    @staticmethod
+    def stored_positions(n):
+        return [(i, j) for i in range(n) for j in range(n)]
 
     def __init__(self, n, base):
-        super().__init__([base] * (n * n), base.radical_steps * (n * n))
-        self.base = base
-        self.n = n
-        self.spec = M(n, base.spec)
+        self.positions = self.stored_positions(n)
+        # J(M_n(A)) = M_n(J(A)), and J(T_n(F)) is the strictly upper part: an
+        # entry whose mirror (j, i) is never stored has step 1, any other A's steps
+        stored, above = set(self.positions), (1,) * len(base.radices)
+        super().__init__([base] * len(self.positions),
+                         [t for i, j in self.positions
+                          for t in (base.radical_steps if (j, i) in stored else above)])
+        self.base, self.n = base, n
+        self.spec = self.spec_class(n, base.spec)
         self._residues = residue_fields(base)
-        ident = [0] * (n * n)
-        for i in range(n):
-            ident[i * n + i] = base.one
-        self.one = self.encode_entries(tuple(ident))
+        self.one = self.encode_entries(tuple(base.one if i == j else 0 for i, j in self.positions))
 
     def rows(self, a):
-        e = self.decode_entries(a)
-        n = self.n
-        return tuple(e[i * n:(i + 1) * n] for i in range(n))
+        n, cells = self.n, dict(zip(self.positions, self.decode_entries(a)))
+        return tuple(tuple(cells.get((i, j), 0) for j in range(n)) for i in range(n))
 
     def mul(self, a, b):
         n, base = self.n, self.base
         ra, rb = self.rows(a), self.rows(b)
         out = []
-        for i in range(n):
-            for j in range(n):
-                s = 0
-                for k in range(n):
-                    s = base.add(s, base.mul(ra[i][k], rb[k][j]))
-                out.append(s)
+        for i, j in self.positions:
+            s = 0
+            for k in range(n):
+                s = base.add(s, base.mul(ra[i][k], rb[k][j]))
+            out.append(s)
         return self.encode_entries(tuple(out))
 
     def det(self, a):
@@ -635,45 +636,19 @@ class MatRing(_EntryRing):
         return ";".join(",".join(str(x) for x in row) for row in self.rows(a))
 
 
-class TriRing(_EntryRing):
-    """T(n, F): upper triangular n x n matrices over a field."""
+class TriRing(MatRing):
+    """T(n, F): the upper triangular n x n matrices over a field, stored at
+    i <= j.  A unit is a matrix whose diagonal entries are units of F."""
 
-    def __init__(self, n, base):
-        self.positions = [(i, j) for i in range(n) for j in range(i, n)]
-        self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
-        # J(T_n(F)) is the strictly upper part: the diagonal keeps F's steps
-        above = (1,) * len(base.radices)
-        super().__init__([base] * len(self.positions),
-                         [t for i, j in self.positions
-                          for t in (base.radical_steps if i == j else above)])
-        self.base = base
-        self.n = n
-        self.spec = T(n, base.spec)
-        ident = tuple(base.one if i == j else 0 for i, j in self.positions)
-        self.one = self.encode_entries(ident)
+    spec_class = T
 
-    def mul(self, a, b):
-        base = self.base
-        ea, eb = self.decode_entries(a), self.decode_entries(b)
-        out = []
-        for i, j in self.positions:
-            s = 0
-            for k in range(i, j + 1):
-                s = base.add(s, base.mul(ea[self.pos_index[(i, k)]], eb[self.pos_index[(k, j)]]))
-            out.append(s)
-        return self.encode_entries(tuple(out))
+    @staticmethod
+    def stored_positions(n):
+        return [(i, j) for i in range(n) for j in range(i, n)]
 
     def _unit(self, a):
-        e = self.decode_entries(a)
-        return all(self.base.is_unit(e[self.pos_index[(i, i)]]) for i in range(self.n))
-
-    def element_repr(self, a):
-        e = self.decode_entries(a)
-        rows = []
-        for i in range(self.n):
-            rows.append(",".join(str(e[self.pos_index[(i, j)]]) if j >= i else "0"
-                                 for j in range(self.n)))
-        return ";".join(rows)
+        return all(self.base.is_unit(x)
+                   for (i, j), x in zip(self.positions, self.decode_entries(a)) if i == j)
 
 
 class ProdRing(_EntryRing):
@@ -711,16 +686,15 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
         size = "= %d" % order if order < 2 ** 64 else ">= 2^%d" % (order.bit_length() - 1)
         raise CapExceededError("|R| %s exceeds the cardinality cap %d" % (size, cap))
     # len(radices): a digit per Z(m) entry and k per GF(p^k) entry; a Z(1) entry adds no order
-    if _leaf_sum(spec, lambda leaf: 1 if isinstance(leaf, Z) else prime_power(leaf.q)[1]) > cap:
+    if sum(copies * (1 if isinstance(leaf, Z) else prime_power(leaf.q)[1])
+           for leaf, copies in _leaves(spec)) > cap:
         raise CapExceededError("R has more digits than the cardinality cap %d" % cap)
     if isinstance(spec, Z):
         return ZmRing(spec.m)
     if isinstance(spec, GF):
         return GFRing(spec.q)
-    if isinstance(spec, M):
-        return MatRing(spec.n, make_ring(spec.base, cap))
-    if isinstance(spec, T):
-        return TriRing(spec.n, make_ring(spec.base, cap))
+    if isinstance(spec, (M, T)):
+        return (MatRing if isinstance(spec, M) else TriRing)(spec.n, make_ring(spec.base, cap))
     if isinstance(spec, Prod):
         return ProdRing([make_ring(f, cap) for f in spec.factors])
     raise SpecConstraintError("not a ring spec: %r" % (spec,))

@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 
 from . import constructions as cons
 from .complexes import (SHELLING_FOUND, codim1_connected, find_shelling,
@@ -35,15 +34,6 @@ GORENSTEIN_MEMBERS = {"Z(1)", "Z(2)", "GF(2)", "prod(Z(2),Z(2))", "prod(Z(2),Z(2
 
 class CheckFailure(AssertionError):
     pass
-
-
-@dataclass
-class CheckResult:
-    id: str
-    description: str
-    ok: bool
-    detail: str
-    elapsed_s: float
 
 
 class _Ctx:
@@ -352,19 +342,10 @@ def run_checks(scale="small", seed=0):
     for check_id, description, fn in checks:
         start = time.perf_counter()
         try:
-            ok, detail = True, fn(ctx)
+            status, detail = "pass", fn(ctx)
         except CheckFailure as exc:
-            ok, detail = False, str(exc)
-        results.append(CheckResult(check_id, description, ok, detail,
-                                   round(time.perf_counter() - start, 6)))
-    return {
-        "scale": scale,
-        "seed": seed,
-        "passed": all(r.ok for r in results),
-        "checks": [
-            {"id": r.id, "description": r.description,
-             "status": "pass" if r.ok else "fail", "detail": r.detail,
-             "elapsed_s": r.elapsed_s}
-            for r in results
-        ],
-    }
+            status, detail = "fail", str(exc)
+        results.append({"id": check_id, "description": description, "status": status,
+                        "detail": detail, "elapsed_s": round(time.perf_counter() - start, 6)})
+    return {"scale": scale, "seed": seed,
+            "passed": all(r["status"] == "pass" for r in results), "checks": results}

@@ -7,8 +7,8 @@ from ucayley.complexes import (SHELLING_FOUND, SHELLING_NONE, SHELLING_UNKNOWN,
                                ShellingResult, is_pure)
 from ucayley.graphs import UGraph
 from ucayley.indsets import Budget, BudgetExceededError, WellCoveredReport
-from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, TriRing,
-                           ZmRing, spec_order)
+from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, SpecConstraintError,
+                           TriRing, ZmRing, _EntryRing, spec_order)
 
 
 def brute_force_maximal_independent(g):
@@ -341,6 +341,90 @@ def gf_mul(field, a, b):
             prod[d - k + j] = (prod[d - k + j] - c * field.modulus[j]) % p
     assert not any(prod[k:])
     return sum(c * p ** i for i, c in enumerate(prod[:k]))
+
+
+def trial_factorize(m, limit=2 ** 20):
+    """Oracle: the factorization by trial division with every d up to `limit`."""
+    fs = {}
+    d = 2
+    while d * d <= m:
+        if d > limit:
+            name = str(m)
+            if len(name) > 40:
+                name = "a %d-digit number" % len(name)
+            raise SpecConstraintError("cannot factor %s: it has no prime factor up to 2^20" % name)
+        while m % d == 0:
+            fs[d] = fs.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        fs[m] = fs.get(m, 0) + 1
+    return fs
+
+
+def recursive_spec_order(spec):
+    """Oracle: |R| by recursion on the spec."""
+    if isinstance(spec, Z):
+        return spec.m
+    if isinstance(spec, GF):
+        return spec.q
+    if isinstance(spec, M):
+        return recursive_spec_order(spec.base) ** (spec.n * spec.n)
+    if isinstance(spec, T):
+        return recursive_spec_order(spec.base) ** (spec.n * (spec.n + 1) // 2)
+    out = 1
+    for f in spec.factors:
+        out *= recursive_spec_order(f)
+    return out
+
+
+def recursive_leaf_sum(spec, weight):
+    """Oracle: the sum of weight(leaf) over the Z(m) and GF(q) leaves, each
+    counted once per matrix entry and per factor, by recursion on the spec."""
+    if isinstance(spec, (Z, GF)):
+        return weight(spec)
+    if isinstance(spec, M):
+        return spec.n * spec.n * recursive_leaf_sum(spec.base, weight)
+    if isinstance(spec, T):
+        return spec.n * (spec.n + 1) // 2 * recursive_leaf_sum(spec.base, weight)
+    return sum(recursive_leaf_sum(f, weight) for f in spec.factors)
+
+
+class PositionDictTriRing(_EntryRing):
+    """Oracle: T(n, F) as its own entry ring, with a position -> entry dict,
+    a product summed over i <= k <= j and units by their diagonal."""
+
+    def __init__(self, n, base):
+        self.positions = [(i, j) for i in range(n) for j in range(i, n)]
+        self.pos_index = {pos: t for t, pos in enumerate(self.positions)}
+        above = (1,) * len(base.radices)
+        super().__init__([base] * len(self.positions),
+                         [t for i, j in self.positions
+                          for t in (base.radical_steps if i == j else above)])
+        self.base = base
+        self.n = n
+        self.spec = T(n, base.spec)
+        self.one = self.encode_entries(tuple(base.one if i == j else 0 for i, j in self.positions))
+
+    def mul(self, a, b):
+        base = self.base
+        ea, eb = self.decode_entries(a), self.decode_entries(b)
+        out = []
+        for i, j in self.positions:
+            s = 0
+            for k in range(i, j + 1):
+                s = base.add(s, base.mul(ea[self.pos_index[(i, k)]], eb[self.pos_index[(k, j)]]))
+            out.append(s)
+        return self.encode_entries(tuple(out))
+
+    def _unit(self, a):
+        e = self.decode_entries(a)
+        return all(self.base.is_unit(e[self.pos_index[(i, i)]]) for i in range(self.n))
+
+    def element_repr(self, a):
+        e = self.decode_entries(a)
+        return ";".join(",".join(str(e[self.pos_index[(i, j)]]) if j >= i else "0"
+                                 for j in range(self.n)) for i in range(self.n))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13)

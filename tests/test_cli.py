@@ -158,6 +158,7 @@ class TestExitCodes:
           for command in ("ring", "alpha")],
         ("classify", "--ring", "T(99999999999,GF(2))"),  # R/J(R) has 10^11 - 1 factors
         ("classify", "--ring", "Z(%s)" % ("7" * 5000)),
+        ("classify", "--ring", "Z(%d)" % (2 ** 14281 - 1)),  # 4,300 digits, no factor up to 2^20
         ("classify", "--ring", "prod(" * 400 + "Z(2)" + ")" * 400),
     ])
     def test_huge_input_is_refused_at_once(self, capsys, argv):

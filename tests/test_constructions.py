@@ -193,7 +193,7 @@ class TestProductWitness:
 
     def test_witness_is_maximal_independent(self):
         wit = product_witness(make_ring("Z(2)"), 2, GFRing(2))
-        g = build_graph(wit.prod_ring)
+        g = build_graph(make_ring("prod(Z(2),M(2,GF(2)))"))
         mask = sum(1 << v for v in wit.witness)
         assert all(not g.adj[v] & mask for v in wit.witness)
         assert all(g.adj[v] & mask for v in range(g.n) if not mask >> v & 1)

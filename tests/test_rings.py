@@ -8,14 +8,34 @@ from hypothesis import strategies as st
 
 from ucayley.graphs import build_graph
 from ucayley.indsets import _twin_quotient
-from ucayley.rings import (GF, M, Prod, SpecConstraintError, SpecSyntaxError,
+from ucayley.rings import (GF, M, Prod, ProdRing, SpecConstraintError, SpecSyntaxError,
                            T, Z, det_entries, factorize, is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
-                           parse_spec, radical_quotient, residue_fields, RingError,
-                           CapExceededError, _order_log2_64ths, smallest_irreducible,
-                           spec_order, split_digits)
+                           parse_spec, prime_power, radical_quotient, residue_fields,
+                           RingError, CapExceededError, _leaves, _order_log2_64ths,
+                           smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import ring_metadata
-from conftest import RING_SPECS, gf_mul, leibniz_det, structural_add, structural_neg
+from conftest import (RING_SPECS, PositionDictTriRing, gf_mul, leibniz_det,
+                      recursive_leaf_sum, recursive_spec_order, structural_add,
+                      structural_neg, trial_factorize)
+
+
+def _prime_from(x):
+    """The least prime >= x >= 2."""
+    while trial_factorize(x) != {x: 1}:
+        x += 1
+    return x
+
+
+def _factors_or_error(factor, m):
+    try:
+        return list(factor(m).items())
+    except SpecConstraintError as exc:
+        return str(exc)
+
+
+# a factor just past 2^20, where trial division stops
+_PAST_LIMIT = _prime_from(2 ** 20 + 1)
 
 
 class TestFactorize:
@@ -35,6 +55,33 @@ class TestFactorize:
         with pytest.raises(SpecConstraintError, match="cannot factor %d:" % left):
             factorize(m)
         assert time.monotonic() - start < 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(128, 400),
+           st.lists(st.tuples(st.integers(3, 40_000), st.integers(-4, 4), st.integers(1, 2)),
+                    max_size=3),
+           st.one_of(st.just(1), st.integers(2 ** 20 - 300, 2 ** 20 + 300)))
+    def test_screened_runs_match_trial_division(self, bits, picks, top):
+        # from 2^128 on, runs of bits // 64 odd candidates start at 3 + 2 * run * k:
+        # each small factor is a prime near the start of the run below x, and
+        # the largest is 1 or a prime near 2^20
+        run = bits // 64
+        m = _prime_from(top) if top > 1 else 1
+        for x, offset, e in picks:
+            m *= _prime_from(max(3, 3 + (x - 3) // (2 * run) * 2 * run + offset)) ** e
+        m <<= max(0, bits - m.bit_length())  # factors of 2 bring m to `bits` bits
+        assert _factors_or_error(factorize, m) == _factors_or_error(trial_factorize, m)
+
+    @pytest.mark.parametrize("m", [
+        2 ** 200 * 1048571 * 1048573,  # the two largest primes below 2^20
+        2 ** 130 * 1048573 ** 2,
+        3 ** 100 * _PAST_LIMIT,  # a prime cofactor below (2^20 + 1)^2
+        7 ** 60 * _PAST_LIMIT ** 2,  # refused
+        2 ** 150 * (2 ** 61 - 1),  # refused
+        2 ** 130 * 1099513724941,  # the least prime past (2^20 + 1)^2: refused, not called prime
+    ], ids=lambda m: "%d-bits" % m.bit_length())
+    def test_screened_edge_cases_match_trial_division(self, m):
+        assert _factors_or_error(factorize, m) == _factors_or_error(trial_factorize, m)
 
 
 class TestParser:
@@ -146,6 +193,26 @@ class TestMakeRing:
                 make_ring(spec, cap=cap)
         else:
             assert make_ring(spec, cap=cap).order == order
+
+    @settings(max_examples=200, deadline=None)
+    @given(RING_SPECS)
+    def test_leaf_walk_matches_recursion(self, spec):
+        assert spec_order(spec) == recursive_spec_order(spec)
+        assert _order_log2_64ths(spec) == recursive_leaf_sum(
+            spec, lambda leaf: (recursive_spec_order(leaf) ** 64).bit_length() - 1)
+        digits = recursive_leaf_sum(spec, lambda leaf: 1 if isinstance(leaf, Z)
+                                    else prime_power(leaf.q)[1])
+        assert digits == len(make_ring(spec).radices)
+
+    def test_leaf_walk_on_nested_specs(self):
+        spec = parse_spec("prod(Z(2),T(3,GF(4)),M(2,prod(Z(4),GF(9))),prod(T(2,Z(5)),M(3,Z(1))))")
+        assert sorted(map(str, _leaves(spec))) == sorted(map(str, [
+            (Z(2), 1), (GF(4), 6), (Z(4), 4), (GF(9), 4), (Z(5), 3), (Z(1), 9)]))
+        assert spec_order(spec) == recursive_spec_order(spec)
+        deep = Prod((T(2, GF(3)), M(2, Z(6))))
+        for _ in range(300):  # deeper than the parser allows
+            deep = Prod((deep, Z(2)))
+        assert spec_order(deep) == recursive_spec_order(deep) == 27 * 6 ** 4 * 2 ** 300
 
     def test_zero_and_one(self):
         for text in ("Z(6)", "GF(9)", "M(2,GF(2))", "T(2,GF(3))", "prod(Z(4),GF(2))"):
@@ -278,6 +345,26 @@ class TestDigits:
             assert r.add(a, r.neg(a)) == 0
 
 
+def _position_dict_ring(spec):
+    """The ring of spec with each T(n, F) built as PositionDictTriRing."""
+    if isinstance(spec, T):
+        return PositionDictTriRing(spec.n, make_ring(spec.base))
+    if isinstance(spec, Prod):
+        return ProdRing([_position_dict_ring(f) for f in spec.factors])
+    return make_ring(spec)
+
+
+_TRI = st.one_of(st.builds(T, st.integers(1, 2), st.sampled_from((Z(2), Z(3), Z(5), GF(4),
+                                                                   GF(8), GF(9)))),
+                 st.builds(T, st.just(3), st.sampled_from((Z(2), Z(3)))))
+# T(n, F) alone, or next to T, M and scalar factors in prod
+_WITH_T = st.one_of(_TRI, st.lists(st.one_of(_TRI, st.sampled_from((Z(2), Z(4), GF(3),
+                                                                     M(2, Z(2))))),
+                                   min_size=2, max_size=3)
+                    .filter(lambda fs: any(isinstance(f, T) for f in fs))
+                    .map(lambda fs: Prod(tuple(fs)))).filter(lambda s: spec_order(s) <= 1500)
+
+
 class TestUnits:
     def test_z6(self):
         assert make_ring("Z(6)").is_unit(5)
@@ -296,6 +383,18 @@ class TestUnits:
         for a in range(r.order):
             e = r.decode_entries(a)
             assert r.is_unit(a) == (e[0] != 0 and e[2] != 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_WITH_T, st.randoms(use_true_random=False))
+    def test_triangular_ring_matches_position_dict_oracle(self, spec, rng):
+        # T alone and as a factor: layout, identity, units, labels and sampled products
+        ring, oracle = make_ring(spec), _position_dict_ring(spec)
+        assert (ring.radices, ring.radical_steps, ring.one) == \
+            (oracle.radices, oracle.radical_steps, oracle.one)
+        assert ring.units() == oracle.units()
+        assert all(ring.element_repr(a) == oracle.element_repr(a) for a in range(ring.order))
+        pairs = [(rng.randrange(ring.order), rng.randrange(ring.order)) for _ in range(200)]
+        assert [ring.mul(a, b) for a, b in pairs] == [oracle.mul(a, b) for a, b in pairs]
 
     @pytest.mark.parametrize("text", ["Z(12)", "M(2,GF(3))", "T(2,GF(2))"])
     def test_unit_symmetries_sampled(self, text):
@@ -358,6 +457,16 @@ class TestDet:
     def test_diagonal_over_z4(self):
         r = make_ring("M(2,Z(4))")
         assert r.det(r.encode_entries((1, 0, 0, 2))) == 2
+
+    @pytest.mark.parametrize("text", ["T(1,Z(5))", "T(2,GF(4))", "T(3,GF(3))", "T(4,GF(2))"])
+    def test_triangular_det_is_the_diagonal_product(self, text):
+        r = make_ring(text)
+        for a in range(r.order):
+            rows, want = r.rows(a), r.base.one
+            for i in range(r.n):
+                want = r.base.mul(want, rows[i][i])
+            assert r.det(a) == want
+            assert r.is_unit(a) == r.base.is_unit(want)
 
     @pytest.mark.parametrize("text,n", [("Z(6)", 3), ("GF(4)", 3), ("Z(4)", 4)])
     def test_against_leibniz_oracle(self, text, n):
