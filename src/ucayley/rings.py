@@ -19,6 +19,10 @@ DEFAULT_RING_CAP = 2 ** 20
 # trial division stops here: a cofactor past 2^40 with no factor below is refused
 TRIAL_DIVISION_LIMIT = 2 ** 20
 
+# factorize screens the odd trial divisors of an m >= 2^64 in runs of this
+# many; 64 was fastest or within noise of it from 2^64 to 2^14281
+SCREEN_RUN = 64
+
 # largest ring on which the O(|R|^2) quasi-regularity scan is attempted
 BRUTE_FORCE_RADICAL_CAP = 4096
 
@@ -46,17 +50,21 @@ class CapExceededError(RingError):
 
 def factorize(m):
     """Prime factorization of m >= 1 as a dict prime -> exponent, by trial
-    division up to 2^20.  From 2^128 on, the odd d come in runs of
-    m.bit_length() // 64, and one gcd with a run's product skips a run that
-    holds no factor of m; a smaller m is divided by each d."""
+    division up to 2^20.  From 2^64 on, the odd d come in runs of SCREEN_RUN,
+    and one gcd with a run's product skips a run that holds no factor of m;
+    a smaller m is divided by each d."""
     fs = {}
-    run, d, screened = m.bit_length() // 64, 2, 3  # the odd d below `screened` are screened
+    screen = m >= 2 ** 64
+    screened = 3  # the odd d below `screened` are screened
+    d = 2
     while d * d <= m:
         if d > TRIAL_DIVISION_LIMIT:
-            name = str(m) if m < 10 ** 40 else "a %d-digit number" % len(str(m))
+            name = str(m)
+            if len(name) > 40:
+                name = "a %d-digit number" % len(name)
             raise SpecConstraintError("cannot factor %s: it has no prime factor up to 2^20" % name)
-        if run > 1 and d >= screened:  # a run stops at 2^20 + 1, where m is refused
-            screened = min(d + 2 * run, TRIAL_DIVISION_LIMIT + 1)
+        if screen and d >= screened:  # a run stops at 2^20 + 1, where m is refused
+            screened = min(d + 2 * SCREEN_RUN, TRIAL_DIVISION_LIMIT + 1)
             if math.gcd(m, math.prod(range(d, screened, 2))) == 1:
                 d = screened
                 continue
@@ -506,7 +514,10 @@ def det_entries(rows, base):
         if a == 0:
             continue
         minor = tuple(tuple(r[c] for c in range(n) if c != j) for r in rows[1:])
-        acc = (base.sub if j % 2 else base.add)(acc, base.mul(a, det_entries(minor, base)))
+        term = base.mul(a, det_entries(minor, base))
+        if j % 2:
+            term = base.neg(term)
+        acc = base.add(acc, term)
     return acc
 
 
@@ -602,17 +613,21 @@ class MatRing(_EntryRing):
         self.positions = self.stored_positions(n)
         # J(M_n(A)) = M_n(J(A)), and J(T_n(F)) is the strictly upper part: an
         # entry whose mirror (j, i) is never stored has step 1, any other A's steps
-        stored, above = set(self.positions), (1,) * len(base.radices)
+        stored = set(self.positions)
+        above = (1,) * len(base.radices)
         super().__init__([base] * len(self.positions),
                          [t for i, j in self.positions
                           for t in (base.radical_steps if (j, i) in stored else above)])
-        self.base, self.n = base, n
+        self.base = base
+        self.n = n
         self.spec = self.spec_class(n, base.spec)
         self._residues = residue_fields(base)
-        self.one = self.encode_entries(tuple(base.one if i == j else 0 for i, j in self.positions))
+        ident = tuple(base.one if i == j else 0 for i, j in self.positions)
+        self.one = self.encode_entries(ident)
 
     def rows(self, a):
-        n, cells = self.n, dict(zip(self.positions, self.decode_entries(a)))
+        cells = dict(zip(self.positions, self.decode_entries(a)))
+        n = self.n
         return tuple(tuple(cells.get((i, j), 0) for j in range(n)) for i in range(n))
 
     def mul(self, a, b):
@@ -693,8 +708,10 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
         return ZmRing(spec.m)
     if isinstance(spec, GF):
         return GFRing(spec.q)
-    if isinstance(spec, (M, T)):
-        return (MatRing if isinstance(spec, M) else TriRing)(spec.n, make_ring(spec.base, cap))
+    if isinstance(spec, M):
+        return MatRing(spec.n, make_ring(spec.base, cap))
+    if isinstance(spec, T):
+        return TriRing(spec.n, make_ring(spec.base, cap))
     if isinstance(spec, Prod):
         return ProdRing([make_ring(f, cap) for f in spec.factors])
     raise SpecConstraintError("not a ring spec: %r" % (spec,))

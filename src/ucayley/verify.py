@@ -342,10 +342,17 @@ def run_checks(scale="small", seed=0):
     for check_id, description, fn in checks:
         start = time.perf_counter()
         try:
-            status, detail = "pass", fn(ctx)
+            ok, detail = True, fn(ctx)
         except CheckFailure as exc:
-            status, detail = "fail", str(exc)
-        results.append({"id": check_id, "description": description, "status": status,
-                        "detail": detail, "elapsed_s": round(time.perf_counter() - start, 6)})
-    return {"scale": scale, "seed": seed,
-            "passed": all(r["status"] == "pass" for r in results), "checks": results}
+            ok, detail = False, str(exc)
+        results.append({
+            "id": check_id, "description": description,
+            "status": "pass" if ok else "fail", "detail": detail,
+            "elapsed_s": round(time.perf_counter() - start, 6),
+        })
+    return {
+        "scale": scale,
+        "seed": seed,
+        "passed": all(r["status"] == "pass" for r in results),
+        "checks": results,
+    }

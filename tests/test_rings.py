@@ -12,7 +12,7 @@ from ucayley.rings import (GF, M, Prod, ProdRing, SpecConstraintError, SpecSynta
                            T, Z, det_entries, factorize, is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, prime_power, radical_quotient, residue_fields,
-                           RingError, CapExceededError, _leaves, _order_log2_64ths,
+                           RingError, CapExceededError, SCREEN_RUN, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import ring_metadata
 from conftest import (RING_SPECS, PositionDictTriRing, gf_mul, leibniz_det,
@@ -48,7 +48,8 @@ class TestFactorize:
         assert factorize(1099511627689) == {1099511627689: 1}
 
     @pytest.mark.parametrize("m,left", [(2 ** 61 - 1, 2 ** 61 - 1), (6 * (2 ** 61 - 1), 2 ** 61 - 1),
-                                        (10 ** 18 + 3, 10 ** 18 + 3)])
+                                        (10 ** 18 + 3, 10 ** 18 + 3),
+                                        (8 * (2 ** 127 - 1), 2 ** 127 - 1)])
     def test_large_cofactor_is_refused(self, m, left):
         # the cofactor left after the small primes is named, not guessed prime
         start = time.monotonic()
@@ -57,18 +58,18 @@ class TestFactorize:
         assert time.monotonic() - start < 1
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(128, 400),
+    @given(st.integers(56, 400),
            st.lists(st.tuples(st.integers(3, 40_000), st.integers(-4, 4), st.integers(1, 2)),
                     max_size=3),
            st.one_of(st.just(1), st.integers(2 ** 20 - 300, 2 ** 20 + 300)))
     def test_screened_runs_match_trial_division(self, bits, picks, top):
-        # from 2^128 on, runs of bits // 64 odd candidates start at 3 + 2 * run * k:
+        # from 2^64 on, runs of SCREEN_RUN odd candidates start at 3 + 2 * SCREEN_RUN * k:
         # each small factor is a prime near the start of the run below x, and
         # the largest is 1 or a prime near 2^20
-        run = bits // 64
         m = _prime_from(top) if top > 1 else 1
         for x, offset, e in picks:
-            m *= _prime_from(max(3, 3 + (x - 3) // (2 * run) * 2 * run + offset)) ** e
+            start = 3 + (x - 3) // (2 * SCREEN_RUN) * 2 * SCREEN_RUN
+            m *= _prime_from(max(3, start + offset)) ** e
         m <<= max(0, bits - m.bit_length())  # factors of 2 bring m to `bits` bits
         assert _factors_or_error(factorize, m) == _factors_or_error(trial_factorize, m)
 
