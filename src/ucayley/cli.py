@@ -89,7 +89,7 @@ def cmd_graph(args):
             raise CliError(str(exc)) from None
         sys.stdout.write(text)
     elif args.format == "json":
-        print(json.dumps(graph_json(g), sort_keys=True))
+        print(graph_json(g))
     else:
         print("graph on %d vertices with %d edges" % (g.n, g.edge_count()))
     return EXIT_OK

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
-from .rings import MatRing, is_invertible, residue_fields
+from .rings import MatRing
 # det_entries is not called here; bench/spans.py times it in this namespace
 from .rings import det_entries  # noqa: F401
 
@@ -123,18 +123,6 @@ def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
             witness.add(m * mat.order + x)
     competing = tuple(sorted(m * mat.order + x for m in m_set for x in range(mat.order)))
     return ProductWitness(m_set, tuple(sorted(witness)), competing)
-
-
-def matrix_is_singular(entries, n, field):
-    """Whether the n x n row-major matrix `entries` over `field` is singular,
-    by row reduction."""
-    if len(entries) != n * n:
-        raise ValueError("entry tuple must have length %d" % (n * n))
-    order = field.order
-    if not all(isinstance(x, int) and 0 <= x < order for x in entries):
-        for x in entries:
-            field.check_index(x)
-    return not is_invertible(entries, n, residue_fields(field))
 
 
 def zero_pattern_positions(n):

@@ -1,5 +1,5 @@
 """Unitary Cayley graphs, conjunction products, and every graph text format:
-DOT, JSON and the edge ideal.
+DOT, JSON and the edge ideal, whose edges `_edge_lines` writes for all three.
 
 Adjacency is stored as one Python int bitset per vertex; the downstream
 enumeration kernels live on word-parallel set intersections.  The edge lists
@@ -121,14 +121,14 @@ def conjunction_product(g1, g2):
     return out
 
 
-def _edge_lines(g, prefix, names):
-    """One text block per vertex u with a neighbour above it: a line
-    `prefix % u + names[v]` for each such neighbour v, in order."""
+def _edge_lines(g, prefix, names, sep="\n"):
+    """One text block per vertex u with a neighbour above it: the items
+    `prefix % u + names[v]` for each such neighbour v, in order, joined by sep."""
     for u in range(g.n):
         above = list(compress(names[u + 1:], _selector(g.adj[u] >> (u + 1))))
         if above:
             head = prefix % u
-            yield head + ("\n" + head).join(above)
+            yield head + (sep + head).join(above)
 
 
 def export_dot(g):
@@ -145,10 +145,9 @@ def export_dot(g):
 
 
 def graph_json(g):
-    """JSON-ready dict {N, edges} with the sorted edge list."""
-    edges = [[u, v] for u in range(g.n)
-             for v in compress(range(u + 1, g.n), _selector(g.adj[u] >> (u + 1)))]
-    return {"N": g.n, "edges": edges}
+    """The JSON text {"N": n, "edges": [[u, v], ...]}, edges low-high, as json.dumps writes it."""
+    edges = ", ".join(_edge_lines(g, "[%d, ", ["%d]" % v for v in range(g.n)], ", "))
+    return '{"N": %d, "edges": [%s]}' % (g.n, edges)
 
 
 def export_stanley_reisner(g):

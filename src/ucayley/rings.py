@@ -383,9 +383,6 @@ class Ring:
     def units(self):
         return [a for a in range(self.order) if self.is_unit(a)]
 
-    def unit_count(self):
-        return sum(1 for a in range(self.order) if self.is_unit(a))
-
     def element_repr(self, a):
         return str(a)
 
@@ -503,7 +500,7 @@ def det_entries(rows, base):
 
     Cofactor expansion along the first row; needs no division, hence valid
     over any commutative base.  Units are found by `is_invertible`; this is
-    `MatRing.det` and the oracle that the row reduction is tested against.
+    the oracle that the row reduction is tested against.
     """
     n = len(rows)
     if n == 1:
@@ -640,9 +637,6 @@ class MatRing(_EntryRing):
                 s = base.add(s, base.mul(ra[i][k], rb[k][j]))
             out.append(s)
         return self.encode_entries(tuple(out))
-
-    def det(self, a):
-        return det_entries(self.rows(a), self.base)
 
     def _unit(self, a):
         return is_invertible(self.decode_entries(a), self.n, self._residues)

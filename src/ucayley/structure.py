@@ -76,7 +76,7 @@ def ring_metadata(ring):
     """JSON-ready summary {spec, order, unit_count, radical_size}, in closed
     form from R/J(R) = prod M_{n_i}(F_{q_i}): |J| = |R| / prod q_i^(n_i^2),
     and x is a unit of R exactly when x + J is a unit of R/J, so
-    |U(R)| = |J| prod |GL_{n_i}(F_{q_i})|.  `Ring.unit_count` is the scan."""
+    |U(R)| = |J| prod |GL_{n_i}(F_{q_i})|.  The scan is `len(ring.units())`."""
     factors = semisimple_quotient(ring.spec)
     radical_size = ring.order // math.prod(q ** (n * n) for n, q in factors)
     return {
@@ -142,8 +142,8 @@ def classify_cm(spec):
 def classify_gorenstein(spec):
     """Is the unitary Cayley graph of R Gorenstein?  Yes exactly for Z_2^k."""
     spec, fl = _spec_and_factors(spec)
-    if radical_is_zero(spec) and all(f == (1, 2) for f in fl):
-        return Verdict(True, CLAUSE_Z2K, fl)
     if not radical_is_zero(spec):
         return Verdict(False, CLAUSE_J_NONZERO, fl)
+    if all(f == (1, 2) for f in fl):
+        return Verdict(True, CLAUSE_Z2K, fl)
     return Verdict(False, "R is not isomorphic to Z_2^k", fl)

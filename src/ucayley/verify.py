@@ -16,8 +16,9 @@ from .graphs import build_graph, conjunction_product
 from .indsets import (enumerate_maximal_independent, greedy_extend,
                       independence_number, is_well_covered, radical_saturate)
 # det_entries is not called here; bench/spans.py times it in this namespace
-from .rings import (GFRing, det_entries, jacobson_radical,  # noqa: F401
-                    jacobson_radical_bruteforce, make_ring, radical_quotient)
+from .rings import (GFRing, det_entries, is_invertible, jacobson_radical,  # noqa: F401
+                    jacobson_radical_bruteforce, make_ring, radical_quotient,
+                    residue_fields)
 from .structure import classify_gorenstein, classify_well_covered, gl_order
 
 CATALOG = (
@@ -120,13 +121,14 @@ def check_family_independent(ctx, pairs=((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
     details = []
     for n, q in pairs:
         field = GFRing(q)
+        residues = residue_fields(field)
         fam = cons.d_family(n, field)
         want = n * (q ** (n - 1) - 1) + 1
         _need(len(fam) == want,
               "family size for (n=%d,q=%d) is %d, expected %d" % (n, q, len(fam), want))
         for a, b in itertools.combinations(fam, 2):
             diff = tuple(map(field.sub, a, b))
-            _need(cons.matrix_is_singular(diff, n, field),
+            _need(not is_invertible(diff, n, residues),
                   "family not independent for (n=%d,q=%d)" % (n, q))
         details.append("(%d,%d): %d matrices" % (n, q, want))
     return "pairwise-singular differences; sizes " + ", ".join(details)
@@ -134,7 +136,7 @@ def check_family_independent(ctx, pairs=((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
 
 def check_row_mixing(ctx):
     ring, fam, m = ctx.greedy_over_family(3, 2)
-    field = ring.base
+    residues = residue_fields(ring.base)
     subsets = [s for r in range(1, 4) for s in itertools.combinations(range(3), r)]
     mixes = 0
     for v in m:
@@ -142,7 +144,7 @@ def check_row_mixing(ctx):
         for d in fam:
             for rows in subsets:
                 mix = cons.row_mix(a, d, rows, 3)
-                _need(cons.matrix_is_singular(mix, 3, field),
+                _need(not is_invertible(mix, 3, residues),
                       "row mix of %s with %s over rows %s is invertible"
                       % (a, d, rows))
                 mixes += 1
@@ -177,49 +179,35 @@ def check_radical_correspondence(ctx, text):
 
 
 def check_avoidance_partner(ctx, random_count=500):
+    rng = random.Random(ctx.seed)
+    cases = [(q, 2, itertools.product(range(q), repeat=4), "%d matrices" % (q ** 4 - 1))
+             for q in (2, 3)]
+    cases.append((3, 3, (tuple(rng.randrange(3) for _ in range(9)) for _ in range(random_count)),
+                  "%d random matrices" % random_count))
     details = []
-    for q in (2, 3):
+    for q, n, matrices, counted in cases:
         field = GFRing(q)
-        n = 2
-        total = 0
-        for entries in itertools.product(range(q), repeat=n * n):
+        residues = residue_fields(field)
+        for entries in matrices:
             if not any(entries):
                 continue
             b = cons.avoidance_partner(entries, n, field)
-            _need(cons.matrix_is_singular(b, n, field),
-                  "B is a unit for A=%s over GF(%d)" % (entries, q))
+            _need(not is_invertible(b, n, residues),
+                  "B is a unit for A=%s in M_%d(F_%d)" % (entries, n, q))
             diff = tuple(map(field.sub, entries, b))
-            _need(not cons.matrix_is_singular(diff, n, field),
-                  "A - B is singular for A=%s over GF(%d)" % (entries, q))
-            total += 1
-        details.append("M_2(F_%d): %d matrices" % (q, total))
-    field = GFRing(3)
-    rng = random.Random(ctx.seed)
-    for _ in range(random_count):
-        entries = tuple(rng.randrange(3) for _ in range(9))
-        if not any(entries):
-            continue
-        b = cons.avoidance_partner(entries, 3, field)
-        _need(cons.matrix_is_singular(b, 3, field),
-              "B is a unit for A=%s in M_3(F_3)" % (entries,))
-        diff = tuple(map(field.sub, entries, b))
-        _need(not cons.matrix_is_singular(diff, 3, field),
-              "A - B singular for A=%s in M_3(F_3)" % (entries,))
-    details.append("M_3(F_3): %d random matrices" % random_count)
+            _need(is_invertible(diff, n, residues),
+                  "A - B is singular for A=%s in M_%d(F_%d)" % (entries, n, q))
+        details.append("M_%d(F_%d): %s" % (n, q, counted))
     return "; ".join(details)
 
 
 def _is_maximal_independent(g, vertices):
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    for v in vertices:
-        if g.adj[v] & mask:
-            return False
-    for v in range(g.n):
-        if not mask >> v & 1 and not g.adj[v] & mask:
-            return False
-    return True
+    """Whether `vertices` is a maximal independent set of g: greedy_extend
+    returns exactly such a set unchanged and refuses a dependent one."""
+    try:
+        return greedy_extend(g, vertices) == tuple(sorted(set(vertices)))
+    except ValueError:
+        return False
 
 
 def check_product_refutation(ctx):
@@ -282,7 +270,7 @@ def check_unit_count_formula(ctx):
     for n, q in ((2, 2), (2, 3), (3, 2)):
         ring = ctx.ring("M(%d,GF(%d))" % (n, q))
         want = gl_order(n, q)
-        got = ring.unit_count()
+        got = len(ring.units())
         _need(got == want, "|U(M_%d(F_%d))| = %d, expected %d" % (n, q, got, want))
         details.append("(%d,%d): %d" % (n, q, want))
     return "unit counts " + ", ".join(details)

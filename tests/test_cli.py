@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -80,6 +81,19 @@ class TestCommands:
         code, out, err = run(capsys, "graph", "--ring", "Z(5000)", "--format", "edge-ideal")
         assert code == 1 and out == ""
         assert err == "error: graph on 5000 vertices exceeds the export cap 4096\n"
+
+    def test_graph_json_of_m2f7_at_once(self, capsys):
+        # 2,401 vertices and 2,420,208 edges; one list per edge took about 3 s.
+        # The text is compared by length and SHA-256 with
+        # json.dumps(tuple_json(g), sort_keys=True) + "\n": building that oracle
+        # here would take 5 s and 0.5 GiB (tests/test_graphs.py runs it on
+        # smaller graphs).
+        start = time.monotonic()
+        code, out, _ = run(capsys, "graph", "--ring", "M(2,GF(7))", "--format", "json")
+        assert time.monotonic() - start < 1
+        assert code == 0 and len(out) == 31645175
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c4df8a9cb65640cb723061fb060d8ce919f08741ac62a2050f4e154db4b3cef2")
 
     def test_complex_with_shelling(self, capsys):
         code, out, _ = run(capsys, "complex", "--ring", "prod(Z(2),Z(2))",

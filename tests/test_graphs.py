@@ -45,7 +45,7 @@ def simple_graphs(draw, max_n=80):
 
 def assert_text_formats_match_oracles(g):
     assert g.edges() == bitwise_edges(g)
-    assert graph_json(g) == tuple_json(g)
+    assert graph_json(g) == json.dumps(tuple_json(g), sort_keys=True)
     assert export_dot(g) == tuple_dot(g)
     assert export_stanley_reisner(g) == tuple_edge_ideal(g)
 
@@ -72,7 +72,7 @@ class TestBuildGraph:
     def test_unit_regular(self, text):
         r = make_ring(text)
         g = build_graph(r)
-        units = r.unit_count()
+        units = len(r.units())
         assert all(g.degree(v) == units for v in range(g.n))
 
     @pytest.mark.parametrize("text", ["Z(9)", "M(2,GF(2))", "T(2,GF(3))"])
@@ -196,8 +196,8 @@ class TestExport:
         assert export_dot(g) == export_dot(eager)
 
     def test_json(self):
-        assert graph_json(build_graph(make_ring("Z(4)"))) == {
-            "N": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}
+        assert graph_json(build_graph(make_ring("Z(4)"))) == (
+            '{"N": 4, "edges": [[0, 1], [0, 3], [1, 2], [2, 3]]}')
 
 
 class TestTextFormatsMatchOracles:

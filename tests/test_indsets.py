@@ -14,6 +14,7 @@ from ucayley.indsets import (TWIN_QUOTIENT, VERTEX_ZERO, Budget, BudgetExceededE
                              radical_saturate)
 from ucayley.rings import jacobson_radical, make_ring, radical_quotient, spec_order
 from ucayley.structure import semisimple_quotient
+from ucayley.verify import _is_maximal_independent
 
 
 def complete(n):
@@ -138,6 +139,26 @@ class TestGreedyExtend:
         out = greedy_extend(g, ())
         mask = sum(1 << v for v in out)
         assert all(g.adj[v] & mask for v in range(g.n) if v not in out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 20), st.floats(0, 1), st.integers(0, 2 ** 32), st.data())
+    def test_verify_maximality_check_agrees_with_oracle(self, n, p, seed, data):
+        # random sets, greedy maximal sets, and those less one vertex or plus one
+        g = random_graph(n, p, seed)
+        verts = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
+        kind = data.draw(st.sampled_from(["random", "maximal", "less one", "plus one"]))
+        if kind != "random":
+            seed_set = []
+            for v in verts:
+                if not any(g.has_edge(u, v) for u in seed_set):
+                    seed_set.append(v)
+            verts = list(greedy_extend(g, seed_set))
+            outside = [v for v in range(n) if v not in verts]
+            if kind == "less one" and verts:
+                verts.pop(data.draw(st.integers(0, len(verts) - 1)))
+            elif kind == "plus one" and outside:
+                verts.append(data.draw(st.sampled_from(outside)))
+        assert _is_maximal_independent(g, verts) == is_maximal_independent(g, verts)
 
 
 class TestRadicalSaturate:

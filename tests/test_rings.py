@@ -147,7 +147,7 @@ class TestMakeRing:
     def test_order_and_unit_count(self, text, order, units):
         r = make_ring(text)
         assert r.order == order
-        assert r.unit_count() == units
+        assert len(r.units()) == units
 
     def test_cardinality_cap(self):
         with pytest.raises(CapExceededError):
@@ -447,17 +447,17 @@ class TestUnits:
 class TestDet:
     def test_identity(self):
         r = make_ring("M(3,GF(2))")
-        assert r.det(r.one) == 1
+        assert det_entries(r.rows(r.one), r.base) == 1
 
     def test_zero_row(self):
         from ucayley.constructions import reduced_diagonal
         r = make_ring("M(3,GF(2))")
         d = reduced_diagonal(3, 1, 2, (1, 1), r.base)
-        assert r.det(r.encode_entries(d)) == 0
+        assert det_entries(r.rows(r.encode_entries(d)), r.base) == 0
 
     def test_diagonal_over_z4(self):
         r = make_ring("M(2,Z(4))")
-        assert r.det(r.encode_entries((1, 0, 0, 2))) == 2
+        assert det_entries(r.rows(r.encode_entries((1, 0, 0, 2))), r.base) == 2
 
     @pytest.mark.parametrize("text", ["T(1,Z(5))", "T(2,GF(4))", "T(3,GF(3))", "T(4,GF(2))"])
     def test_triangular_det_is_the_diagonal_product(self, text):
@@ -466,7 +466,7 @@ class TestDet:
             rows, want = r.rows(a), r.base.one
             for i in range(r.n):
                 want = r.base.mul(want, rows[i][i])
-            assert r.det(a) == want
+            assert det_entries(rows, r.base) == want
             assert r.is_unit(a) == r.base.is_unit(want)
 
     @pytest.mark.parametrize("text,n", [("Z(6)", 3), ("GF(4)", 3), ("Z(4)", 4)])
@@ -539,7 +539,7 @@ class TestQuotient:
         q, _ = radical_quotient(make_ring("T(2,GF(2))"))
         assert str(q) == "prod(GF(2),GF(2))"
         assert q.order == 4
-        assert q.unit_count() == 1
+        assert len(q.units()) == 1
 
     def test_projection_is_homomorphism(self):
         for text in ("Z(12)", "Z(1)", "T(1,GF(4))", "T(3,GF(2))", "M(2,Z(4))",
