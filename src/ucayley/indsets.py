@@ -258,8 +258,12 @@ class WellCoveredReport:
     alpha: int  # a lower bound only when alpha_exact is false
     witness_small: tuple | None = None
     counts: dict = field(default_factory=dict)
-    complete: bool = False
     alpha_exact: bool = True
+
+    # every maximal set was enumerated: true exactly for a "yes"
+    @property
+    def complete(self):
+        return self.answer == "yes"
 
     def to_json(self):
         out = {
@@ -308,13 +312,11 @@ def is_well_covered(g, budget=None):
             alpha, exact = independence_number(g, budget), True
         except BudgetExceededError as exc:
             alpha, exact = max(w * len(largest), exc.best), False
-        return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts,
-                                 complete=False, alpha_exact=exact)
+        return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts, alpha_exact=exact)
     alpha = max(counts) if counts else 0
     if exhausted:
-        return WellCoveredReport("inconclusive", alpha, counts=counts, complete=False,
-                                 alpha_exact=False)
-    return WellCoveredReport("yes", alpha, counts=counts, complete=True)
+        return WellCoveredReport("inconclusive", alpha, counts=counts, alpha_exact=False)
+    return WellCoveredReport("yes", alpha, counts=counts)
 
 
 def greedy_extend(g, seed):

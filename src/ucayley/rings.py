@@ -101,10 +101,16 @@ def squarefree_part(m):
 
 # ---------------------------------------------------------------------------
 # ring specs
+#   Each constructor checks its own arguments when it is made, so a spec object
+#   is valid by construction, whether the parser or Python code made it.
 
 @dataclass(frozen=True)
 class Z:
     m: int
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise SpecConstraintError("Z(m) requires m >= 1, got %d" % self.m)
 
     def __str__(self):
         return "Z(%d)" % self.m
@@ -113,6 +119,10 @@ class Z:
 @dataclass(frozen=True)
 class GF:
     q: int
+
+    def __post_init__(self):
+        if prime_power(self.q) is None:
+            raise SpecConstraintError("GF(q) requires a prime power, %d is not one" % self.q)
 
     def __str__(self):
         return "GF(%d)" % self.q
@@ -123,6 +133,12 @@ class M:
     n: int
     base: object
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise SpecConstraintError("M(n,...) requires n >= 1")
+        if not is_commutative_spec(self.base):
+            raise SpecConstraintError("M requires a commutative base, got %s" % self.base)
+
     def __str__(self):
         return "M(%d,%s)" % (self.n, self.base)
 
@@ -132,6 +148,12 @@ class T:
     n: int
     base: object
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise SpecConstraintError("T(n,...) requires n >= 1")
+        if not (isinstance(self.base, GF) or isinstance(self.base, Z) and is_prime(self.base.m)):
+            raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % self.base)
+
     def __str__(self):
         return "T(%d,%s)" % (self.n, self.base)
 
@@ -140,8 +162,18 @@ class T:
 class Prod:
     factors: tuple
 
+    def __post_init__(self):
+        if not self.factors:
+            raise SpecConstraintError("prod() requires at least one factor")
+        for f in self.factors:
+            if not isinstance(f, SPECS):
+                raise SpecConstraintError("not a ring spec: %r" % (f,))
+
     def __str__(self):
         return "prod(%s)" % ",".join(str(f) for f in self.factors)
+
+
+SPECS = (Z, GF, M, T, Prod)
 
 
 def is_commutative_spec(spec):
@@ -150,42 +182,6 @@ def is_commutative_spec(spec):
     if isinstance(spec, Prod):
         return all(is_commutative_spec(f) for f in spec.factors)
     return False
-
-
-def is_field_spec(spec):
-    if isinstance(spec, GF):
-        return True
-    return isinstance(spec, Z) and is_prime(spec.m)
-
-
-def validate_spec(spec):
-    """Check the structural constraints of a spec; raise SpecConstraintError."""
-    if isinstance(spec, Z):
-        if spec.m < 1:
-            raise SpecConstraintError("Z(m) requires m >= 1, got %d" % spec.m)
-    elif isinstance(spec, GF):
-        if prime_power(spec.q) is None:
-            raise SpecConstraintError("GF(q) requires a prime power, %d is not one" % spec.q)
-    elif isinstance(spec, M):
-        if spec.n < 1:
-            raise SpecConstraintError("M(n,...) requires n >= 1")
-        if not is_commutative_spec(spec.base):
-            raise SpecConstraintError("M requires a commutative base, got %s" % spec.base)
-        validate_spec(spec.base)
-    elif isinstance(spec, T):
-        if spec.n < 1:
-            raise SpecConstraintError("T(n,...) requires n >= 1")
-        if not is_field_spec(spec.base):
-            raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % spec.base)
-        validate_spec(spec.base)
-    elif isinstance(spec, Prod):
-        if not spec.factors:
-            raise SpecConstraintError("prod() requires at least one factor")
-        for f in spec.factors:
-            validate_spec(f)
-    else:
-        raise SpecConstraintError("not a ring spec: %r" % (spec,))
-    return spec
 
 
 def _leaves(spec):
@@ -200,10 +196,8 @@ def _leaves(spec):
             stack.append((node.base, copies * node.n * node.n))
         elif isinstance(node, T):
             stack.append((node.base, copies * (node.n * (node.n + 1) // 2)))
-        elif isinstance(node, Prod):
-            stack.extend((f, copies) for f in node.factors)
         else:
-            raise SpecConstraintError("not a ring spec: %r" % (node,))
+            stack.extend((f, copies) for f in node.factors)
 
 
 def spec_order(spec):
@@ -248,7 +242,7 @@ _TOKEN = re.compile(r"(?P<name>[A-Za-z]+)|(?P<num>[0-9]+)|(?P<punct>[(),])|(?P<o
 
 
 def parse_spec(text):
-    """Parse a ring-spec string to its AST, validating all constraints."""
+    """Parse a ring-spec string to its AST; each spec checks itself as it closes."""
     toks = []  # (kind, value, position); the kind of "(", ")" or "," is the character
     for tok in _TOKEN.finditer(text):
         kind, value, pos = tok.lastgroup, tok.group(), tok.start()
@@ -297,7 +291,7 @@ def parse_spec(text):
     out = spec(1)
     if toks[i][0] != "end":
         raise SpecSyntaxError("trailing input %r" % (toks[i][1],), toks[i][2])
-    return validate_spec(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +386,8 @@ class Ring:
 
 class ZmRing(Ring):
     def __init__(self, m):
-        super().__init__((m,), (squarefree_part(m),))
         self.spec = Z(m)
+        super().__init__((m,), (squarefree_part(m),))
         self.m = m
         self.one = 1 % m
 
@@ -452,12 +446,9 @@ class GFRing(Ring):
     """
 
     def __init__(self, q):
-        pk = prime_power(q)
-        if pk is None:
-            raise SpecConstraintError("GF(q) requires a prime power, %d is not one" % q)
-        self.p, self.k = pk
-        super().__init__((self.p,) * self.k, (self.p,) * self.k)
         self.spec = GF(q)
+        self.p, self.k = prime_power(q)
+        super().__init__((self.p,) * self.k, (self.p,) * self.k)
         self.q = q
         self.one = 1
         self.modulus = smallest_irreducible(self.p, self.k) if self.k > 1 else None
@@ -607,6 +598,7 @@ class MatRing(_EntryRing):
         return [(i, j) for i in range(n) for j in range(n)]
 
     def __init__(self, n, base):
+        self.spec = self.spec_class(n, base.spec)
         self.positions = self.stored_positions(n)
         # J(M_n(A)) = M_n(J(A)), and J(T_n(F)) is the strictly upper part: an
         # entry whose mirror (j, i) is never stored has step 1, any other A's steps
@@ -617,7 +609,6 @@ class MatRing(_EntryRing):
                           for t in (base.radical_steps if (j, i) in stored else above)])
         self.base = base
         self.n = n
-        self.spec = self.spec_class(n, base.spec)
         self._residues = residue_fields(base)
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
         self.one = self.encode_entries(ident)
@@ -665,8 +656,8 @@ class ProdRing(_EntryRing):
 
     def __init__(self, factors):
         self.factors = list(factors)
-        super().__init__(self.factors, [t for f in self.factors for t in f.radical_steps])
         self.spec = Prod(tuple(f.spec for f in self.factors))
+        super().__init__(self.factors, [t for f in self.factors for t in f.radical_steps])
         self.one = self.encode_entries(tuple(f.one for f in self.factors))
 
     def mul(self, a, b):
@@ -682,10 +673,12 @@ class ProdRing(_EntryRing):
 
 
 def make_ring(spec, cap=DEFAULT_RING_CAP):
-    """Build a ring handle from a spec (string or AST)."""
+    """Build a ring handle from a spec (string or AST).  The spec checked itself
+    when it was made, so this checks the caps once and builds the ring once."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    validate_spec(spec)
+    elif not isinstance(spec, SPECS):
+        raise SpecConstraintError("not a ring spec: %r" % (spec,))
     # int-to-str refuses more than 4300 digits, so a huge order is given as a power of 2
     low = _order_log2_64ths(spec) // 64
     if low >= max(64, cap.bit_length()):  # |R| >= 2^low > cap: no power is taken
@@ -698,17 +691,20 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
     if sum(copies * (1 if isinstance(leaf, Z) else prime_power(leaf.q)[1])
            for leaf, copies in _leaves(spec)) > cap:
         raise CapExceededError("R has more digits than the cardinality cap %d" % cap)
+    return _build(spec)
+
+
+def _build(spec):
+    """The ring of a spec, with no cap: each caller has bounded it."""
     if isinstance(spec, Z):
         return ZmRing(spec.m)
     if isinstance(spec, GF):
         return GFRing(spec.q)
     if isinstance(spec, M):
-        return MatRing(spec.n, make_ring(spec.base, cap))
+        return MatRing(spec.n, _build(spec.base))
     if isinstance(spec, T):
-        return TriRing(spec.n, make_ring(spec.base, cap))
-    if isinstance(spec, Prod):
-        return ProdRing([make_ring(f, cap) for f in spec.factors])
-    raise SpecConstraintError("not a ring spec: %r" % (spec,))
+        return TriRing(spec.n, _build(spec.base))
+    return ProdRing([_build(f) for f in spec.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +741,7 @@ def radical_spec(spec):
         return M(spec.n, radical_spec(spec.base))
     if isinstance(spec, T):
         return spec if spec.n == 1 else Prod((spec.base,) * spec.n)
-    if isinstance(spec, Prod):
-        return Prod(tuple(radical_spec(f) for f in spec.factors))
-    raise SpecConstraintError("not a ring spec: %r" % (spec,))
+    return Prod(tuple(radical_spec(f) for f in spec.factors))
 
 
 def radical_quotient(ring):
@@ -757,10 +751,10 @@ def radical_quotient(ring):
     R/J's digit vector is R's reduced mod the steps, less the digits of step
     1, so the projection is the quotient map.  It numbers the cosets of J by
     their least elements in increasing order, as `indsets._twin_quotient`
-    numbers the twin classes of R's unitary Cayley graph.
+    numbers the twin classes of R's unitary Cayley graph.  R/J has no more
+    elements or digits than R, so it is built with no cap check.
     """
-    # R/J has no more elements or digits than R
-    quotient = make_ring(radical_spec(ring.spec), cap=max(ring.order, len(ring.radices)))
+    quotient = _build(radical_spec(ring.spec))
     projection = [0]
     for d, t in zip(ring.radices, ring.radical_steps):
         projection = [p * t + c % t for p in projection for c in range(d)]

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
-from .rings import (GF, M, Prod, T, Z, SpecConstraintError, factorize, parse_spec,
-                    radical_spec, validate_spec)
+from .rings import (GF, M, SPECS, T, Z, SpecConstraintError, factorize, parse_spec,
+                    radical_spec)
 
 MAX_SIMPLE_FACTORS = 2 ** 20
 
@@ -44,7 +44,8 @@ class Verdict:
 
 def semisimple_quotient(spec):
     """R/J(R) as a sorted multiset of (n_i, q_i) with R/J ~= prod M_{n_i}(F_{q_i})."""
-    validate_spec(spec)
+    if not isinstance(spec, SPECS):
+        raise SpecConstraintError("not a ring spec: %r" % (spec,))
     factors = list(islice(_factors(spec), MAX_SIMPLE_FACTORS + 1))
     if len(factors) > MAX_SIMPLE_FACTORS:
         raise SpecConstraintError("R/J(R) has more than %d simple factors" % MAX_SIMPLE_FACTORS)
@@ -60,11 +61,9 @@ def _factors(spec):
         yield from repeat((1, spec.base.q if isinstance(spec.base, GF) else spec.base.m), spec.n)
     elif isinstance(spec, M):
         yield from ((spec.n * a, q) for a, q in _factors(spec.base))
-    elif isinstance(spec, Prod):
+    else:
         for f in spec.factors:
             yield from _factors(f)
-    else:
-        raise AssertionError("unreachable")
 
 
 def gl_order(n, q):

@@ -109,7 +109,7 @@ def seed_is_well_covered(g, budget=None):
         if len(smallest) < len(largest):
             alpha = pbound_alpha(g, Budget(budget.max_nodes, budget.max_seconds))
             return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts)
-    return WellCoveredReport("yes", max(counts, default=0), counts=counts, complete=True)
+    return WellCoveredReport("yes", max(counts, default=0), counts=counts)
 
 
 def antichain_error(n, facets):

@@ -123,10 +123,58 @@ class TestCommands:
                    for c in payload["checks"])
 
 
+_ALL = ("ring", "classify", "alpha")
+_BUILT = ("ring", "alpha")  # classify builds no ring, so it has no cap
+_P61 = 2 ** 61 - 1  # a prime, so it has no factor up to 2^20
+_NO_FACTOR = "cannot factor %d: it has no prime factor up to 2^20" % _P61
+
+# (commands, spec text, its error line): each text breaks one rule, so its error
+# line does not depend on the order in which the rules are checked
+_SPEC_FAULTS = [
+    (_ALL, "Z(0)", "Z(m) requires m >= 1, got 0"),
+    (_ALL, "GF(6)", "GF(q) requires a prime power, 6 is not one"),
+    (_ALL, "GF(1)", "GF(q) requires a prime power, 1 is not one"),
+    (_ALL, "M(0,GF(2))", "M(n,...) requires n >= 1"),
+    (_ALL, "M(2,M(2,GF(2)))", "M requires a commutative base, got M(2,GF(2))"),
+    (_ALL, "M(2,T(2,GF(2)))", "M requires a commutative base, got T(2,GF(2))"),
+    (_ALL, "T(0,GF(2))", "T(n,...) requires n >= 1"),
+    (_ALL, "T(2,Z(6))", "T requires a field base (GF(q) or Z(p), p prime), got Z(6)"),
+    (_ALL, "T(2,Z(1))", "T requires a field base (GF(q) or Z(p), p prime), got Z(1)"),
+    (_ALL, "T(2,prod(Z(2),Z(3)))",
+     "T requires a field base (GF(q) or Z(p), p prime), got prod(Z(2),Z(3))"),
+    (_ALL, "prod(Z(2),GF(6))", "GF(q) requires a prime power, 6 is not one"),
+    (_ALL, "M(2,prod(Z(2),Z(0)))", "Z(m) requires m >= 1, got 0"),
+    (_BUILT, "M(5,GF(2))", "|R| = 33554432 exceeds the cardinality cap 1048576"),
+    (_BUILT, "M(120,GF(2))", "|R| >= 2^14400 exceeds the cardinality cap 1048576"),
+    (_ALL, "M(1," * 64 + "Z(2)" + ")" * 64,
+     "syntax error at position 256: specs nest at most 64 deep"),
+    (_ALL, "GF(%d)" % _P61, _NO_FACTOR),
+    (_ALL, "T(2,Z(%d))" % _P61, _NO_FACTOR),
+    (("classify",), "Z(%d)" % _P61, _NO_FACTOR),
+    (_BUILT, "Z(%d)" % _P61, "|R| = %d exceeds the cardinality cap 1048576" % _P61),
+    (_ALL, "Z(2", "syntax error at position 3: expected ), got None"),
+    (_ALL, "Q(5)", "syntax error at position 0: unknown constructor 'Q'"),
+    (_ALL, "Z(2))", "syntax error at position 4: trailing input ')'"),
+    (_ALL, "prod()", "syntax error at position 5: expected a constructor name, got ')'"),
+]
+
+
 class TestExitCodes:
     def test_semantic_error(self, capsys):
         code, _, err = run(capsys, "ring", "--ring", "GF(6)")
         assert code == 1 and "prime power" in err
+
+    @pytest.mark.parametrize("command,text,error", [
+        pytest.param(command, text, error, id="%s-%s" % (command, text[:24]))
+        for commands, text, error in _SPEC_FAULTS for command in commands])
+    def test_single_fault_error_line(self, capsys, command, text, error):
+        assert run(capsys, command, "--ring", text) == (1, "", "error: %s\n" % error)
+
+    def test_first_fault_read_is_reported(self, capsys):
+        # GF(6) is refused as it closes, before the missing factor is read
+        code, out, err = run(capsys, "ring", "--ring", "prod(GF(6),")
+        assert (code, out) == (1, "")
+        assert err == "error: GF(q) requires a prime power, 6 is not one\n"
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "alpha", "--no-such-flag")

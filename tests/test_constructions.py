@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ucayley import constructions, verify
 from ucayley.constructions import (avoidance_partner, d_family, product_witness,
                                    reduced_diagonal, row_mix, zero_pattern_positions)
 from ucayley.graphs import build_graph
@@ -152,6 +153,18 @@ class TestAvoidancePartner:
             assert singular(b, 2, f)
             diff = tuple(f.sub(x, y) for x, y in zip(entries, b))
             assert not singular(diff, 2, f)
+
+    def test_verify_checks_every_random_matrix_it_reports(self, monkeypatch):
+        # seed 2 draws a zero M_3(F_3) among its first 2,000: it is not counted
+        checked = []
+
+        def counted(entries, n, field):
+            checked.append(n)
+            return avoidance_partner(entries, n, field)
+        monkeypatch.setattr(constructions, "avoidance_partner", counted)
+        detail = verify.check_avoidance_partner(verify._Ctx(seed=2), random_count=2000)
+        assert detail.endswith("M_3(F_3): 2000 random matrices")
+        assert checked.count(3) == 2000
 
     def test_rejects_zero_or_scalar(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucayley import rings, structure
 from ucayley.graphs import build_graph
 from ucayley.indsets import _twin_quotient
-from ucayley.rings import (GF, M, Prod, ProdRing, SpecConstraintError, SpecSyntaxError,
-                           T, Z, det_entries, factorize, is_invertible, jacobson_radical,
+from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
+                           SpecSyntaxError, T, TriRing, Z, det_entries, factorize,
+                           is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, prime_power, radical_quotient, residue_fields,
                            RingError, CapExceededError, SCREEN_RUN, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
-from ucayley.structure import ring_metadata
+from ucayley.structure import classify_cm, ring_metadata, semisimple_quotient
 from conftest import (RING_SPECS, PositionDictTriRing, gf_mul, leibniz_det,
                       recursive_leaf_sum, recursive_spec_order, structural_add,
                       structural_neg, trial_factorize)
@@ -133,6 +135,62 @@ class TestParser:
     @given(RING_SPECS)
     def test_str_round_trip(self, spec):
         assert parse_spec(str(spec)) == spec
+
+
+def _refusal(make):
+    with pytest.raises(SpecConstraintError) as exc:
+        make()
+    return str(exc.value)
+
+
+class TestSpecsCheckThemselves:
+    """A spec object, or a ring, made from Python is refused by the rule the
+    parser reports for the same text."""
+
+    @pytest.mark.parametrize("make,text", [
+        (lambda: Z(0), "Z(0)"),
+        (lambda: GF(6), "GF(6)"),
+        (lambda: M(0, GF(2)), "M(0,GF(2))"),
+        (lambda: M(2, M(2, GF(2))), "M(2,M(2,GF(2)))"),
+        (lambda: T(0, GF(2)), "T(0,GF(2))"),
+        (lambda: T(2, Z(6)), "T(2,Z(6))"),
+        (lambda: GFRing(6), "GF(6)"),
+        (lambda: TriRing(2, make_ring("Z(6)")), "T(2,Z(6))"),
+        (lambda: MatRing(2, make_ring("M(2,GF(2))")), "M(2,M(2,GF(2)))"),
+    ], ids=["Z", "GF", "M-size", "M-base", "T-size", "T-base", "GFRing", "TriRing", "MatRing"])
+    def test_same_message_as_the_parser(self, make, text):
+        assert _refusal(make) == _refusal(lambda: parse_spec(text))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: M(2, "x"), "M requires a commutative base, got x"),
+        (lambda: T(2, "x"), "T requires a field base (GF(q) or Z(p), p prime), got x"),
+        (lambda: Prod(()), "prod() requires at least one factor"),
+        (lambda: Prod((3,)), "not a ring spec: 3"),
+        (lambda: Prod((Z(2), "Z(3)")), "not a ring spec: 'Z(3)'"),
+        (lambda: make_ring(3), "not a ring spec: 3"),
+        (lambda: semisimple_quotient("Z(4)"), "not a ring spec: 'Z(4)'"),
+    ], ids=["M-base", "T-base", "prod-empty", "prod-int", "prod-str", "make_ring",
+            "semisimple_quotient"])
+    def test_non_specs_are_refused(self, make, message):
+        assert _refusal(make) == message
+
+    @pytest.mark.parametrize("call,most", [
+        (lambda: make_ring("M(2,GF(9))"), 4),
+        (lambda: make_ring("prod(Z(2),M(2,GF(3)))"), 5),
+        (lambda: classify_cm("GF(549755813881)"), 1),
+    ], ids=["M(2,GF(9))", "prod(Z(2),M(2,GF(3)))", "classify_cm"])
+    def test_rules_are_checked_once(self, monkeypatch, call, most):
+        # each rule is checked when its spec is made; the caps and the build
+        # factor only the leaves they need
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return factorize(m)
+        monkeypatch.setattr(rings, "factorize", counted)
+        monkeypatch.setattr(structure, "factorize", counted)
+        call()
+        assert len(calls) <= most
 
 
 class TestMakeRing:
