@@ -67,8 +67,15 @@ _OPTIONS = {
     "--budget-nodes": dict(type=int, default=None),
     "--budget-seconds": dict(type=float, default=None),
     "--seed": dict(type=int, default=0),
+    "--n": dict(type=int, required=True),
+    "--q": dict(type=int, required=True),
+    "--k": dict(type=int, required=True),
+    "--l": dict(type=int, required=True),
+    "--coeffs": dict(required=True, help="comma-separated field indices"),
+    "--matrix": dict(required=True, help="semicolon-separated rows"),
 }
 _SEARCH_OPTIONS = ("--ring", "--max-graph-vertices", "--budget-nodes", "--budget-seconds")
+_FIELD = ("--n", "--q", "--max-ring-order")  # every construction builds the field F_q
 
 
 def cmd_ring(args):
@@ -214,24 +221,18 @@ def _construct(args):
                    "matrices": [_fmt_matrix(m, n) for m in fam]}
         _emit(args, payload, "\n".join(_fmt_matrix(m, n) for m in fam))
     elif args.kind == "reduced-diagonal":
-        if args.k is None or args.l is None or args.coeffs is None:
-            raise CliError("reduced-diagonal requires --k, --l and --coeffs")
         coeffs = tuple(int(c) for c in args.coeffs.split(",") if c.strip())
         mat = cons.reduced_diagonal(n, args.k, args.l, coeffs, field)
         payload = {"kind": "reduced-diagonal", "n": n, "q": args.q,
                    "k": args.k, "l": args.l, "matrix": _fmt_matrix(mat, n)}
         _emit(args, payload, _fmt_matrix(mat, n))
     elif args.kind == "avoidance":
-        if args.matrix is None:
-            raise CliError("avoidance requires --matrix 'r0c0,r0c1;...'")
         a = _parse_matrix(args.matrix, n, field)
         b = cons.avoidance_partner(a, n, field)
         payload = {"kind": "avoidance", "n": n, "q": args.q,
                    "A": _fmt_matrix(a, n), "B": _fmt_matrix(b, n)}
         _emit(args, payload, _fmt_matrix(b, n))
     else:  # product-witness
-        if args.ring is None:
-            raise CliError("product-witness requires --ring for the left factor")
         # the cap covers the ring built, R x M_n(F_q), not R alone
         prod = make_ring(Prod((parse_spec(args.ring), M(n, GF(args.q)))),
                          cap=args.max_ring_order)
@@ -260,8 +261,8 @@ def build_parser():
                                  "construction, classification, enumeration")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, fn, *options, formats=("text", "json")):
-        p = subs.add_parser(name)
+    def sub(name, fn, *options, formats=("text", "json"), group=subs):
+        p = group.add_parser(name)
         p.add_argument("--format", choices=formats, default="text")
         for option in options:
             p.add_argument(option, **_OPTIONS[option])
@@ -279,16 +280,11 @@ def build_parser():
     sub("complex", cmd_complex, *_SEARCH_OPTIONS).add_argument(
         "--shelling", action="store_true", help="also search for a shelling order")
 
-    p = sub("construct", cmd_construct, "--max-ring-order", "--max-graph-vertices")
-    p.add_argument("--kind", required=True,
-                   choices=("dfamily", "reduced-diagonal", "avoidance", "product-witness"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None)
-    p.add_argument("--coeffs", default=None, help="comma-separated field indices")
-    p.add_argument("--matrix", default=None, help="semicolon-separated rows")
-    p.add_argument("--ring", default=None, help="left factor for product-witness")
+    kinds = subs.add_parser("construct").add_subparsers(dest="kind", required=True)
+    sub("dfamily", cmd_construct, *_FIELD, group=kinds)
+    sub("reduced-diagonal", cmd_construct, *_FIELD, "--k", "--l", "--coeffs", group=kinds)
+    sub("avoidance", cmd_construct, *_FIELD, "--matrix", group=kinds)
+    sub("product-witness", cmd_construct, *_FIELD, "--ring", "--max-graph-vertices", group=kinds)
 
     sub("verify-paper", cmd_verify_paper, "--seed").add_argument(
         "--scale", choices=("small", "medium"), default="small")

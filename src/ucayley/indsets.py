@@ -285,9 +285,10 @@ def is_well_covered(g, budget=None):
     each size in g to its number of sets.  Full-enumeration verdict when the
     budget allows; a "no" is returned as soon as two maximal sets of
     different sizes are seen, with the smaller one as witness, and alpha is
-    then searched under the same budget.  If that trips, the "no" stands and
-    alpha is the best size seen, with alpha_exact false.  A tripped budget
-    without a witness is "inconclusive", with alpha a lower bound.
+    then searched on the quotient under the same budget.  If that trips, the
+    "no" stands and alpha is the best size seen, with alpha_exact false.  A
+    tripped budget without a witness is "inconclusive", with alpha a lower
+    bound.
     """
     if budget is None:
         budget = Budget()
@@ -308,10 +309,10 @@ def is_well_covered(g, budget=None):
         exhausted = True
     if smallest is not None and largest is not None and len(smallest) < len(largest):
         smallest = _lift(smallest, classes)
-        try:
-            alpha, exact = independence_number(g, budget), True
+        try:  # h has no twins, so alpha(g) = w alpha(h)
+            alpha, exact = w * independence_number(h, budget), True
         except BudgetExceededError as exc:
-            alpha, exact = max(w * len(largest), exc.best), False
+            alpha, exact = w * max(len(largest), exc.best), False
         return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts, alpha_exact=exact)
     alpha = max(counts) if counts else 0
     if exhausted:

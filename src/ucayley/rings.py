@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 DEFAULT_RING_CAP = 2 ** 20
@@ -77,32 +78,13 @@ def factorize(m):
     return fs
 
 
-def is_prime(p):
-    return p >= 2 and factorize(p) == {p: 1}
-
-
-def prime_power(q):
-    """Return (p, k) with q = p**k, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    fs = factorize(q)
-    if len(fs) == 1:
-        return next(iter(fs.items()))
-    return None
-
-
-def squarefree_part(m):
-    """Product of the distinct primes dividing m (1 for m = 1)."""
-    out = 1
-    for p in factorize(m):
-        out *= p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ring specs
 #   Each constructor checks its own arguments when it is made, so a spec object
-#   is valid by construction, whether the parser or Python code made it.
+#   is valid by construction, whether the parser or Python code made it.  A leaf
+#   keeps its factorization: GF(q) the p and k its check found, and Z(m) its
+#   primes, factored on first use, since Z(m) needs none to be valid and one too
+#   large to factor must still reach make_ring's cap check.
 
 @dataclass(frozen=True)
 class Z:
@@ -112,6 +94,11 @@ class Z:
         if self.m < 1:
             raise SpecConstraintError("Z(m) requires m >= 1, got %d" % self.m)
 
+    @cached_property
+    def primes(self):
+        """The prime factorization of m, as a dict prime -> exponent."""
+        return factorize(self.m)
+
     def __str__(self):
         return "Z(%d)" % self.m
 
@@ -119,10 +106,16 @@ class Z:
 @dataclass(frozen=True)
 class GF:
     q: int
+    p: int = field(init=False, compare=False, repr=False)  # q = p^k
+    k: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if prime_power(self.q) is None:
+        fs = factorize(self.q)  # {} for q < 2
+        if len(fs) != 1:
             raise SpecConstraintError("GF(q) requires a prime power, %d is not one" % self.q)
+        (p, k), = fs.items()
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
     def __str__(self):
         return "GF(%d)" % self.q
@@ -151,7 +144,8 @@ class T:
     def __post_init__(self):
         if self.n < 1:
             raise SpecConstraintError("T(n,...) requires n >= 1")
-        if not (isinstance(self.base, GF) or isinstance(self.base, Z) and is_prime(self.base.m)):
+        base = self.base
+        if not (isinstance(base, GF) or isinstance(base, Z) and base.primes == {base.m: 1}):
             raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % self.base)
 
     def __str__(self):
@@ -387,7 +381,7 @@ class Ring:
 class ZmRing(Ring):
     def __init__(self, m):
         self.spec = Z(m)
-        super().__init__((m,), (squarefree_part(m),))
+        super().__init__((m,), (math.prod(self.spec.primes),))
         self.m = m
         self.one = 1 % m
 
@@ -447,7 +441,7 @@ class GFRing(Ring):
 
     def __init__(self, q):
         self.spec = GF(q)
-        self.p, self.k = prime_power(q)
+        self.p, self.k = self.spec.p, self.spec.k
         super().__init__((self.p,) * self.k, (self.p,) * self.k)
         self.q = q
         self.one = 1
@@ -516,7 +510,7 @@ def residue_fields(ring):
     whose elements are then plain ints mod p, and otherwise the GFRing R/m.
     """
     if isinstance(ring, ZmRing):
-        return [(p, lambda xs, p=p: [x % p for x in xs]) for p in factorize(ring.m)]
+        return [(p, lambda xs, p=p: [x % p for x in xs]) for p in ring.spec.primes]
     if isinstance(ring, GFRing):
         return [(ring.p if ring.k == 1 else ring, list)]
     if isinstance(ring, ProdRing):
@@ -688,7 +682,7 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
         size = "= %d" % order if order < 2 ** 64 else ">= 2^%d" % (order.bit_length() - 1)
         raise CapExceededError("|R| %s exceeds the cardinality cap %d" % (size, cap))
     # len(radices): a digit per Z(m) entry and k per GF(p^k) entry; a Z(1) entry adds no order
-    if sum(copies * (1 if isinstance(leaf, Z) else prime_power(leaf.q)[1])
+    if sum(copies * (1 if isinstance(leaf, Z) else leaf.k)
            for leaf, copies in _leaves(spec)) > cap:
         raise CapExceededError("R has more digits than the cardinality cap %d" % cap)
     return _build(spec)
@@ -734,7 +728,7 @@ def radical_spec(spec):
     """The spec of R/J(R): J(Z_m) = rad(m) Z_m, J(M_n(A)) = M_n(J(A)), and
     J(T_n(F)) is the strictly upper part, leaving the diagonal F^n."""
     if isinstance(spec, Z):
-        return Z(squarefree_part(spec.m))
+        return Z(math.prod(spec.primes))
     if isinstance(spec, GF):
         return spec
     if isinstance(spec, M):

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
-from .rings import (GF, M, SPECS, T, Z, SpecConstraintError, factorize, parse_spec,
-                    radical_spec)
+from .rings import GF, M, SPECS, T, Z, SpecConstraintError, parse_spec, radical_spec
 
 MAX_SIMPLE_FACTORS = 2 ** 20
 
@@ -54,7 +53,7 @@ def semisimple_quotient(spec):
 
 def _factors(spec):
     if isinstance(spec, Z):
-        yield from ((1, p) for p in sorted(factorize(spec.m)))
+        yield from ((1, p) for p in sorted(spec.primes))
     elif isinstance(spec, GF):
         yield 1, spec.q
     elif isinstance(spec, T):

@@ -104,11 +104,11 @@ class TestCommands:
         assert payload["shelling"]["status"] == "shelling"
 
     def test_construct_dfamily(self, capsys):
-        code, out, _ = run(capsys, "construct", "--kind", "dfamily", "--n", "2", "--q", "2")
+        code, out, _ = run(capsys, "construct", "dfamily", "--n", "2", "--q", "2")
         assert code == 0 and len(out.splitlines()) == 3
 
     def test_construct_avoidance(self, capsys):
-        code, out, _ = run(capsys, "construct", "--kind", "avoidance",
+        code, out, _ = run(capsys, "construct", "avoidance",
                            "--n", "2", "--q", "2", "--matrix", "1,0;0,0")
         assert code == 0 and out.strip() == "0,0;0,1"
 
@@ -183,8 +183,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("alpha", "--ring", "Z(4)", "--budget-nodes", "0"),
         ("wellcovered", "--ring", "Z(4)", "--budget-seconds", "-1"),
-        ("construct", "--kind", "avoidance", "--n", "2", "--q", "2", "--matrix", "1,0;0,x"),
-        ("construct", "--kind", "dfamily", "--n", "0", "--q", "2"),
+        ("construct", "avoidance", "--n", "2", "--q", "2", "--matrix", "1,0;0,x"),
+        ("construct", "dfamily", "--n", "0", "--q", "2"),
         ("ring", "--ring", "Z(4)", "--format", "dot"),
         ("alpha", "--ring", "Z(4)", "--threads", "1"),
     ])
@@ -202,7 +202,7 @@ class TestExitCodes:
     def test_product_witness_cap_covers_the_product(self, capsys, n, q, cap, order):
         # the ring built is Z(2) x M_n(F_q), whatever the size of Z(2) alone
         start = time.monotonic()
-        code, out, err = run(capsys, "construct", "--kind", "product-witness", "--ring", "Z(2)",
+        code, out, err = run(capsys, "construct", "product-witness", "--ring", "Z(2)",
                              "--n", str(n), "--q", str(q), "--max-ring-order", str(cap))
         assert time.monotonic() - start < 0.5
         assert code == 1 and out == ""
@@ -212,9 +212,9 @@ class TestExitCodes:
         ("ring", "--ring", "GF(1000000000000000003)"),
         ("classify", "--ring", "Z(1000000000000000003)"),
         ("classify", "--ring", "T(2,Z(1000000000000000003))"),
-        ("construct", "--kind", "avoidance", "--n", "2", "--q", str(2 ** 40),
+        ("construct", "avoidance", "--n", "2", "--q", str(2 ** 40),
          "--matrix", "1,0;0,0"),
-        ("construct", "--kind", "dfamily", "--n", "30", "--q", "2"),
+        ("construct", "dfamily", "--n", "30", "--q", "2"),
         # a zero ring's entries are digits of radix 1: its size is not its order
         *[(command, "--ring", "M(%d,Z(1))" % n) for n in (3000, 100000, 10 ** 20 - 1)
           for command in ("ring", "alpha")],
@@ -352,7 +352,13 @@ _VALID = {
     "alpha": ("alpha", "--ring", "Z(4)"),
     "wellcovered": ("wellcovered", "--ring", "Z(4)"),
     "complex": ("complex", "--ring", "Z(4)"),
-    "construct": ("construct", "--kind", "dfamily", "--n", "2", "--q", "2"),
+    "construct dfamily": ("construct", "dfamily", "--n", "2", "--q", "2"),
+    "construct reduced-diagonal": ("construct", "reduced-diagonal", "--n", "3", "--q", "2",
+                                   "--k", "1", "--l", "2", "--coeffs", "1,1"),
+    "construct avoidance": ("construct", "avoidance", "--n", "2", "--q", "2",
+                            "--matrix", "1,0;0,0"),
+    "construct product-witness": ("construct", "product-witness", "--ring", "Z(2)",
+                                  "--n", "2", "--q", "2"),
     "verify-paper": ("verify-paper",),
 }
 _BUDGETS = ("--budget-nodes", "--budget-seconds")
@@ -364,7 +370,13 @@ _NOT_TAKEN = {
     "alpha": ("--max-ring-order", "--seed"),
     "wellcovered": ("--max-ring-order", "--seed"),
     "complex": ("--max-ring-order", "--seed"),
-    "construct": (*_BUDGETS, "--seed"),
+    "construct dfamily": ("--max-graph-vertices", "--k", "--l", "--coeffs", "--matrix",
+                          "--ring", *_BUDGETS, "--seed"),
+    "construct reduced-diagonal": ("--max-graph-vertices", "--matrix", "--ring", *_BUDGETS,
+                                   "--seed"),
+    "construct avoidance": ("--max-graph-vertices", "--k", "--l", "--coeffs", "--ring",
+                            *_BUDGETS, "--seed"),
+    "construct product-witness": ("--k", "--l", "--coeffs", "--matrix", *_BUDGETS, "--seed"),
     "verify-paper": ("--max-ring-order", "--max-graph-vertices", *_BUDGETS),
 }
 
@@ -376,6 +388,24 @@ class TestOptions:
         code, out, err = run(capsys, *_VALID[command], flag, "5")
         assert code == 1 and out == ""
         assert "error: unrecognized arguments: %s 5" % flag in err
+
+    @pytest.mark.parametrize("argv,missing", [
+        (("construct",), "kind"),
+        (("construct", "dfamily", "--n", "2"), "--q"),
+        (("construct", "reduced-diagonal", "--n", "3", "--q", "2", "--k", "1", "--l", "2"),
+         "--coeffs"),
+        (("construct", "avoidance", "--n", "2", "--q", "2"), "--matrix"),
+        (("construct", "product-witness", "--n", "2", "--q", "2"), "--ring"),
+    ])
+    def test_missing_required_option_is_a_usage_error(self, capsys, argv, missing):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.endswith("error: the following arguments are required: %s\n" % missing)
+
+    def test_construct_kind_switch_is_gone(self, capsys):
+        code, out, err = run(capsys, "construct", "--kind", "dfamily", "--n", "2", "--q", "2")
+        assert code == 1 and out == ""
+        assert "error:" in err and "Traceback" not in err
 
     def test_export_is_gone(self, capsys):
         code, out, err = run(capsys, "export", "--ring", "Z(4)")
@@ -396,7 +426,8 @@ _SPEC_TEXT = st.one_of(
     # zero rings with up to 10^40 entries
     st.integers(1, 10 ** 20).map("M({},Z(1))".format),
 )
-_RING_COMMANDS = sorted(set(_VALID) - {"construct", "verify-paper"}) + ["product-witness"]
+_RING_COMMANDS = sorted(c for c in _VALID if not c.startswith(("construct", "verify-paper")))
+_RING_COMMANDS += ["product-witness"]
 
 
 @settings(max_examples=80, deadline=None)
@@ -405,7 +436,7 @@ _RING_COMMANDS = sorted(set(_VALID) - {"construct", "verify-paper"}) + ["product
 def test_every_ring_command_exits_0_1_or_2(text, command, nodes, shelling):
     # valid, damaged, huge and random spec text through each subcommand that takes a ring
     if command == "product-witness":
-        argv = ["construct", "--kind", command, "--n", "2", "--q", "2", "--ring", text]
+        argv = ["construct", command, "--n", "2", "--q", "2", "--ring", text]
     else:
         argv = [command, "--ring", text]
     if command in ("alpha", "wellcovered", "complex"):

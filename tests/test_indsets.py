@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (RING_SPECS, brute_force_maximal_independent, is_maximal_independent,
                       pbound_alpha, recursive_maximal_independent, seed_is_well_covered)
+from ucayley import indsets
 from ucayley.graphs import UGraph, build_graph, conjunction_product
 from ucayley.indsets import (TWIN_QUOTIENT, VERTEX_ZERO, Budget, BudgetExceededError,
                              _twin_quotient, enumerate_maximal_independent, greedy_extend,
@@ -314,6 +315,19 @@ class TestReducedSearch:
         assert rep.answer == "no" and rep.alpha == 6
         assert is_maximal_independent(g, rep.witness_small)
         assert all((v + 6) % 12 in rep.witness_small for v in rep.witness_small)
+
+    def test_alpha_after_a_no_searches_the_quotient(self, monkeypatch):
+        # the twin quotient of Gamma(Z(12)) has 6 vertices and no twins: the
+        # alpha step searches it instead of hashing Gamma(Z(12))'s rows again
+        sizes = []
+
+        def counted(g):
+            sizes.append(g.n)
+            return _twin_quotient(g)
+        monkeypatch.setattr(indsets, "_twin_quotient", counted)
+        rep = is_well_covered(build_graph(make_ring("Z(12)")))
+        assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
+        assert sizes == [12, 6]
 
     @settings(max_examples=150, deadline=None)
     @given(RING_SPECS)

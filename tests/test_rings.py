@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucayley import rings, structure
+from ucayley import rings
 from ucayley.graphs import build_graph
 from ucayley.indsets import _twin_quotient
 from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
                            SpecSyntaxError, T, TriRing, Z, det_entries, factorize,
                            is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
-                           parse_spec, prime_power, radical_quotient, residue_fields,
+                           parse_spec, radical_quotient, residue_fields,
                            RingError, CapExceededError, SCREEN_RUN, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import classify_cm, ring_metadata, semisimple_quotient
@@ -175,20 +175,24 @@ class TestSpecsCheckThemselves:
         assert _refusal(make) == message
 
     @pytest.mark.parametrize("call,most", [
-        (lambda: make_ring("M(2,GF(9))"), 4),
-        (lambda: make_ring("prod(Z(2),M(2,GF(3)))"), 5),
+        (lambda: make_ring("M(2,GF(9))"), 2),
+        (lambda: make_ring("prod(Z(2),M(2,GF(3)))"), 3),
+        (lambda: make_ring("T(3,GF(3))"), 2),
+        (lambda: make_ring("M(2,Z(12))"), 1),
         (lambda: classify_cm("GF(549755813881)"), 1),
-    ], ids=["M(2,GF(9))", "prod(Z(2),M(2,GF(3)))", "classify_cm"])
+        (lambda: classify_cm("Z(12)"), 1),
+    ], ids=["M(2,GF(9))", "prod(Z(2),M(2,GF(3)))", "T(3,GF(3))", "M(2,Z(12))",
+            "classify_cm", "classify_cm-Z(12)"])
     def test_rules_are_checked_once(self, monkeypatch, call, most):
-        # each rule is checked when its spec is made; the caps and the build
-        # factor only the leaves they need
+        # each rule is checked when its spec is made, and each spec keeps the
+        # factorization it found: a GF(q) is factored by the parser and once
+        # more by its GFRing, a Z(m) on the first use of its primes
         calls = []
 
         def counted(m):
             calls.append(m)
             return factorize(m)
         monkeypatch.setattr(rings, "factorize", counted)
-        monkeypatch.setattr(structure, "factorize", counted)
         call()
         assert len(calls) <= most
 
@@ -260,7 +264,7 @@ class TestMakeRing:
         assert _order_log2_64ths(spec) == recursive_leaf_sum(
             spec, lambda leaf: (recursive_spec_order(leaf) ** 64).bit_length() - 1)
         digits = recursive_leaf_sum(spec, lambda leaf: 1 if isinstance(leaf, Z)
-                                    else prime_power(leaf.q)[1])
+                                    else sum(trial_factorize(leaf.q).values()))
         assert digits == len(make_ring(spec).radices)
 
     def test_leaf_walk_on_nested_specs(self):
