@@ -27,6 +27,12 @@ SCREEN_RUN = 64
 # largest ring on which the O(|R|^2) quasi-regularity scan is attempted
 BRUTE_FORCE_RADICAL_CAP = 4096
 
+# M(n, A) tests a unit by table lookups on its rows when |A|^n is at most this,
+# and by entry-wise row reduction otherwise.  A residue field F's tables hold
+# |F|^n (|F|^n - 1) / (|F| - 1) entries: at most 65,280 here (F_2^8, built in
+# 0.04 s), but 1,047,552 for F_2^10 (1.1 s), more than most scans it would serve.
+ROW_TABLE_LIMIT = 2 ** 8
+
 
 class RingError(Exception):
     """Base class for ring construction and arithmetic errors."""
@@ -484,8 +490,9 @@ def det_entries(rows, base):
     """Determinant of a square matrix of base-ring element indices.
 
     Cofactor expansion along the first row; needs no division, hence valid
-    over any commutative base.  Units are found by `is_invertible`; this is
-    the oracle that the row reduction is tested against.
+    over any commutative base.  Units are found by row reduction, through
+    `MatRing`'s row tables or `is_invertible`; this is the oracle both are
+    tested against.
     """
     n = len(rows)
     if n == 1:
@@ -558,6 +565,43 @@ def is_invertible(entries, n, residues):
     return all(_full_rank(reduce(entries), n, field) for field, reduce in residues)
 
 
+def _rank_tables(field, n):
+    """Row-reduction tables for F^n, F a residue field as `residue_fields`
+    gives it: a prime p, or a GFRing.
+
+    A row is the big-endian radix-|F| number of its entries, 0 the zero row.
+    A pivot is a row whose first nonzero entry, in its lead column, is 1, and
+    its elimination table maps every row r to r less r's lead-column entry
+    times the pivot.  Returns the list `reducer`: reducer[r] is the elimination
+    table of the pivot that the nonzero row r is a multiple of.
+    """
+    if isinstance(field, int):
+        p, k, mul = field, 1, lambda x, y: x * y % field
+    else:
+        p, k, mul = field.p, field.k, field.mul
+    q = p ** k
+    size, entry_radices = q ** n, (q,) * n
+    # F^n is additively Z_p^(n k) on a row's base-p digits: subtraction is digit-wise
+    digits = [split_digits(r, (p,) * (n * k)) for r in range(size)]
+    weights = [p ** e for e in range(n * k - 1, -1, -1)]
+    reducer = [None] * size
+    for r in range(1, size):
+        entries = split_digits(r, entry_radices)
+        lead = next(j for j, x in enumerate(entries) if x)
+        if entries[lead] != 1:
+            continue
+        column = q ** (n - 1 - lead)
+        multiples = [join_digits([mul(c, x) for x in entries], entry_radices) for c in range(q)]
+        elim = []
+        for s in range(size):
+            c = s // column % q
+            elim.append(sum((x - y) % p * w for x, y, w in
+                            zip(digits[s], digits[multiples[c]], weights)) if c else s)
+        for m in multiples[1:]:
+            reducer[m] = elim
+    return reducer
+
+
 class _EntryRing(Ring):
     """A ring whose elements are tuples of entries, entry t in `entry_rings[t]`.
 
@@ -604,6 +648,8 @@ class MatRing(_EntryRing):
         self.base = base
         self.n = n
         self._residues = residue_fields(base)
+        self._row_radix = base.order ** n  # an M(n, A) index is n rows in this radix
+        self._row_tables = None  # per residue field, built on the first _unit call
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
         self.one = self.encode_entries(ident)
 
@@ -624,7 +670,45 @@ class MatRing(_EntryRing):
         return self.encode_entries(tuple(out))
 
     def _unit(self, a):
-        return is_invertible(self.decode_entries(a), self.n, self._residues)
+        """Row reduction over each residue field F of A, by table lookups: a
+        row of A^n maps to F^n, is reduced by the pivots of the rows before it,
+        and the matrix is singular when it reduces to zero.  Rows past
+        ROW_TABLE_LIMIT are reduced entry by entry, by `is_invertible`."""
+        tables = self._row_tables
+        if tables is None:
+            if self._row_radix > ROW_TABLE_LIMIT:
+                return is_invertible(self.decode_entries(a), self.n, self._residues)
+            tables = self._row_tables = [(self._row_map(reduce), _rank_tables(field, self.n))
+                                         for field, reduce in self._residues]
+        radix, n = self._row_radix, self.n
+        for row_map, reducer in tables:
+            rest, basis = a, []
+            for _ in range(n):  # last row first: the rank does not depend on the order
+                rest, r = divmod(rest, radix)
+                if row_map is not None:
+                    r = row_map[r]
+                for elim in basis:
+                    r = elim[r]
+                if not r:
+                    return False
+                basis.append(reducer[r])
+        return True
+
+    def _row_map(self, reduce):
+        """Each row of A^n as a row of F^n, under A's map `reduce` onto F, or
+        None when that map is the identity."""
+        d = self.base.order
+        image = reduce(list(range(d)))
+        if image == list(range(d)):
+            return None
+        q = max(image) + 1  # reduce maps A onto F
+        out = []
+        for r in range(self._row_radix):
+            row = 0
+            for x in split_digits(r, (d,) * self.n):
+                row = row * q + image[x]
+            out.append(row)
+        return out
 
     def element_repr(self, a):
         return ";".join(",".join(str(x) for x in row) for row in self.rows(a))

@@ -16,9 +16,8 @@ from .graphs import build_graph, conjunction_product
 from .indsets import (enumerate_maximal_independent, greedy_extend,
                       independence_number, is_well_covered, radical_saturate)
 # det_entries is not called here; bench/spans.py times it in this namespace
-from .rings import (GFRing, det_entries, is_invertible, jacobson_radical,  # noqa: F401
-                    jacobson_radical_bruteforce, make_ring, radical_quotient,
-                    residue_fields)
+from .rings import (GFRing, MatRing, det_entries, jacobson_radical,  # noqa: F401
+                    jacobson_radical_bruteforce, make_ring, radical_quotient)
 from .structure import classify_gorenstein, classify_well_covered, gl_order
 
 CATALOG = (
@@ -120,15 +119,13 @@ def check_not_well_covered_n3(ctx):
 def check_family_independent(ctx, pairs=((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))):
     details = []
     for n, q in pairs:
-        field = GFRing(q)
-        residues = residue_fields(field)
-        fam = cons.d_family(n, field)
+        ring = MatRing(n, GFRing(q))
+        fam = cons.d_family(n, ring.base)
         want = n * (q ** (n - 1) - 1) + 1
         _need(len(fam) == want,
               "family size for (n=%d,q=%d) is %d, expected %d" % (n, q, len(fam), want))
-        for a, b in itertools.combinations(fam, 2):
-            diff = tuple(map(field.sub, a, b))
-            _need(not is_invertible(diff, n, residues),
+        for a, b in itertools.combinations([ring.encode_entries(e) for e in fam], 2):
+            _need(not ring.is_unit(ring.sub(a, b)),
                   "family not independent for (n=%d,q=%d)" % (n, q))
         details.append("(%d,%d): %d matrices" % (n, q, want))
     return "pairwise-singular differences; sizes " + ", ".join(details)
@@ -136,7 +133,6 @@ def check_family_independent(ctx, pairs=((2, 2), (2, 3), (3, 2), (3, 3), (4, 2))
 
 def check_row_mixing(ctx):
     ring, fam, m = ctx.greedy_over_family(3, 2)
-    residues = residue_fields(ring.base)
     subsets = [s for r in range(1, 4) for s in itertools.combinations(range(3), r)]
     mixes = 0
     for v in m:
@@ -144,7 +140,7 @@ def check_row_mixing(ctx):
         for d in fam:
             for rows in subsets:
                 mix = cons.row_mix(a, d, rows, 3)
-                _need(not is_invertible(mix, 3, residues),
+                _need(not ring.is_unit(ring.encode_entries(mix)),
                       "row mix of %s with %s over rows %s is invertible"
                       % (a, d, rows))
                 mixes += 1
@@ -187,14 +183,12 @@ def check_avoidance_partner(ctx, random_count=500):
                   "%d random matrices" % random_count))
     details = []
     for q, n, matrices, counted in cases:
-        field = GFRing(q)
-        residues = residue_fields(field)
+        ring = MatRing(n, GFRing(q))
         for entries in matrices:
-            b = cons.avoidance_partner(entries, n, field)
-            _need(not is_invertible(b, n, residues),
+            b = ring.encode_entries(cons.avoidance_partner(entries, n, ring.base))
+            _need(not ring.is_unit(b),
                   "B is a unit for A=%s in M_%d(F_%d)" % (entries, n, q))
-            diff = tuple(map(field.sub, entries, b))
-            _need(is_invertible(diff, n, residues),
+            _need(ring.is_unit(ring.sub(ring.encode_entries(entries), b)),
                   "A - B is singular for A=%s in M_%d(F_%d)" % (entries, n, q))
         details.append("M_%d(F_%d): %s" % (n, q, counted))
     return "; ".join(details)

@@ -10,11 +10,12 @@ from ucayley import rings
 from ucayley.graphs import build_graph
 from ucayley.indsets import _twin_quotient
 from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
-                           SpecSyntaxError, T, TriRing, Z, det_entries, factorize,
+                           SpecSyntaxError, T, TriRing, Z, ZmRing, det_entries, factorize,
                            is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, radical_quotient, residue_fields,
-                           RingError, CapExceededError, SCREEN_RUN, _leaves, _order_log2_64ths,
+                           RingError, CapExceededError, ROW_TABLE_LIMIT, SCREEN_RUN, _leaves,
+                           _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import classify_cm, ring_metadata, semisimple_quotient
 from conftest import (RING_SPECS, PositionDictTriRing, gf_mul, leibniz_det,
@@ -477,10 +478,36 @@ class TestUnits:
     def test_row_reduction_matches_cofactor_det(self, text, n, rng):
         base = make_ring(text)
         residues = residue_fields(base)
+        ring = MatRing(n, base)
         for _ in range(10):
             entries = tuple(rng.randrange(base.order) for _ in range(n * n))
             rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
-            assert is_invertible(entries, n, residues) == base.is_unit(det_entries(rows, base))
+            want = base.is_unit(det_entries(rows, base))
+            assert is_invertible(entries, n, residues) == want
+            assert ring.is_unit(ring.encode_entries(entries)) == want
+        # rows past the bound, as Z(12)^3, are reduced entry by entry and build no table
+        assert (ring._row_tables is None) == (base.order ** n > ROW_TABLE_LIMIT)
+
+    @pytest.mark.parametrize("n,base,tables", [
+        (2, GFRing(16), True),  # |A|^n = 256, at the bound
+        (4, GFRing(4), True),
+        (2, GFRing(256), False),
+        (3, ZmRing(12), False),
+    ])
+    def test_sampled_units_match_cofactor_det(self, n, base, tables):
+        # half the samples have a last row that is a multiple of the first, so singular
+        ring, rng = MatRing(n, base), random.Random(17)
+        seen = set()
+        for t in range(60):
+            rows = [[rng.randrange(base.order) for _ in range(n)] for _ in range(n)]
+            if t % 2:
+                c = rng.randrange(base.order)
+                rows[-1] = [base.mul(c, x) for x in rows[0]]
+            want = base.is_unit(det_entries(tuple(map(tuple, rows)), base))
+            assert ring.is_unit(ring.encode_entries(sum(rows, []))) == want
+            seen.add(want)
+        assert seen == {True, False}
+        assert (ring._row_tables is not None) == tables
 
     # |U(R)| = |J| prod |GL_{n_i}(F_{q_i})| over R/J(R) = prod M_{n_i}(F_{q_i})
     @pytest.mark.parametrize("text,want", [
