@@ -30,7 +30,8 @@ BRUTE_FORCE_RADICAL_CAP = 4096
 # M(n, A) tests a unit by table lookups on its rows when |A|^n is at most this,
 # and by entry-wise row reduction otherwise.  A residue field F's tables hold
 # |F|^n (|F|^n - 1) / (|F| - 1) entries: at most 65,280 here (F_2^8, built in
-# 0.04 s), but 1,047,552 for F_2^10 (1.1 s), more than most scans it would serve.
+# 0.04 s on a 2-CPU VM), but 1,047,552 for F_2^10 (1.1 s), more than most scans
+# it would serve.
 ROW_TABLE_LIMIT = 2 ** 8
 
 
