@@ -81,6 +81,9 @@ def avoidance_partner(a_entries, n, field):
     Recipe: take the first nonzero entry a_{ij} in row-major order, zero
     out row i of A, and subtract D_{k,i}(1,..,1) with k = j - i mod n.
     Then B has a zero row (hence is singular) and det(A - B) = +/- a_{ij}.
+    D's only nonzero entries are its n - 1 ones at (r, r + k mod n), r != i,
+    so B is A with row i zeroed and one subtracted there, and every entry
+    of A is checked once.
     """
     if n <= 1:
         raise ValueError("requires n > 1")
@@ -89,12 +92,16 @@ def avoidance_partner(a_entries, n, field):
     hit = next((t for t, e in enumerate(a_entries) if e != 0), None)
     if hit is None:
         raise ValueError("A must be nonzero")
-    i, j = hit // n + 1, hit % n + 1
-    k = (j - i) % n or n
-    ones = (field.one,) * (n - 1)
-    d = reduced_diagonal(n, k, i, ones, field)
-    a_prime = tuple(0 if t // n == i - 1 else e for t, e in enumerate(a_entries))
-    return tuple(map(field.sub, a_prime, d))
+    for e in a_entries:
+        field.check_index(e)
+    i, j = divmod(hit, n)  # 0-based; row i + 1 is D's zero row
+    b = list(a_entries)
+    b[i * n:i * n + n] = [0] * n
+    for r in range(n):
+        if r != i:
+            pos = r * n + (r + j - i) % n
+            b[pos] = field.sub(b[pos], field.one)
+    return tuple(b)
 
 
 @dataclass

@@ -3,8 +3,10 @@
 Every ring hands out elements as integer indices 0..order-1, with index 0
 the additive zero.  Every ring (Z(m), GF(q), the matrix rings M and T, which
 differ only in their stored entries, and products) indexes an element by the
-big-endian mixed-radix value of its digit vector, and one digit-wise add/sub
-serves them all.  J(R) is one subgroup per digit, so R/J(R) is again such a ring.
+big-endian mixed-radix value of its digit vector, and one digit-wise kernel
+serves add and sub for them all: a ^ b when every radix is 1 or 2, and
+otherwise one table lookup per block of digits whose radix product is at most
+ADD_TABLE_LIMIT.  J(R) is one subgroup per digit, so R/J(R) is again such a ring.
 """
 from __future__ import annotations
 
@@ -33,6 +35,16 @@ BRUTE_FORCE_RADICAL_CAP = 4096
 # 0.04 s on a 2-CPU VM), but 1,047,552 for F_2^10 (1.1 s), more than most scans
 # it would serve.
 ROW_TABLE_LIMIT = 2 ** 8
+
+# Ring.add and Ring.sub read an index of two or more digits in blocks of
+# consecutive digits whose radix product B is at most this, by one lookup per
+# block in an add or a sub table of B^2 entries.  Each ring builds its own
+# tables on its first such call, so every ring that verify-paper makes pays for
+# them: here a block's two tables hold at most 8,192 entries (Z(4)^3, built in
+# 1.2 ms on a 2-CPU VM; GF(3)^3 in 0.3 ms), while at 2^8 they would hold 131,072
+# (17 ms), more time than the lookups they save on most rings.  A digit whose
+# radix alone is over this is a block of its own, added mod its radix.
+ADD_TABLE_LIMIT = 2 ** 6
 
 
 class RingError(Exception):
@@ -93,8 +105,15 @@ def factorize(m):
 #   primes, factored on first use, since Z(m) needs none to be valid and one too
 #   large to factor must still reach make_ring's cap check.
 
+class _SpecText:
+    """str() of a spec is its text, as parse_spec reads it."""
+
+    def __str__(self):
+        return _spec_text(self)
+
+
 @dataclass(frozen=True)
-class Z:
+class Z(_SpecText):
     m: int
 
     def __post_init__(self):
@@ -106,12 +125,9 @@ class Z:
         """The prime factorization of m, as a dict prime -> exponent."""
         return factorize(self.m)
 
-    def __str__(self):
-        return "Z(%d)" % self.m
-
 
 @dataclass(frozen=True)
-class GF:
+class GF(_SpecText):
     q: int
     p: int = field(init=False, compare=False, repr=False)  # q = p^k
     k: int = field(init=False, compare=False, repr=False)
@@ -124,12 +140,9 @@ class GF:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
 
-    def __str__(self):
-        return "GF(%d)" % self.q
-
 
 @dataclass(frozen=True)
-class M:
+class M(_SpecText):
     n: int
     base: object
 
@@ -139,12 +152,9 @@ class M:
         if not is_commutative_spec(self.base):
             raise SpecConstraintError("M requires a commutative base, got %s" % self.base)
 
-    def __str__(self):
-        return "M(%d,%s)" % (self.n, self.base)
-
 
 @dataclass(frozen=True)
-class T:
+class T(_SpecText):
     n: int
     base: object
 
@@ -155,12 +165,9 @@ class T:
         if not (isinstance(base, GF) or isinstance(base, Z) and base.primes == {base.m: 1}):
             raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % self.base)
 
-    def __str__(self):
-        return "T(%d,%s)" % (self.n, self.base)
-
 
 @dataclass(frozen=True)
-class Prod:
+class Prod(_SpecText):
     factors: tuple
 
     def __post_init__(self):
@@ -169,9 +176,6 @@ class Prod:
         for f in self.factors:
             if not isinstance(f, SPECS):
                 raise SpecConstraintError("not a ring spec: %r" % (f,))
-
-    def __str__(self):
-        return "prod(%s)" % ",".join(str(f) for f in self.factors)
 
 
 SPECS = (Z, GF, M, T, Prod)
@@ -183,6 +187,30 @@ def is_commutative_spec(spec):
     if isinstance(spec, Prod):
         return all(is_commutative_spec(f) for f in spec.factors)
     return False
+
+
+def _spec_text(spec):
+    """The text of a spec, by one explicit-stack walk like `_leaves`: a spec
+    built in Python may nest deeper than the recursion limit."""
+    out, stack = [], [spec]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Z):
+            out.append("Z(%d)" % node.m)
+        elif isinstance(node, GF):
+            out.append("GF(%d)" % node.q)
+        elif isinstance(node, (M, T)):
+            out.append("%s(%d," % ("M" if isinstance(node, M) else "T", node.n))
+            stack += (")", node.base)
+        else:
+            out.append("prod(")
+            stack.append(")")
+            for f in reversed(node.factors[1:]):
+                stack += (f, ",")
+            stack.append(node.factors[0])
+    return "".join(out)
 
 
 def _leaves(spec):
@@ -316,14 +344,62 @@ def join_digits(digits, radices):
     return out
 
 
+def _add_blocks(radices):
+    """The layout of `Ring._digitwise` for these big-endian radices: () when
+    every radix is 1 or 2, and otherwise a (size, tables) pair per block of
+    consecutive digits, least significant first.  A block's size B is its
+    radix product, and tables is the pair (add, sub) of B^2-entry lists whose
+    entry x * B + y is x + y or x - y digit-wise, or None for a single digit
+    over ADD_TABLE_LIMIT.  Radix-1 digits are always 0 and are left out, and
+    blocks with the same radices share their tables."""
+    digits = [d for d in reversed(radices) if d > 1]
+    if all(d == 2 for d in digits):
+        return ()
+    blocks, tables, i = [], {}, 0
+    while i < len(digits):
+        size, j = digits[i], i + 1
+        while j < len(digits) and size * digits[j] <= ADD_TABLE_LIMIT:
+            size *= digits[j]
+            j += 1
+        group = tuple(digits[i:j][::-1])  # big-endian
+        if size <= ADD_TABLE_LIMIT and group not in tables:
+            tables[group] = _block_tables(group)
+        blocks.append((size, tables.get(group)))
+        i = j
+    return tuple(blocks)
+
+
+def _block_tables(radices):
+    """The add and sub tables of a block of digits with these big-endian
+    radices, B their product: entry x * B + y is x + y, and x - y, digit-wise.
+
+    Both are built a digit at a time from the least significant: rows[x][y]
+    is x op y on the digits so far, of radix product `width`, and a digit d
+    above them makes x = x_d * width + x_low, and y likewise."""
+    tables = []
+    for sign in (1, -1):
+        rows, width = [[0]], 1
+        for d in reversed(radices):
+            rows = [[(x + sign * y) % d * width + v for y in range(d) for v in low]
+                    for x in range(d) for low in rows]
+            width *= d
+        tables.append([v for row in rows for v in row])
+    return tuple(tables)
+
+
 class Ring:
     """A finite ring with indexed elements.  Index 0 is the additive zero.
 
     The additive group is Z_{d_0} x ... x Z_{d_{L-1}} for the big-endian
     `radices` (d_0, .., d_{L-1}): an element index is the mixed-radix number
     of its digit vector, digit i has index weight `strides[i]`, and addition
-    is digit-wise.  `radical_steps[i]` divides d_i, and J(R) is the set of
-    elements whose digit i is a multiple of it, for every i.
+    is digit-wise.  `add` and `sub` share one kernel: one digit is added mod
+    its radix; on more, when every radix is 1 or 2, the index is a bit vector
+    and both are a ^ b; otherwise the digits, least significant first, form
+    blocks of radix product at most ADD_TABLE_LIMIT, each read by one lookup
+    in an add or sub table built on the first call.  `radical_steps[i]`
+    divides d_i, and J(R) is the set of elements whose digit i is a multiple
+    of it, for every i.
     """
 
     def __init__(self, radices, radical_steps):
@@ -331,6 +407,7 @@ class Ring:
         self.radical_steps = tuple(radical_steps)
         self.strides = tuple(accumulate(self.radices[:0:-1], operator.mul, initial=1))[::-1]
         self.order = self.strides[0] * self.radices[0]
+        self._blocks = None  # the kernel's layout, built on its first call
 
     def check_index(self, a):
         if not (isinstance(a, int) and 0 <= a < self.order):
@@ -345,10 +422,7 @@ class Ring:
             self.check_index(b)
         if len(self.radices) == 1:
             return (a + b) % order
-        out = 0  # a loop, not a generator: a closure over a and b slows the path above
-        for s, d in zip(self.strides, self.radices):
-            out += (a // s + b // s) % d * s
-        return out
+        return self._digitwise(a, b, 0)
 
     def neg(self, a):
         return self.sub(0, a)
@@ -363,9 +437,24 @@ class Ring:
             self.check_index(b)
         if len(self.radices) == 1:
             return (a - b) % order
-        out = 0
-        for s, d in zip(self.strides, self.radices):
-            out += (a // s - b // s) % d * s
+        return self._digitwise(a, b, 1)
+
+    def _digitwise(self, a, b, op):
+        """a + b (op 0) or a - b (op 1) for checked indices of two or more digits."""
+        blocks = self._blocks
+        if blocks is None:
+            blocks = self._blocks = _add_blocks(self.radices)
+        if not blocks:  # every radix is 1 or 2
+            return a ^ b
+        out, weight = 0, 1
+        for size, tables in blocks:
+            if tables:
+                out += tables[op][a % size * size + b % size] * weight
+            else:  # one digit over ADD_TABLE_LIMIT
+                out += (a - b if op else a + b) % size * weight
+            a //= size
+            b //= size
+            weight *= size
         return out
 
     def _unit(self, a):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ucayley.complexes import (SHELLING_FOUND, SHELLING_NONE, SHELLING_UNKNOWN,
                                ShellingResult, is_pure)
+from ucayley.constructions import reduced_diagonal
 from ucayley.graphs import UGraph
 from ucayley.indsets import Budget, BudgetExceededError, WellCoveredReport
 from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, SpecConstraintError,
@@ -295,6 +296,28 @@ def elementwise_graph(ring):
     units = ring.units()
     g.adj = [elementwise_row(ring, units, x) for x in range(ring.order)]
     return g
+
+
+def digit_loop(ring, a, b, sign):
+    """Oracle: a + b (sign 1) or a - b (sign -1), one digit at a time, by
+    dividing both indices by every digit's stride."""
+    ring.check_index(a)
+    ring.check_index(b)
+    out = 0
+    for s, d in zip(ring.strides, ring.radices):
+        out += (a // s + sign * (b // s)) % d * s
+    return out
+
+
+def entrywise_avoidance_partner(a_entries, n, field):
+    """Oracle: A with its first nonzero entry's row i zeroed, less
+    D_{k,i}(1,..,1), subtracted entry by entry."""
+    hit = next(t for t, e in enumerate(a_entries) if e != 0)
+    i, j = hit // n + 1, hit % n + 1
+    k = (j - i) % n or n
+    ones = (field.one,) * (n - 1)
+    a_prime = tuple(0 if t // n == i - 1 else e for t, e in enumerate(a_entries))
+    return tuple(map(field.sub, a_prime, reduced_diagonal(n, k, i, ones, field)))
 
 
 def structural_add(ring, a, b):

@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import entrywise_avoidance_partner
 from ucayley import constructions, verify
 from ucayley.constructions import (avoidance_partner, d_family, product_witness,
                                    reduced_diagonal, row_mix, zero_pattern_positions)
 from ucayley.graphs import build_graph
 from ucayley.indsets import greedy_extend
-from ucayley.rings import GFRing, det_entries, make_ring
+from ucayley.rings import GFRing, RingError, det_entries, make_ring
 
 
 def rows_of(entries, n):
@@ -165,6 +168,29 @@ class TestAvoidancePartner:
         detail = verify.check_avoidance_partner(verify._Ctx(seed=2), random_count=2000)
         assert detail.endswith("M_3(F_3): 2000 random matrices")
         assert checked.count(3) == 2000
+
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+    def test_matches_entrywise_oracle_exhaustively(self, n, q):
+        f = GFRing(q)
+        for entries in itertools.product(range(q), repeat=n * n):
+            if any(entries):
+                assert avoidance_partner(entries, n, f) == entrywise_avoidance_partner(entries, n, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(3, 3), (4, 2), (3, 4)]).flatmap(
+        lambda nq: st.tuples(st.just(nq), st.lists(st.integers(0, nq[1] - 1),
+                                                   min_size=nq[0] ** 2, max_size=nq[0] ** 2)
+                             .filter(any))))
+    def test_matches_entrywise_oracle_sampled(self, case):
+        (n, q), entries = case
+        f = GFRing(q)
+        assert avoidance_partner(tuple(entries), n, f) == entrywise_avoidance_partner(entries, n, f)
+
+    @pytest.mark.parametrize("entries", [(1, 0, 0, 3), (0, 1, 2, -1), (1, 1.0, 0, 0), (3, 0, 0, 0)])
+    def test_out_of_range_entry_raises(self, entries):
+        # an entry of row i, which B does not keep, is checked too
+        with pytest.raises(RingError):
+            avoidance_partner(entries, 2, GFRing(3))
 
     def test_rejects_zero_or_scalar(self):
         with pytest.raises(ValueError):

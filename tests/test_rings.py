@@ -14,11 +14,11 @@ from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstrain
                            is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, radical_quotient, residue_fields,
-                           RingError, CapExceededError, ROW_TABLE_LIMIT, SCREEN_RUN, _leaves,
-                           _order_log2_64ths,
+                           RingError, CapExceededError, ADD_TABLE_LIMIT, ROW_TABLE_LIMIT,
+                           SCREEN_RUN, _build, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import classify_cm, ring_metadata, semisimple_quotient
-from conftest import (RING_SPECS, PositionDictTriRing, gf_mul, leibniz_det,
+from conftest import (RING_SPECS, PositionDictTriRing, digit_loop, gf_mul, leibniz_det,
                       recursive_leaf_sum, recursive_spec_order, structural_add,
                       structural_neg, trial_factorize)
 
@@ -277,6 +277,11 @@ class TestMakeRing:
         for _ in range(300):  # deeper than the parser allows
             deep = Prod((deep, Z(2)))
         assert spec_order(deep) == recursive_spec_order(deep) == 27 * 6 ** 4 * 2 ** 300
+        assert str(deep) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(2))" * 300
+        small = Prod((T(2, GF(3)), M(2, Z(6))))
+        for _ in range(300):  # Z(1) factors keep the ring within the cap
+            small = Prod((small, Z(1)))
+        assert str(make_ring(small)) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(1))" * 300
 
     def test_zero_and_one(self):
         for text in ("Z(6)", "GF(9)", "M(2,GF(2))", "T(2,GF(3))", "prod(Z(4),GF(2))"):
@@ -324,12 +329,19 @@ class TestArith:
         with pytest.raises(RingError):
             r.add(0, 6)
 
-    @pytest.mark.parametrize("text", ["Z(6)", "M(2,GF(3))"])
+    @pytest.mark.parametrize("text", ["Z(6)", "M(2,GF(3))", "M(2,GF(4))"])
     @pytest.mark.parametrize("a,b", [(0, "order"), (-1, 0), (1.0, 0), ("1", 0), (0, None)])
     def test_sub_index_checked(self, text, a, b):
+        # add and sub, before and after their first call builds the layout
+        # (on M(2,GF(4)), whose every radix is 2, a ^ b)
         r = make_ring(text)
-        with pytest.raises(RingError):
-            r.sub(a, r.order if b == "order" else b)
+        b = r.order if b == "order" else b
+        for _ in range(2):
+            with pytest.raises(RingError):
+                r.sub(a, b)
+            with pytest.raises(RingError):
+                r.add(a, b)
+            r.add(1, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(RING_SPECS, st.randoms(use_true_random=False))
@@ -407,6 +419,54 @@ class TestDigits:
             assert r.add(a, b) == structural_add(r, a, b)
             assert r.neg(a) == structural_neg(r, a)
             assert r.add(a, r.neg(a)) == 0
+
+
+class TestAddKernel:
+    # one ring per path of the kernel: a ^ b; radix-1 digits left out; blocks of
+    # several digits read by table; and digits over the bound, added mod their radix
+    @pytest.mark.parametrize("text,sizes", [
+        ("M(5,GF(2))", ()),
+        ("M(3,GF(4))", ()),
+        ("prod(Z(2),GF(8))", ()),
+        ("prod(Z(1),Z(2))", ()),
+        ("M(2,Z(1))", ()),
+        ("prod(GF(4),Z(4),Z(1))", (16,)),
+        ("M(4,GF(3))", (27,) * 5 + (3,)),
+        ("T(3,GF(5))", (25,) * 3),
+        ("prod(Z(6),Z(10),Z(7))", (7, 60)),
+        ("prod(Z(101),Z(103))", (103, 101)),
+        ("M(2,Z(97))", (97,) * 4),
+    ])
+    def test_paths_match_digit_loop(self, text, sizes):
+        r = _build(parse_spec(text))  # M(5,GF(2)), M(4,GF(3)) and M(2,Z(97)) are over the cap
+        rng = random.Random(23)
+        pairs = [(0, 0), (0, r.order - 1), (r.order - 1, r.order - 1)]
+        pairs += [(rng.randrange(r.order), rng.randrange(r.order)) for _ in range(300)]
+        for a, b in pairs:
+            assert r.add(a, b) == digit_loop(r, a, b, 1)
+            assert r.sub(a, b) == digit_loop(r, a, b, -1)
+            assert r.neg(b) == digit_loop(r, 0, b, -1)
+        assert tuple(size for size, _ in r._blocks) == sizes
+        for size, tables in r._blocks:
+            if size > ADD_TABLE_LIMIT:
+                assert tables is None
+            else:
+                assert [len(t) for t in tables] == [size * size] * 2
+
+    def test_blocks_share_tables(self):
+        r = _build(parse_spec("M(4,GF(3))"))
+        r.sub(1, 2)
+        assert len({id(tables) for _, tables in r._blocks}) == 2  # 27 and 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(RING_SPECS, st.randoms(use_true_random=False))
+    def test_random_specs_match_digit_loop(self, spec, rng):
+        r = make_ring(spec)
+        for _ in range(10):
+            a, b = rng.randrange(r.order), rng.randrange(r.order)
+            assert r.add(a, b) == digit_loop(r, a, b, 1)
+            assert r.sub(a, b) == digit_loop(r, a, b, -1)
+            assert r.neg(a) == digit_loop(r, 0, a, -1)
 
 
 def _position_dict_ring(spec):
