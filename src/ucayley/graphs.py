@@ -12,7 +12,7 @@ from itertools import compress
 
 from .rings import CapExceededError
 
-DEFAULT_GRAPH_CAP = 2 ** 14
+DEFAULT_GRAPH_CAP = 2 ** 15
 
 EXPORT_CAP = 4096  # vertices, for export_stanley_reisner
 

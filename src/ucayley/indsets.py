@@ -18,6 +18,12 @@ exhaustive oracle.  The two search questions, `independence_number` and
   Gamma(R)) has a maximum independent set through vertex 0, so alpha is
   1 + alpha of the non-neighbours of 0.  Used for alpha only: the counts of
   maximal sets are always those of the whole graph.
+- Clique bound.  A vertex-transitive graph on n vertices with a clique K has
+  alpha * |K| <= n (the clique-coclique bound, Godsil-Meagher 2015, Ch. 2).
+  A greedy clique from vertex 0 gives the target n // |K|, and the alpha
+  search stops once it has a set of that size; below it the search is
+  unchanged.  For Gamma(M_n(F_q)) the clique has q^n vertices, so the
+  target is alpha.  Used for alpha only.
 
 alpha is then found by branch and bound under a greedy clique-cover bound
 (Tomita-Seki's MCQ, bit-parallel as in San Segundo's BBMC).  A search notes
@@ -25,6 +31,7 @@ on its Budget which reductions it applied.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,6 +39,7 @@ from .graphs import UGraph
 
 TWIN_QUOTIENT = "twin-quotient"
 VERTEX_ZERO = "vertex-0"
+CLIQUE_BOUND = "clique-bound"
 
 
 class BudgetExceededError(Exception):
@@ -198,15 +206,27 @@ def _cover(adj, P, floor):
     return verts, nums
 
 
-def _max_extension(adj, non, size, P, budget):
+def _greedy_clique(adj):
+    """The size of a clique grown from vertex 0 by taking the lowest common
+    neighbour of the vertices taken so far."""
+    size, common = 1, adj[0]
+    while common:
+        size += 1
+        common &= adj[(common & -common).bit_length() - 1]
+    return size
+
+
+def _max_extension(adj, non, size, P, budget, target=math.inf):
     """size + the largest independent subset of P, where P holds the common
     non-neighbours of `size` chosen vertices; branch and bound on an explicit
     stack.
 
     A node colors its candidates into cliques and branches on them in
     decreasing class number; it stops once size + class <= best, since each
-    clique holds at most one vertex of an independent set.  A tripped budget
-    carries the best size found.
+    clique holds at most one vertex of an independent set.  The search ends
+    once best reaches `target`, an upper bound on the answer; if that leaves
+    branches open it notes CLIQUE_BOUND.  A tripped budget carries the best
+    size found.
     """
     best = size
     stack = []  # frames [size, candidates left, vertices to branch on, their classes]
@@ -214,6 +234,10 @@ def _max_extension(adj, non, size, P, budget):
         while True:
             budget.tick()
             best = max(best, size)
+            if best >= target:
+                if P or any(f[2] and f[0] + f[3][-1] > best for f in stack):
+                    budget.note(CLIQUE_BOUND)
+                return best
             if P:
                 stack.append([size, P, *_cover(adj, P, best - size)])
             while stack:
@@ -234,19 +258,20 @@ def _max_extension(adj, non, size, P, budget):
 
 
 def independence_number(g, budget=None):
-    """alpha(g), on the twin quotient and from vertex 0 where they apply."""
+    """alpha(g), on the twin quotient, from vertex 0 and up to the clique bound
+    where they apply."""
     if budget is None:
         budget = Budget()
     h, _, w = _reduce(g, budget)
     if h.n == 0:
         return 0
     non = _nonadjacency(h)
-    size, P = 0, (1 << h.n) - 1
+    size, P, target = 0, (1 << h.n) - 1, math.inf
     if h.transitive:
         budget.note(VERTEX_ZERO)
-        size, P = 1, non[0]
+        size, P, target = 1, non[0], h.n // _greedy_clique(h.adj)
     try:
-        return w * _max_extension(h.adj, non, size, P, budget)
+        return w * _max_extension(h.adj, non, size, P, budget, target)
     except BudgetExceededError as exc:
         exc.best *= w
         raise

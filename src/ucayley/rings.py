@@ -106,13 +106,15 @@ def factorize(m):
 #   large to factor must still reach make_ring's cap check.
 
 class _SpecText:
-    """str() of a spec is its text, as parse_spec reads it."""
+    """str() and repr() of a spec are its text, as parse_spec reads it."""
 
     def __str__(self):
         return _spec_text(self)
 
+    __repr__ = __str__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Z(_SpecText):
     m: int
 
@@ -126,11 +128,11 @@ class Z(_SpecText):
         return factorize(self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class GF(_SpecText):
     q: int
-    p: int = field(init=False, compare=False, repr=False)  # q = p^k
-    k: int = field(init=False, compare=False, repr=False)
+    p: int = field(init=False, compare=False)  # q = p^k
+    k: int = field(init=False, compare=False)
 
     def __post_init__(self):
         fs = factorize(self.q)  # {} for q < 2
@@ -141,7 +143,7 @@ class GF(_SpecText):
         object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class M(_SpecText):
     n: int
     base: object
@@ -153,7 +155,7 @@ class M(_SpecText):
             raise SpecConstraintError("M requires a commutative base, got %s" % self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class T(_SpecText):
     n: int
     base: object
@@ -166,7 +168,7 @@ class T(_SpecText):
             raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % self.base)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Prod(_SpecText):
     factors: tuple
 

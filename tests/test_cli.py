@@ -271,6 +271,24 @@ class TestReducedSearch:
         code, out, _ = run(capsys, "alpha", "--ring", "M(2,GF(9))")
         assert code == 0 and out.strip() == "81"
 
+    def test_alpha_m3f3_ends_at_the_clique_bound(self, capsys):
+        code, out, _ = run(capsys, "alpha", "--ring", "M(3,GF(3))", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["alpha"] == 729
+        assert payload["stats"]["nodes"] <= 1000
+        assert payload["stats"]["reductions"] == ["vertex-0", "clique-bound"]
+        code, out, _ = run(capsys, "alpha", "--ring", "M(3,GF(3))")
+        assert code == 0 and out.strip() == "729"
+
+    def test_wellcovered_m3f3_no_has_an_exact_alpha(self, capsys):
+        code, out, _ = run(capsys, "wellcovered", "--ring", "M(3,GF(3))", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["answer"] == "no"
+        assert payload["alpha"] == 729 and payload["alpha_exact"] is True
+        assert len(payload["witness_small"]) < 729
+        assert "clique-bound" in payload["stats"]["reductions"]
+        assert payload["stats"]["nodes"] <= 2000
+
     def test_alpha_json_stats(self, capsys):
         code, out, _ = run(capsys, "alpha", "--ring", "Z(8)", "--format", "json")
         payload = json.loads(out)
@@ -286,13 +304,13 @@ class TestReducedSearch:
 
     def test_no_answer_kept_when_alpha_trips(self, capsys):
         code, out, err = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
-                             "--budget-nodes", "200")
+                             "--budget-nodes", "100")
         assert code == 0 and "Traceback" not in err
         assert "well-covered: no" in out and "alpha: >= 64" in out
         _, out, _ = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
-                        "--budget-nodes", "200", "--format", "json")
+                        "--budget-nodes", "100", "--format", "json")
         payload = json.loads(out)
-        assert payload["alpha_exact"] is False and payload["stats"]["nodes"] == 201
+        assert payload["alpha_exact"] is False and payload["stats"]["nodes"] == 101
 
     def test_deep_wellcovered_is_inconclusive(self, capsys):
         ring = "prod(%s)" % ",".join(["Z(2)"] * 11)  # order 2048, no twins

@@ -5,17 +5,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (RING_SPECS, brute_force_maximal_independent, is_maximal_independent,
-                      pbound_alpha, recursive_maximal_independent, seed_is_well_covered)
+from conftest import (RING_SPECS, brute_force_alpha, brute_force_maximal_independent,
+                      is_maximal_independent, pbound_alpha, recursive_maximal_independent,
+                      seed_is_well_covered)
 from ucayley import indsets
 from ucayley.graphs import UGraph, build_graph, conjunction_product
-from ucayley.indsets import (TWIN_QUOTIENT, VERTEX_ZERO, Budget, BudgetExceededError,
-                             _twin_quotient, enumerate_maximal_independent, greedy_extend,
+from ucayley.indsets import (CLIQUE_BOUND, TWIN_QUOTIENT, VERTEX_ZERO, Budget,
+                             BudgetExceededError, _greedy_clique, _twin_quotient,
+                             enumerate_maximal_independent, greedy_extend,
                              independence_number, is_well_covered,
                              radical_saturate)
-from ucayley.rings import jacobson_radical, make_ring, radical_quotient, spec_order
-from ucayley.structure import semisimple_quotient
-from ucayley.verify import _is_maximal_independent
+from ucayley.rings import (jacobson_radical, make_ring, parse_spec, radical_quotient,
+                           spec_order)
+from ucayley.structure import classify_well_covered, semisimple_quotient
+from ucayley.verify import CATALOG, _is_maximal_independent
+
+# the rings of the benchmark's `search` workload that verify.CATALOG lacks
+SEARCH_EXTRA = ["prod(Z(2),M(2,GF(3)))", "prod(Z(3),M(2,GF(3)))", "M(3,GF(2))", "T(3,GF(3))",
+                "Z(1000)", "Z(1024)", "Z(2048)"]
 
 
 def complete(n):
@@ -201,6 +208,27 @@ def closed_form_alpha(spec):
     return spec_order(spec) // min((q ** n for n, q in semisimple_quotient(spec)), default=1)
 
 
+def alpha_without_target(g):
+    """alpha of a transitive g by the quotient and vertex-0 reductions and the
+    same branch and bound, run to exhaustion with no clique-bound target."""
+    h, _, w = indsets._reduce(g, Budget())
+    non = indsets._nonadjacency(h)
+    return w * indsets._max_extension(h.adj, non, 1, non[0], Budget())
+
+
+def check_alpha_oracles(spec):
+    """Gamma(spec) and its alpha, checked against the closed form and the
+    search with no target; the clique bound, where it ended the search, is alpha."""
+    g = build_graph(make_ring(spec))
+    budget = Budget()
+    alpha = independence_number(g, budget)
+    assert alpha == closed_form_alpha(spec) == alpha_without_target(g)
+    if CLIQUE_BOUND in budget.reductions:
+        h, _, w = indsets._reduce(g, Budget())
+        assert alpha == w * (h.n // _greedy_clique(h.adj))
+    return g, alpha
+
+
 def blow_up(base, sizes, rng):
     """base with vertex i replaced by sizes[i] pairwise non-adjacent twins,
     the vertices shuffled so that no class is contiguous."""
@@ -332,9 +360,7 @@ class TestReducedSearch:
     @settings(max_examples=150, deadline=None)
     @given(RING_SPECS)
     def test_random_specs_match_the_unreduced_oracles(self, spec):
-        g = build_graph(make_ring(spec))
-        alpha = independence_number(g)
-        assert alpha == closed_form_alpha(spec)
+        g, alpha = check_alpha_oracles(spec)
         try:
             want_alpha = pbound_alpha(g, Budget(max_nodes=100_000))
             want = seed_is_well_covered(g, Budget(max_nodes=20_000))
@@ -344,6 +370,59 @@ class TestReducedSearch:
         rep = is_well_covered(g)
         assert (rep.answer, rep.alpha, rep.counts, rep.witness_small) == \
             (want.answer, want.alpha, want.counts, want.witness_small)
+
+
+class TestCliqueBound:
+    @pytest.mark.parametrize("text", CATALOG + SEARCH_EXTRA)
+    def test_catalog_and_search_rings_match_the_oracles(self, text):
+        g, alpha = check_alpha_oracles(parse_spec(text))
+        rep = is_well_covered(g)
+        assert rep.alpha == alpha and rep.alpha_exact
+        assert (rep.answer == "yes") == classify_well_covered(text).answer
+
+    @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
+    def test_matrix_ring_clique_is_a_subfield(self, n, q):
+        # F_{q^n} embeds in M_n(F_q), and the greedy clique finds one that size
+        g = build_graph(make_ring("M(%d,GF(%d))" % (n, q)))
+        assert _greedy_clique(g.adj) == q ** n
+        assert independence_number(g) == g.n // q ** n
+
+    def test_search_ends_at_the_bound(self):
+        g = build_graph(make_ring("M(3,GF(2))"))
+        budget = Budget()
+        assert independence_number(g, budget) == 64
+        assert budget.nodes == 64 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
+        budget = Budget()
+        assert is_well_covered(g, budget).alpha_exact
+        assert budget.nodes == 133 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
+        assert alpha_without_target(g) == 64
+
+    def test_bound_not_noted_when_the_search_ends_there_anyway(self):
+        # Gamma(Z(6)): clique {0, 1}, target 3; the leaf {0, 4, 2} closes every branch
+        budget = Budget()
+        assert independence_number(build_graph(make_ring("Z(6)")), budget) == 3
+        assert budget.reductions == [VERTEX_ZERO]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_non_transitive_graph_gets_no_target(self, monkeypatch, seed):
+        targets = []
+        search = indsets._max_extension
+
+        def spy(*args):
+            targets.append(args[5])
+            return search(*args)
+
+        def no_clique(adj):
+            raise AssertionError("greedy clique taken on a non-transitive graph")
+        monkeypatch.setattr(indsets, "_max_extension", spy)
+        monkeypatch.setattr(indsets, "_greedy_clique", no_clique)
+        g = random_graph(12, 0.4, seed + 300)
+        budget = Budget()
+        assert independence_number(g, budget) == brute_force_alpha(g)
+        rep = is_well_covered(g, budget)
+        assert rep.alpha == brute_force_alpha(g) and rep.alpha_exact
+        assert CLIQUE_BOUND not in budget.reductions and VERTEX_ZERO not in budget.reductions
+        assert targets and all(t == math.inf for t in targets)
 
 
 class TestGenericGraphs:
@@ -376,13 +455,14 @@ class TestBudgetContract:
         assert Budget(max_nodes=1, max_seconds=1e-9).stats() == {"nodes": 0, "reductions": []}
 
     def test_no_answer_survives_a_tripped_alpha_step(self):
+        # the "no" comes at node 69 and the alpha step would end at node 133
         g = build_graph(make_ring("M(3,GF(2))"))
-        budget = Budget(max_nodes=200)
+        budget = Budget(max_nodes=100)
         rep = is_well_covered(g, budget)
         assert rep.answer == "no" and not rep.alpha_exact
         assert is_maximal_independent(g, rep.witness_small)
         assert len(rep.witness_small) < rep.alpha <= 64
-        assert budget.nodes == 201  # the caller's budget, not a fresh one
+        assert budget.nodes == 101  # the caller's budget, not a fresh one
         assert rep.to_json()["alpha_exact"] is False
 
     def test_tripped_alpha_carries_its_best_size(self):

@@ -277,7 +277,7 @@ class TestMakeRing:
         for _ in range(300):  # deeper than the parser allows
             deep = Prod((deep, Z(2)))
         assert spec_order(deep) == recursive_spec_order(deep) == 27 * 6 ** 4 * 2 ** 300
-        assert str(deep) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(2))" * 300
+        assert str(deep) == repr(deep) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(2))" * 300
         small = Prod((T(2, GF(3)), M(2, Z(6))))
         for _ in range(300):  # Z(1) factors keep the ring within the cap
             small = Prod((small, Z(1)))
