@@ -209,23 +209,28 @@ def closed_form_alpha(spec):
 
 
 def alpha_without_target(g):
-    """alpha of a transitive g by the quotient and vertex-0 reductions and the
-    same branch and bound, run to exhaustion with no clique-bound target."""
-    h, _, w = indsets._reduce(g, Budget())
+    """(alpha, nodes) of a transitive g by the quotient and vertex-0 reductions
+    and the same branch and bound, run to exhaustion with no clique-bound target."""
+    budget = Budget()
+    h, _, w = indsets._reduce(g, budget)
     non = indsets._nonadjacency(h)
-    return w * indsets._max_extension(h.adj, non, 1, non[0], Budget())
+    return w * indsets._max_extension(h.adj, non, 1, non[0], budget), budget.nodes
 
 
 def check_alpha_oracles(spec):
     """Gamma(spec) and its alpha, checked against the closed form and the
-    search with no target; the clique bound, where it ended the search, is alpha."""
+    search with no target.  Where the clique bound ended the search it is
+    alpha and saved nodes; elsewhere the search took the same nodes."""
     g = build_graph(make_ring(spec))
     budget = Budget()
     alpha = independence_number(g, budget)
-    assert alpha == closed_form_alpha(spec) == alpha_without_target(g)
+    want, nodes = alpha_without_target(g)
+    assert alpha == closed_form_alpha(spec) == want
     if CLIQUE_BOUND in budget.reductions:
         h, _, w = indsets._reduce(g, Budget())
-        assert alpha == w * (h.n // _greedy_clique(h.adj))
+        assert alpha == w * (h.n // _greedy_clique(h.adj)) and budget.nodes < nodes
+    else:
+        assert budget.nodes == nodes
     return g, alpha
 
 
@@ -395,7 +400,7 @@ class TestCliqueBound:
         budget = Budget()
         assert is_well_covered(g, budget).alpha_exact
         assert budget.nodes == 133 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
-        assert alpha_without_target(g) == 64
+        assert alpha_without_target(g) == (64, 393)
 
     def test_bound_not_noted_when_the_search_ends_there_anyway(self):
         # Gamma(Z(6)): clique {0, 1}, target 3; the leaf {0, 4, 2} closes every branch
