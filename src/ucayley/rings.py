@@ -6,7 +6,8 @@ differ only in their stored entries, and products) indexes an element by the
 big-endian mixed-radix value of its digit vector, and one digit-wise kernel
 serves add and sub for them all: a ^ b when every radix is 1 or 2, and
 otherwise one table lookup per block of digits whose radix product is at most
-ADD_TABLE_LIMIT.  J(R) is one subgroup per digit, so R/J(R) is again such a ring.
+ADD_TABLE_LIMIT.  J(R) is one subgroup per digit, so R/J(R) is again such a
+ring, and one digit-wise reduction, `digit_map`, is every quotient map here.
 """
 from __future__ import annotations
 
@@ -106,15 +107,22 @@ def factorize(m):
 #   large to factor must still reach make_ring's cap check.
 
 class _SpecText:
-    """str() and repr() of a spec are its text, as parse_spec reads it."""
+    """A spec's str() and repr() are its text, as parse_spec reads it, and its
+    == and hash() compare class and text, so they need no recursion."""
 
     def __str__(self):
         return _spec_text(self)
 
     __repr__ = __str__
 
+    def __eq__(self, other):
+        return type(other) is type(self) and _spec_text(self) == _spec_text(other)
 
-@dataclass(frozen=True, repr=False)
+    def __hash__(self):
+        return hash(_spec_text(self))
+
+
+@dataclass(frozen=True, repr=False, eq=False)
 class Z(_SpecText):
     m: int
 
@@ -128,11 +136,11 @@ class Z(_SpecText):
         return factorize(self.m)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class GF(_SpecText):
     q: int
-    p: int = field(init=False, compare=False)  # q = p^k
-    k: int = field(init=False, compare=False)
+    p: int = field(init=False)  # q = p^k
+    k: int = field(init=False)
 
     def __post_init__(self):
         fs = factorize(self.q)  # {} for q < 2
@@ -143,7 +151,7 @@ class GF(_SpecText):
         object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class M(_SpecText):
     n: int
     base: object
@@ -155,7 +163,7 @@ class M(_SpecText):
             raise SpecConstraintError("M requires a commutative base, got %s" % self.base)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class T(_SpecText):
     n: int
     base: object
@@ -168,7 +176,7 @@ class T(_SpecText):
             raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % self.base)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Prod(_SpecText):
     factors: tuple
 
@@ -343,6 +351,16 @@ def join_digits(digits, radices):
         if not (isinstance(x, int) and 0 <= x < d):
             raise RingError("digit %r out of range for radix %d" % (x, d))
         out = out * d + x
+    return out
+
+
+def digit_map(radices, moduli):
+    """The quotient map reducing digit i mod moduli[i], a divisor of radices[i],
+    as a list: entry x is the index of x's reduced digits in the radices
+    `moduli`, so digits of modulus 1 drop out."""
+    out = [0]
+    for d, t in zip(radices, moduli):
+        out = [x * t + c % t for x in out for c in range(d)]
     return out
 
 
@@ -604,20 +622,21 @@ def det_entries(rows, base):
 
 def residue_fields(ring):
     """The residue fields R/m of a commutative ring R, one per maximal ideal m,
-    as (field, reduce) pairs: `reduce` maps a list of element indices of R to
-    a new list of their images in R/m.  `field` is a prime p when R/m = Z_p,
-    whose elements are then plain ints mod p, and otherwise the GFRing R/m.
-    """
+    as (field, moduli) pairs: `field` is the GFRing R/m, and R maps onto it
+    by `digit_map(ring.radices, moduli)`.  Z(m) maps onto GF(p) by x mod p,
+    GF(q) is its own residue field, and a product maps onto each factor's
+    fields through that factor's digits, with modulus 1 on all the others."""
     if isinstance(ring, ZmRing):
-        return [(p, lambda xs, p=p: [x % p for x in xs]) for p in ring.spec.primes]
+        return [(GFRing(p), (p,)) for p in ring.spec.primes]
     if isinstance(ring, GFRing):
-        return [(ring.p if ring.k == 1 else ring, list)]
+        return [(ring, ring.radices)]
     if isinstance(ring, ProdRing):
-        out = []
-        for c, factor in enumerate(ring.factors):
-            s, d = math.prod(f.order for f in ring.factors[c + 1:]), factor.order
-            out += [(field, lambda xs, s=s, d=d, reduce=reduce: reduce([x // s % d for x in xs]))
-                    for field, reduce in residue_fields(factor)]
+        out, before = [], 0
+        for factor in ring.factors:
+            after = len(ring.radices) - before - len(factor.radices)
+            out += [(field, (1,) * before + moduli + (1,) * after)
+                    for field, moduli in residue_fields(factor)]
+            before += len(factor.radices)
         return out
     raise RingError("%s is not commutative" % ring)
 
@@ -630,7 +649,7 @@ def _full_rank(m, n, field):
     That keeps the rank and never divides.  Over a prime field the entries
     are ints mod p; over GF(p^k), k > 1, the field's mul and sub combine them.
     """
-    prime = isinstance(field, int)
+    prime = field.p if field.k == 1 else 0
     for c in range(n):
         top, width = c * n + c, n - c
         pivot = next((r for r in range(top, n * n, n) if m[r]), None)
@@ -644,22 +663,22 @@ def _full_rank(m, n, field):
             if f:
                 rest = m[r + 1:r + width]
                 m[r + 1:r + width] = (
-                    [(a * x - f * y) % field for x, y in zip(rest, row_c)] if prime else
+                    [(a * x - f * y) % prime for x, y in zip(rest, row_c)] if prime else
                     [field.sub(field.mul(a, x), field.mul(f, y)) for x, y in zip(rest, row_c)])
     return True
 
 
-def is_invertible(entries, n, residues):
+def is_invertible(entries, n, images):
     """Whether the n x n row-major matrix `entries` over a commutative base is
-    invertible, given `residue_fields(base)`: its determinant is a unit
-    exactly when it lies in no maximal ideal, so when the matrix has full rank
-    over every residue field."""
-    return all(_full_rank(reduce(entries), n, field) for field, reduce in residues)
+    invertible, given (F, image) per residue field F of the base, image[x]
+    being x's image in F or image None when the base is F: its determinant is
+    a unit exactly when the matrix has full rank over every residue field."""
+    return all(_full_rank([image[x] for x in entries] if image else list(entries), n, field)
+               for field, image in images)
 
 
 def _rank_tables(field, n):
-    """Row-reduction tables for F^n, F a residue field as `residue_fields`
-    gives it: a prime p, or a GFRing.
+    """Row-reduction tables for F^n, F a residue field of `residue_fields`.
 
     A row is the big-endian radix-|F| number of its entries, 0 the zero row.
     A pivot is a row whose first nonzero entry, in its lead column, is 1, and
@@ -667,15 +686,10 @@ def _rank_tables(field, n):
     times the pivot.  Returns the list `reducer`: reducer[r] is the elimination
     table of the pivot that the nonzero row r is a multiple of.
     """
-    if isinstance(field, int):
-        p, k, mul = field, 1, lambda x, y: x * y % field
-    else:
-        p, k, mul = field.p, field.k, field.mul
-    q = p ** k
+    q = field.order
     size, entry_radices = q ** n, (q,) * n
-    # F^n is additively Z_p^(n k) on a row's base-p digits: subtraction is digit-wise
-    digits = [split_digits(r, (p,) * (n * k)) for r in range(size)]
-    weights = [p ** e for e in range(n * k - 1, -1, -1)]
+    # F^n is additively Z_p^(n k) on a row's base-p digits, so the ring kernel subtracts rows
+    rows = Ring((field.p,) * (n * field.k), (field.p,) * (n * field.k))
     reducer = [None] * size
     for r in range(1, size):
         entries = split_digits(r, entry_radices)
@@ -683,12 +697,8 @@ def _rank_tables(field, n):
         if entries[lead] != 1:
             continue
         column = q ** (n - 1 - lead)
-        multiples = [join_digits([mul(c, x) for x in entries], entry_radices) for c in range(q)]
-        elim = []
-        for s in range(size):
-            c = s // column % q
-            elim.append(sum((x - y) % p * w for x, y, w in
-                            zip(digits[s], digits[multiples[c]], weights)) if c else s)
+        multiples = [join_digits([field.mul(c, x) for x in entries], entry_radices) for c in range(q)]
+        elim = [rows.sub(s, multiples[s // column % q]) for s in range(size)]
         for m in multiples[1:]:
             reducer[m] = elim
     return reducer
@@ -739,7 +749,6 @@ class MatRing(_EntryRing):
                           for t in (base.radical_steps if (j, i) in stored else above)])
         self.base = base
         self.n = n
-        self._residues = residue_fields(base)
         self._row_radix = base.order ** n  # an M(n, A) index is n rows in this radix
         self._row_tables = None  # per residue field, built on the first _unit call
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
@@ -769,9 +778,9 @@ class MatRing(_EntryRing):
         tables = self._row_tables
         if tables is None:
             if self._row_radix > ROW_TABLE_LIMIT:
-                return is_invertible(self.decode_entries(a), self.n, self._residues)
-            tables = self._row_tables = [(self._row_map(reduce), _rank_tables(field, self.n))
-                                         for field, reduce in self._residues]
+                return is_invertible(self.decode_entries(a), self.n, self._quotient_maps)
+            tables = self._row_tables = [(row_map, _rank_tables(field, self.n))
+                                         for field, row_map in self._quotient_maps]
         radix, n = self._row_radix, self.n
         for row_map, reducer in tables:
             rest, basis = a, []
@@ -786,21 +795,15 @@ class MatRing(_EntryRing):
                 basis.append(reducer[r])
         return True
 
-    def _row_map(self, reduce):
-        """Each row of A^n as a row of F^n, under A's map `reduce` onto F, or
-        None when that map is the identity."""
-        d = self.base.order
-        image = reduce(list(range(d)))
-        if image == list(range(d)):
-            return None
-        q = max(image) + 1  # reduce maps A onto F
-        out = []
-        for r in range(self._row_radix):
-            row = 0
-            for x in split_digits(r, (d,) * self.n):
-                row = row * q + image[x]
-            out.append(row)
-        return out
+    @cached_property
+    def _quotient_maps(self):
+        """Per residue field F of A, the pair (F, map): the map takes a row of
+        A^n onto F^n, or an entry onto F when rows are too wide for tables, and
+        is None when A is F."""
+        width = self.n if self._row_radix <= ROW_TABLE_LIMIT else 1
+        radices = self.base.radices
+        return [(field, None if moduli == radices else digit_map(radices * width, moduli * width))
+                for field, moduli in residue_fields(self.base)]
 
     def element_repr(self, a):
         return ";".join(",".join(str(x) for x in row) for row in self.rows(a))
@@ -915,17 +918,11 @@ def radical_spec(spec):
 
 
 def radical_quotient(ring):
-    """(R/J(R), projection): projection[x] is x's digits reduced mod the
-    radical steps and joined with the steps as radices.
-
-    R/J's digit vector is R's reduced mod the steps, less the digits of step
-    1, so the projection is the quotient map.  It numbers the cosets of J by
-    their least elements in increasing order, as `indsets._twin_quotient`
-    numbers the twin classes of R's unitary Cayley graph.  R/J has no more
-    elements or digits than R, so it is built with no cap check.
+    """(R/J(R), projection): R/J's digit vector is R's reduced mod the radical
+    steps, less the digits of step 1, so the projection is their `digit_map`.
+    It numbers the cosets of J by their least elements in increasing order, as
+    `indsets._twin_quotient` numbers the twin classes of R's unitary Cayley
+    graph.  R/J has no more elements or digits than R, so it is built with no
+    cap check.
     """
-    quotient = _build(radical_spec(ring.spec))
-    projection = [0]
-    for d, t in zip(ring.radices, ring.radical_steps):
-        projection = [p * t + c % t for p in projection for c in range(d)]
-    return quotient, projection
+    return _build(radical_spec(ring.spec)), digit_map(ring.radices, ring.radical_steps)

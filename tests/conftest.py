@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from ucayley.constructions import reduced_diagonal
 from ucayley.graphs import UGraph
 from ucayley.indsets import Budget, BudgetExceededError, WellCoveredReport
 from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, SpecConstraintError,
-                           TriRing, ZmRing, _EntryRing, spec_order)
+                           TriRing, ZmRing, _EntryRing, spec_order, split_digits)
 
 
 def brute_force_maximal_independent(g):
@@ -318,6 +319,49 @@ def entrywise_avoidance_partner(a_entries, n, field):
     ones = (field.one,) * (n - 1)
     a_prime = tuple(0 if t // n == i - 1 else e for t, e in enumerate(a_entries))
     return tuple(map(field.sub, a_prime, reduced_diagonal(n, k, i, ones, field)))
+
+
+def reduce_residue_fields(ring):
+    """Oracle: the residue fields of a commutative ring as (field, reduce)
+    pairs, one rule per ring class: `reduce` maps a list of R's indices to a
+    new list of their images, and `field` is a prime p when R/m = Z_p and
+    otherwise the GFRing R/m."""
+    if isinstance(ring, ZmRing):
+        return [(p, lambda xs, p=p: [x % p for x in xs]) for p in ring.spec.primes]
+    if isinstance(ring, GFRing):
+        return [(ring.p if ring.k == 1 else ring, list)]
+    assert isinstance(ring, ProdRing)
+    out = []
+    for c, factor in enumerate(ring.factors):
+        s, d = math.prod(f.order for f in ring.factors[c + 1:]), factor.order
+        out += [(field, lambda xs, s=s, d=d, reduce=reduce: reduce([x // s % d for x in xs]))
+                for field, reduce in reduce_residue_fields(factor)]
+    return out
+
+
+def reduce_row_map(base, n, reduce):
+    """Oracle: each row of base^n as a row of F^n under base's map `reduce`
+    onto F, entry by entry, or None when that map is the identity."""
+    d = base.order
+    image = reduce(list(range(d)))
+    if image == list(range(d)):
+        return None
+    q = max(image) + 1  # reduce maps the base onto F
+    out = []
+    for r in range(d ** n):
+        row = 0
+        for x in split_digits(r, (d,) * n):
+            row = row * q + image[x]
+        out.append(row)
+    return out
+
+
+def projection_loop(ring):
+    """Oracle: the projection onto R/J(R), one digit at a time."""
+    projection = [0]
+    for d, t in zip(ring.radices, ring.radical_steps):
+        projection = [p * t + c % t for p in projection for c in range(d)]
+    return projection
 
 
 def structural_add(ring, a, b):

@@ -469,17 +469,33 @@ def test_every_ring_command_exits_0_1_or_2(text, command, nodes, shelling):
 
 
 def _readme_commands():
+    """(argv, comment) for each `ucayley` line of README's command-line block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
-                if line.startswith("ucayley ")]
+    commands = [(shlex.split(line, comments=True)[1:], line.partition("#")[2].strip())
+                for line in block.splitlines() if line.startswith("ucayley ")]
     assert commands, "README has no command-line examples"
     return commands
 
 
-@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
-def test_readme_command_runs(capsys, argv):
-    assert run(capsys, *argv)[0] == 0
+_README_COMMANDS = _readme_commands()
+# the README lines whose comment ends with a line that the command prints
+_README_PROMISES = {"alpha --ring M(2,GF(2))": "4",
+                    "wellcovered --ring M(3,GF(2)) --budget-nodes 100": "alpha: >= 64"}
+
+
+@pytest.mark.parametrize("argv,comment", _README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in _README_COMMANDS])
+def test_readme_command_runs(capsys, argv, comment):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and "Traceback" not in out + err
+    promised = _README_PROMISES.get(" ".join(argv))
+    if promised is not None:
+        assert comment.endswith(promised) and promised in out.splitlines()
+
+
+def test_readme_promises_are_checked():
+    assert set(_README_PROMISES) <= {" ".join(argv) for argv, _ in _README_COMMANDS}
 
 
 def _leading_literal(comment):

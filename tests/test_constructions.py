@@ -158,7 +158,8 @@ class TestAvoidancePartner:
             assert not singular(diff, 2, f)
 
     def test_verify_checks_every_random_matrix_it_reports(self, monkeypatch):
-        # seed 2 draws a zero M_3(F_3) among its first 2,000: it is not counted
+        # every nonzero M_2(F_2) and M_2(F_3), and 2,000 draws among the nonzero
+        # M_3(F_3): seed 2 drew a zero matrix when entries were drawn one by one
         checked = []
 
         def counted(entries, n, field):
@@ -167,7 +168,7 @@ class TestAvoidancePartner:
         monkeypatch.setattr(constructions, "avoidance_partner", counted)
         detail = verify.check_avoidance_partner(verify._Ctx(seed=2), random_count=2000)
         assert detail.endswith("M_3(F_3): 2000 random matrices")
-        assert checked.count(3) == 2000
+        assert checked.count(3) == 2000 and checked.count(2) == 15 + 80
 
     @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
     def test_matches_entrywise_oracle_exhaustively(self, n, q):

@@ -11,15 +11,16 @@ from ucayley.graphs import build_graph
 from ucayley.indsets import _twin_quotient
 from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
                            SpecSyntaxError, T, TriRing, Z, ZmRing, det_entries, factorize,
-                           is_invertible, jacobson_radical,
+                           digit_map, is_commutative_spec, is_invertible, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, radical_quotient, residue_fields,
                            RingError, CapExceededError, ADD_TABLE_LIMIT, ROW_TABLE_LIMIT,
                            SCREEN_RUN, _build, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
-from ucayley.structure import classify_cm, ring_metadata, semisimple_quotient
+from ucayley.structure import classify_cm, classify_gorenstein, ring_metadata, semisimple_quotient
 from conftest import (RING_SPECS, PositionDictTriRing, digit_loop, gf_mul, leibniz_det,
-                      recursive_leaf_sum, recursive_spec_order, structural_add,
+                      projection_loop, recursive_leaf_sum, recursive_spec_order,
+                      reduce_residue_fields, reduce_row_map, structural_add,
                       structural_neg, trial_factorize)
 
 
@@ -283,6 +284,20 @@ class TestMakeRing:
             small = Prod((small, Z(1)))
         assert str(make_ring(small)) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(1))" * 300
 
+    @pytest.mark.parametrize("depth", [300, 450])
+    def test_equality_and_classification_on_nested_specs(self, depth):
+        # == and hash() of two copies built apart, and the theorems, which compare
+        # radical_spec(spec) with spec, against the same factors in one flat Prod
+        for first in (T(2, GF(3)), GF(3)):  # J(R) != 0, and J(R) = 0
+            deep, twin = Prod((first, M(2, Z(6)))), Prod((first, M(2, Z(6))))
+            for _ in range(depth):
+                deep, twin = Prod((deep, Z(2))), Prod((twin, Z(2)))
+            flat = Prod((first, M(2, Z(6))) + (Z(2),) * depth)
+            assert deep == twin and hash(deep) == hash(twin)
+            assert deep != flat and deep != Prod((twin, Z(1)))
+            assert classify_cm(deep) == classify_cm(flat)
+            assert classify_gorenstein(deep) == classify_gorenstein(flat)
+
     def test_zero_and_one(self):
         for text in ("Z(6)", "GF(9)", "M(2,GF(2))", "T(2,GF(3))", "prod(Z(4),GF(2))"):
             r = make_ring(text)
@@ -537,13 +552,14 @@ class TestUnits:
            st.integers(1, 4), st.randoms(use_true_random=False))
     def test_row_reduction_matches_cofactor_det(self, text, n, rng):
         base = make_ring(text)
-        residues = residue_fields(base)
+        images = [(field, digit_map(base.radices, moduli))
+                  for field, moduli in residue_fields(base)]
         ring = MatRing(n, base)
         for _ in range(10):
             entries = tuple(rng.randrange(base.order) for _ in range(n * n))
             rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
             want = base.is_unit(det_entries(rows, base))
-            assert is_invertible(entries, n, residues) == want
+            assert is_invertible(entries, n, images) == want
             assert ring.is_unit(ring.encode_entries(entries)) == want
         # rows past the bound, as Z(12)^3, are reduced entry by entry and build no table
         assert (ring._row_tables is None) == (base.order ** n > ROW_TABLE_LIMIT)
@@ -721,6 +737,65 @@ class TestQuotient:
         assert jacobson_radical(r) == rad
         if len(rad) > 1:
             assert _twin_quotient(build_graph(r))[0] == build_graph(q)
+
+
+def _same_residue_fields(ring):
+    """residue_fields(ring) against the per-class reduce oracle: the same
+    fields in the same order, each map as the oracle's reduce of every index."""
+    new, old = residue_fields(ring), reduce_residue_fields(ring)
+    assert len(new) == len(old)
+    for (field, moduli), (want, reduce) in zip(new, old):
+        assert isinstance(field, GFRing)
+        if not isinstance(want, int):  # GF(q) itself, as the oracle gives it
+            assert field is want
+        assert field.order == (want if isinstance(want, int) else want.order)
+        assert digit_map(ring.radices, moduli) == reduce(list(range(ring.order)))
+
+
+class TestDigitMap:
+    def test_small_maps(self):
+        assert digit_map((), ()) == [0]
+        assert digit_map((12,), (2,)) == [x % 2 for x in range(12)]
+        assert digit_map((4, 3), (2, 1)) == [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1]
+        assert digit_map((2, 3), (2, 3)) == list(range(6))
+
+    @pytest.mark.parametrize("text", ["Z(12)", "Z(36)", "prod(Z(2),GF(4),Z(9))", "Z(1)",
+                                      "GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)", "Z(4)",
+                                      "Z(6)", "prod(Z(2),GF(3))", "prod(Z(4),Z(1),GF(9))"])
+    def test_residue_fields_match_reduce_oracle(self, text):
+        _same_residue_fields(make_ring(text))
+
+    @pytest.mark.parametrize("text,n", [("Z(4)", 2), ("Z(6)", 3), ("Z(12)", 2), ("GF(4)", 3),
+                                        ("GF(9)", 2), ("prod(Z(2),GF(3))", 2),
+                                        ("prod(Z(2),GF(4))", 2), ("Z(9)", 2)])
+    def test_row_maps_match_reduce_oracle(self, text, n):
+        # the M(n, A) row maps onto F^n, and entry images past the table bound
+        base = make_ring(text)
+        old = reduce_residue_fields(base)
+        assert [(f.order, m) for f, m in MatRing(n, base)._quotient_maps] == \
+            [(f if isinstance(f, int) else f.order, reduce_row_map(base, n, reduce))
+             for f, reduce in old]
+        wide = next(k for k in itertools.count(n) if base.order ** k > ROW_TABLE_LIMIT)
+        assert [m for _, m in MatRing(wide, base)._quotient_maps] == \
+            [reduce_row_map(base, 1, reduce) for _, reduce in old]
+
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS, st.randoms(use_true_random=False))
+    def test_random_specs_match_oracles(self, spec, rng):
+        ring = make_ring(spec)
+        assert digit_map(ring.radices, ring.radical_steps) == projection_loop(ring)
+        # any divisor of each radix: each index's digits reduced one by one
+        moduli = tuple(rng.choice([t for t in range(1, d + 1) if d % t == 0])
+                       for d in ring.radices)
+        assert digit_map(ring.radices, moduli) == [
+            join_digits([x % t for x, t in zip(split_digits(a, ring.radices), moduli)], moduli)
+            for a in range(ring.order)]
+        if is_commutative_spec(ring.spec):
+            _same_residue_fields(ring)
+        if isinstance(ring, MatRing) and not isinstance(ring, TriRing):
+            assert [m for _, m in ring._quotient_maps] == [
+                reduce_row_map(ring.base, ring.n if ring._row_radix <= ROW_TABLE_LIMIT else 1,
+                               reduce) for _, reduce in reduce_residue_fields(ring.base)]
 
 
 def test_ring_metadata():
