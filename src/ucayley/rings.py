@@ -106,23 +106,30 @@ def factorize(m):
 #   primes, factored on first use, since Z(m) needs none to be valid and one too
 #   large to factor must still reach make_ring's cap check.
 
+# deeper specs are refused, so the recursive spec functions stay far from Python's limit
+MAX_SPEC_DEPTH = 64
+
+
 class _SpecText:
-    """A spec's str() and repr() are its text, as parse_spec reads it, and its
-    == and hash() compare class and text, so they need no recursion."""
+    """A spec's str() and repr() are its text, as parse_spec reads it.  Its
+    depth is 1 for Z and GF, and one more than its deepest part's for M, T and
+    prod; a spec that would be deeper than MAX_SPEC_DEPTH is refused."""
+
+    depth = 1
 
     def __str__(self):
         return _spec_text(self)
 
     __repr__ = __str__
 
-    def __eq__(self, other):
-        return type(other) is type(self) and _spec_text(self) == _spec_text(other)
+    def _nest(self, *parts):
+        depth = 1 + max(part.depth for part in parts)
+        if depth > MAX_SPEC_DEPTH:
+            raise SpecConstraintError("specs nest at most %d deep" % MAX_SPEC_DEPTH)
+        object.__setattr__(self, "depth", depth)
 
-    def __hash__(self):
-        return hash(_spec_text(self))
 
-
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, repr=False)
 class Z(_SpecText):
     m: int
 
@@ -136,11 +143,11 @@ class Z(_SpecText):
         return factorize(self.m)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, repr=False)
 class GF(_SpecText):
     q: int
-    p: int = field(init=False)  # q = p^k
-    k: int = field(init=False)
+    p: int = field(init=False, compare=False)  # q = p^k
+    k: int = field(init=False, compare=False)
 
     def __post_init__(self):
         fs = factorize(self.q)  # {} for q < 2
@@ -151,7 +158,7 @@ class GF(_SpecText):
         object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, repr=False)
 class M(_SpecText):
     n: int
     base: object
@@ -161,9 +168,10 @@ class M(_SpecText):
             raise SpecConstraintError("M(n,...) requires n >= 1")
         if not is_commutative_spec(self.base):
             raise SpecConstraintError("M requires a commutative base, got %s" % self.base)
+        self._nest(self.base)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, repr=False)
 class T(_SpecText):
     n: int
     base: object
@@ -174,9 +182,10 @@ class T(_SpecText):
         base = self.base
         if not (isinstance(base, GF) or isinstance(base, Z) and base.primes == {base.m: 1}):
             raise SpecConstraintError("T requires a field base (GF(q) or Z(p), p prime), got %s" % self.base)
+        self._nest(base)
 
 
-@dataclass(frozen=True, repr=False, eq=False)
+@dataclass(frozen=True, repr=False)
 class Prod(_SpecText):
     factors: tuple
 
@@ -186,6 +195,7 @@ class Prod(_SpecText):
         for f in self.factors:
             if not isinstance(f, SPECS):
                 raise SpecConstraintError("not a ring spec: %r" % (f,))
+        self._nest(*self.factors)
 
 
 SPECS = (Z, GF, M, T, Prod)
@@ -200,27 +210,14 @@ def is_commutative_spec(spec):
 
 
 def _spec_text(spec):
-    """The text of a spec, by one explicit-stack walk like `_leaves`: a spec
-    built in Python may nest deeper than the recursion limit."""
-    out, stack = [], [spec]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        elif isinstance(node, Z):
-            out.append("Z(%d)" % node.m)
-        elif isinstance(node, GF):
-            out.append("GF(%d)" % node.q)
-        elif isinstance(node, (M, T)):
-            out.append("%s(%d," % ("M" if isinstance(node, M) else "T", node.n))
-            stack += (")", node.base)
-        else:
-            out.append("prod(")
-            stack.append(")")
-            for f in reversed(node.factors[1:]):
-                stack += (f, ",")
-            stack.append(node.factors[0])
-    return "".join(out)
+    """The text of a spec, as parse_spec reads it."""
+    if isinstance(spec, Z):
+        return "Z(%d)" % spec.m
+    if isinstance(spec, GF):
+        return "GF(%d)" % spec.q
+    if isinstance(spec, Prod):
+        return "prod(%s)" % ",".join(map(_spec_text, spec.factors))
+    return "%s(%d,%s)" % (type(spec).__name__, spec.n, _spec_text(spec.base))
 
 
 def _leaves(spec):
@@ -261,9 +258,6 @@ def _order_log2_64ths(spec):
 # ---------------------------------------------------------------------------
 # spec parser
 #   spec := Z(m) | GF(q) | M(n,spec) | T(n,spec) | prod(spec{,spec})
-
-# deeper specs are refused, so the recursive spec functions stay far from Python's limit
-MAX_SPEC_DEPTH = 64
 
 # int() reads at most this many digits
 MAX_SPEC_DIGITS = 4300

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RING_SPECS
+from ucayley import indsets
 from ucayley.cli import main
 from ucayley.rings import spec_order
 
@@ -256,6 +257,17 @@ class TestExitCodes:
         # the Z(2) at depth 65 follows 64 "prod(" of 5 characters each
         assert err == "error: syntax error at position 320: specs nest at most 64 deep\n"
 
+    def test_product_witness_ring_nests_at_most_64_deep(self, capsys):
+        # the ring built, R x M_n(F_q), is one level deeper than R
+        ring = "prod(" * 63 + "Z(2)" + ")" * 63
+        code, out, err = run(capsys, "construct", "product-witness", "--ring", ring,
+                             "--n", "2", "--q", "2")
+        assert code == 1 and out == ""
+        assert err == "error: specs nest at most 64 deep\n"
+        code, out, _ = run(capsys, "construct", "product-witness", "--ring", ring[len("prod("):-1],
+                           "--n", "2", "--q", "2")
+        assert code == 0 and out.startswith("witness size 11 vs competing maximal set size 16\n")
+
     def test_inconclusive_budget(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(3))",
                            "--budget-nodes", "3")
@@ -496,6 +508,14 @@ def test_readme_command_runs(capsys, argv, comment):
 
 def test_readme_promises_are_checked():
     assert set(_README_PROMISES) <= {" ".join(argv) for argv, _ in _README_COMMANDS}
+
+
+def test_readme_lists_every_reduction():
+    # each reduction a budget can record is a bullet of README's Library section
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    for name in (indsets.TWIN_QUOTIENT, indsets.VERTEX_ZERO, indsets.CLIQUE_BOUND):
+        assert "\n- `%s`: " % name in library, name
 
 
 def _leading_literal(comment):

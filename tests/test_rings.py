@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ucayley import rings
 from ucayley.graphs import build_graph
-from ucayley.indsets import _twin_quotient
+from ucayley.indsets import _twin_quotient, independence_number, is_well_covered
 from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
                            SpecSyntaxError, T, TriRing, Z, ZmRing, det_entries, factorize,
                            digit_map, is_commutative_spec, is_invertible, jacobson_radical,
@@ -17,7 +17,8 @@ from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstrain
                            RingError, CapExceededError, ADD_TABLE_LIMIT, ROW_TABLE_LIMIT,
                            SCREEN_RUN, _build, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
-from ucayley.structure import classify_cm, classify_gorenstein, ring_metadata, semisimple_quotient
+from ucayley.structure import (classify_cm, classify_gorenstein, classify_well_covered,
+                               ring_metadata, semisimple_quotient)
 from conftest import (RING_SPECS, PositionDictTriRing, digit_loop, gf_mul, leibniz_det,
                       projection_loop, recursive_leaf_sum, recursive_spec_order,
                       reduce_residue_fields, reduce_row_map, structural_add,
@@ -29,6 +30,16 @@ def _prime_from(x):
     while trial_factorize(x) != {x: 1}:
         x += 1
     return x
+
+
+def _deep_and_flat(inner, depth):
+    """`inner` inside prod(..., Z(1)) layers, `depth` deep in all, and the flat
+    prod of inner and as many Z(1)s: Z(1) adds a digit of radix 1, so both
+    specs give one ring with the same indices."""
+    deep = inner
+    while deep.depth < depth:
+        deep = Prod((deep, Z(1)))
+    return deep, Prod((inner,) + (Z(1),) * (depth - inner.depth))
 
 
 def _factors_or_error(factor, m):
@@ -275,28 +286,63 @@ class TestMakeRing:
             (Z(2), 1), (GF(4), 6), (Z(4), 4), (GF(9), 4), (Z(5), 3), (Z(1), 9)]))
         assert spec_order(spec) == recursive_spec_order(spec)
         deep = Prod((T(2, GF(3)), M(2, Z(6))))
-        for _ in range(300):  # deeper than the parser allows
+        for _ in range(61):  # to the 64 levels a spec may nest
             deep = Prod((deep, Z(2)))
-        assert spec_order(deep) == recursive_spec_order(deep) == 27 * 6 ** 4 * 2 ** 300
-        assert str(deep) == repr(deep) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(2))" * 300
-        small = Prod((T(2, GF(3)), M(2, Z(6))))
-        for _ in range(300):  # Z(1) factors keep the ring within the cap
-            small = Prod((small, Z(1)))
-        assert str(make_ring(small)) == "prod(" * 301 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(1))" * 300
+        assert deep.depth == 64
+        assert spec_order(deep) == recursive_spec_order(deep) == 27 * 6 ** 4 * 2 ** 61
+        assert str(deep) == repr(deep) == "prod(" * 62 + "T(2,GF(3)),M(2,Z(6)))" + ",Z(2))" * 61
 
-    @pytest.mark.parametrize("depth", [300, 450])
-    def test_equality_and_classification_on_nested_specs(self, depth):
-        # == and hash() of two copies built apart, and the theorems, which compare
-        # radical_spec(spec) with spec, against the same factors in one flat Prod
-        for first in (T(2, GF(3)), GF(3)):  # J(R) != 0, and J(R) = 0
-            deep, twin = Prod((first, M(2, Z(6)))), Prod((first, M(2, Z(6))))
-            for _ in range(depth):
-                deep, twin = Prod((deep, Z(2))), Prod((twin, Z(2)))
-            flat = Prod((first, M(2, Z(6))) + (Z(2),) * depth)
-            assert deep == twin and hash(deep) == hash(twin)
-            assert deep != flat and deep != Prod((twin, Z(1)))
-            assert classify_cm(deep) == classify_cm(flat)
-            assert classify_gorenstein(deep) == classify_gorenstein(flat)
+    def test_specs_nest_at_most_64_deep(self):
+        # the parser's limit holds for specs made in Python too: the constructor
+        # that would reach 65 levels refuses the spec
+        specs = (Z(2), GF(4), T(2, GF(4)), M(2, Prod((Z(2), Z(3)))))
+        assert [spec.depth for spec in specs] == [1, 1, 2, 3]
+        nest = Z(2)
+        for _ in range(62):
+            nest = Prod((nest,))
+        assert nest.depth == 63 and M(2, nest).depth == 64
+        deep = Prod((Z(3), nest))
+        assert deep.depth == 64 and parse_spec(str(deep)) == deep
+        for make in (lambda: Prod((deep,)), lambda: Prod((Z(2), deep, GF(2))),
+                     lambda: M(2, deep), lambda: Prod((M(2, nest),))):
+            with pytest.raises(SpecConstraintError, match=r"^specs nest at most 64 deep$"):
+                make()
+
+    @pytest.mark.parametrize("deep,flat", [_deep_and_flat(Prod((GF(4), Z(12))), 64),
+                                           _deep_and_flat(Prod((GF(3), Z(6))), 64),
+                                           tuple(M(2, s) for s in _deep_and_flat(Z(4), 63))],
+                             ids=["prod-J-nonzero", "prod-J-zero", "M-over-prod"])
+    def test_every_question_answers_at_64_levels(self, deep, flat):
+        # the 64-deep spec against the flat one with the same digits, so the same
+        # ring indices, graph and answers
+        text = str(deep)
+        assert deep.depth == 64 and repr(deep) == text
+        assert parse_spec(text) == deep != flat and hash(parse_spec(text)) == hash(deep)
+        assert spec_order(deep) == recursive_spec_order(deep) == spec_order(flat)
+        ring, flat_ring = make_ring(deep), make_ring(flat)
+        assert str(ring) == text and ring.radices == flat_ring.radices
+        units = ring.units()
+        assert units == flat_ring.units()
+        x = units[-1]
+        assert ring.mul(x, x) == flat_ring.mul(x, x)
+        # a product's elements print as nested tuples, in the flat one's order
+        assert (ring.element_repr(x).replace("(", "").replace(")", "")
+                == flat_ring.element_repr(x).replace("(", "").replace(")", ""))
+        g, flat_g = build_graph(ring), build_graph(flat_ring)
+        assert g.adj == flat_g.adj
+        assert independence_number(g) == independence_number(flat_g)
+        assert is_well_covered(g).to_json() == is_well_covered(flat_g).to_json()
+        (quot, proj), (flat_quot, flat_proj) = radical_quotient(ring), radical_quotient(flat_ring)
+        assert proj == flat_proj and quot.radices == flat_quot.radices
+        base, flat_base = (ring.base, flat_ring.base) if isinstance(deep, M) else (ring, flat_ring)
+        assert ([(f.order, moduli) for f, moduli in residue_fields(base)]
+                == [(f.order, moduli) for f, moduli in residue_fields(flat_base)])
+        assert semisimple_quotient(deep) == semisimple_quotient(flat)
+        meta = ring_metadata(ring)
+        assert meta == dict(ring_metadata(flat_ring), spec=text)
+        assert meta["unit_count"] == len(units)
+        for classify in (classify_well_covered, classify_cm, classify_gorenstein):
+            assert classify(deep) == classify(flat)
 
     def test_zero_and_one(self):
         for text in ("Z(6)", "GF(9)", "M(2,GF(2))", "T(2,GF(3))", "prod(Z(4),GF(2))"):

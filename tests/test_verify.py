@@ -1,16 +1,21 @@
-"""The matrix checks of `verify` report a failure when the unit test under
-them answers wrongly: each is run as `run_checks` runs it, with every
-`MatRing` unit test answering one fixed value."""
+"""The checks of `verify` report a failure when a function under them
+answers wrongly: each is run as `run_checks` runs it, with the matrix checks'
+`MatRing` unit test answering one fixed value, or with one other function
+patched to drop or flip part of its answer."""
+
+import dataclasses
 
 from ucayley import verify
-from ucayley.rings import MatRing
+from ucayley.rings import MatRing, Ring
 
 
-def _report(monkeypatch, check_id, ctx, unit):
-    """run_checks' result for the one small check `check_id`, run on ctx."""
+def _report(monkeypatch, check_id, ctx, unit=None):
+    """run_checks' result for the one small check `check_id`, run on ctx, with
+    every `MatRing` unit test answering `unit` unless it is None."""
     (description, fn), = [(d, f) for cid, d, f in verify.SMALL_CHECKS if cid == check_id]
     monkeypatch.setattr(verify, "SMALL_CHECKS", [(check_id, description, lambda _: fn(ctx))])
-    monkeypatch.setattr(MatRing, "_unit", lambda self, a: unit)
+    if unit is not None:
+        monkeypatch.setattr(MatRing, "_unit", lambda self, a: unit)
     report = verify.run_checks()
     assert not report["passed"]
     (result,) = report["checks"]
@@ -38,3 +43,39 @@ def test_avoidance_fails_when_no_matrix_is_a_unit(monkeypatch):
 def test_avoidance_fails_when_every_matrix_is_a_unit(monkeypatch):
     detail = _report(monkeypatch, "lem-ab-avoidance", verify._Ctx(), True)
     assert detail == "B is a unit for A=(0, 0, 0, 1) in M_2(F_2)"
+
+
+def test_radical_check_fails_when_the_radical_drops_an_element(monkeypatch):
+    radical = verify.jacobson_radical
+    monkeypatch.setattr(verify, "jacobson_radical", lambda ring: radical(ring)[:-1])
+    detail = _report(monkeypatch, "prop-rj-z4", verify._Ctx())
+    assert detail == "Z(4): structured and brute-force radicals disagree"
+
+
+def test_unit_count_fails_when_a_unit_is_missed(monkeypatch):
+    units = Ring.units
+    monkeypatch.setattr(Ring, "units", lambda self: units(self)[1:])
+    detail = _report(monkeypatch, "prop-prod-unit-count", verify._Ctx())
+    assert detail == "|U(M_2(F_2))| = 5, expected 6"
+
+
+def test_conjunction_check_fails_when_an_edge_is_dropped(monkeypatch):
+    product = verify.conjunction_product
+
+    def without_an_edge(g1, g2):
+        g = product(g1, g2)
+        v = g.adj[0].bit_length() - 1  # the last neighbour of vertex 0
+        g.adj[0] ^= 1 << v
+        g.adj[v] ^= 1
+        return g
+    monkeypatch.setattr(verify, "conjunction_product", without_an_edge)
+    detail = _report(monkeypatch, "conj-product-identity", verify._Ctx())
+    assert detail == "conjunction product mismatch for Z(2) x Z(3)"
+
+
+def test_classification_check_fails_when_an_answer_is_flipped(monkeypatch):
+    classify = verify.classify_well_covered
+    monkeypatch.setattr(verify, "classify_well_covered", lambda text: dataclasses.replace(
+        classify(text), answer=not classify(text).answer))
+    detail = _report(monkeypatch, "thm-classify-vs-enum", verify._Ctx())
+    assert detail == "Z(1): theorem says False, enumeration says yes"
