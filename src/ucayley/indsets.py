@@ -14,10 +14,13 @@ exhaustive oracle.  The two search questions, `independence_number` and
   runs on the quotient graph.  For Gamma(R) the classes are the cosets of
   J(R), so the quotient is Gamma(R/J).  alpha and every maximal-set size
   scale by w, and a witness lifts to the union of its classes.
-- Vertex 0.  A vertex-transitive graph (`UGraph.transitive`, true for every
-  Gamma(R)) has a maximum independent set through vertex 0, so alpha is
-  1 + alpha of the non-neighbours of 0.  Used for alpha only: the counts of
-  maximal sets are always those of the whole graph.
+- Vertex 0.  In a vertex-transitive graph (`UGraph.transitive`, true for
+  every Gamma(R)) an automorphism takes any maximal independent set to one
+  through vertex 0.  So alpha is 1 + alpha of the non-neighbours of 0, and
+  the well-covered search enumerates only the maximal sets through 0.  Each
+  vertex lies in the same number c_k of maximal k-sets, so the graph has
+  n c_k / k of them (double counting): the counts of a "yes" are those of
+  the whole graph.
 - Clique bound.  A vertex-transitive graph on n vertices with a clique K has
   alpha * |K| <= n (the clique-coclique bound, Godsil-Meagher 2015, Ch. 2).
   A greedy clique from vertex 0 gives the target n // |K|, and the alpha
@@ -110,10 +113,16 @@ def enumerate_maximal_independent(g, budget=None):
         budget = Budget()
     if g.n == 0:
         return
-    non = _nonadjacency(g)
-    chosen = []
+    yield from _maximal_sets(_nonadjacency(g), [], (1 << g.n) - 1, budget)
+
+
+def _maximal_sets(non, root, P, budget):
+    """Yield root plus each maximal independent set of the graph induced on
+    P, as sorted tuples, where P holds the common non-neighbours of the
+    independent set root; Bron-Kerbosch on an explicit stack from X = {}."""
+    chosen, base = list(root), len(root) - 1
     stack = []
-    P, X = (1 << g.n) - 1, 0
+    X = 0
     while True:
         budget.tick()
         if P == 0 and X == 0:
@@ -136,7 +145,7 @@ def enumerate_maximal_independent(g, budget=None):
         b = todo & -todo
         v = b.bit_length() - 1
         frame[0], frame[1], frame[2] = P ^ b, X | b, todo ^ b
-        del chosen[len(stack) - 1:]
+        del chosen[base + len(stack):]
         chosen.append(v)
         P, X = P & non[v], X & non[v]
 
@@ -306,23 +315,33 @@ class WellCoveredReport:
 def is_well_covered(g, budget=None):
     """Decide whether all maximal independent sets of g share one size.
 
-    The maximal sets are enumerated on the twin quotient, and `counts` maps
-    each size in g to its number of sets.  Full-enumeration verdict when the
-    budget allows; a "no" is returned as soon as two maximal sets of
-    different sizes are seen, with the smaller one as witness, and alpha is
-    then searched on the quotient under the same budget.  If that trips, the
-    "no" stands and alpha is the best size seen, with alpha_exact false.  A
-    tripped budget without a witness is "inconclusive", with alpha a lower
-    bound.
+    The maximal sets are enumerated on the twin quotient h, and `counts`
+    maps each size in g to its number of sets.  On a transitive h only the
+    sets through vertex 0 are enumerated: each vertex lies in the same
+    number c_k of maximal k-sets, so h has h.n c_k / k of them.  `counts`
+    is exact on a "yes"; on a "no" or "inconclusive" it holds the sets seen,
+    each a lower bound.  Full-enumeration verdict when the budget allows; a
+    "no" is returned as soon as two maximal sets of different sizes are
+    seen, with the smaller one as witness, and alpha is then searched on the
+    quotient under the same budget.  If that trips, the "no" stands and
+    alpha is the best size seen, with alpha_exact false.  A tripped budget
+    without a witness is "inconclusive", with alpha a lower bound.
     """
     if budget is None:
         budget = Budget()
     h, classes, w = _reduce(g, budget)
+    rooted = h.transitive and h.n > 0
+    if rooted:
+        budget.note(VERTEX_ZERO)
+        non = _nonadjacency(h)
+        sets = _maximal_sets(non, [0], non[0], budget)
+    else:
+        sets = enumerate_maximal_independent(h, budget)
     counts = {}
     smallest = largest = None
     exhausted = False
     try:
-        for s in enumerate_maximal_independent(h, budget):
+        for s in sets:
             counts[w * len(s)] = counts.get(w * len(s), 0) + 1
             if smallest is None or len(s) < len(smallest):
                 smallest = s
@@ -342,6 +361,12 @@ def is_well_covered(g, budget=None):
     alpha = max(counts) if counts else 0
     if exhausted:
         return WellCoveredReport("inconclusive", alpha, counts=counts, alpha_exact=False)
+    if rooted:  # double counting: h.n c_k = k (the number of maximal k-sets)
+        for size, c in counts.items():
+            k = size // w
+            if h.n * c % k:
+                raise ValueError("a graph marked transitive is not vertex-transitive")
+            counts[size] = h.n * c // k
     return WellCoveredReport("yes", alpha, counts=counts)
 
 

@@ -314,6 +314,16 @@ class TestReducedSearch:
         assert code == 0 and payload["answer"] == "no" and payload["alpha_exact"] is True
         assert payload["stats"]["reductions"] == ["twin-quotient", "vertex-0"]
 
+    def test_wellcovered_m2f9_yes_from_vertex_0(self, capsys):
+        code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(9))", "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["answer"] == "yes" and payload["counts"] == {"81": 1620}
+        assert payload["stats"]["reductions"] == ["vertex-0"]
+
+    def test_wellcovered_m2f7_trips_its_node_budget(self, capsys):
+        code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(7))", "--budget-nodes", "1000")
+        assert code == 2 and "well-covered: inconclusive" in out
+
     def test_no_answer_kept_when_alpha_trips(self, capsys):
         code, out, err = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
                              "--budget-nodes", "100")

@@ -234,6 +234,25 @@ def check_alpha_oracles(spec):
     return g, alpha
 
 
+def check_against_enumeration(g, rep):
+    """rep checked against `enumerate_maximal_independent` on g as given.  A
+    "yes" must count every maximal set; a "no" needs a maximal witness below
+    alpha, and the enumeration runs until it has seen at least as many sets
+    of each size as rep counted."""
+    seen = {}
+    for s in enumerate_maximal_independent(g):
+        seen[len(s)] = seen.get(len(s), 0) + 1
+        if rep.answer == "no" and all(seen.get(k, 0) >= c for k, c in rep.counts.items()):
+            break
+    if rep.answer == "yes":
+        assert rep.counts == seen and rep.alpha == max(seen, default=0)
+    else:
+        assert rep.answer == "no"
+        assert is_maximal_independent(g, rep.witness_small)
+        assert len(rep.witness_small) < rep.alpha
+        assert all(seen.get(k, 0) >= c for k, c in rep.counts.items())
+
+
 def blow_up(base, sizes, rng):
     """base with vertex i replaced by sizes[i] pairwise non-adjacent twins,
     the vertices shuffled so that no class is contiguous."""
@@ -381,9 +400,11 @@ class TestCliqueBound:
     @pytest.mark.parametrize("text", CATALOG + SEARCH_EXTRA)
     def test_catalog_and_search_rings_match_the_oracles(self, text):
         g, alpha = check_alpha_oracles(parse_spec(text))
-        rep = is_well_covered(g)
-        assert rep.alpha == alpha and rep.alpha_exact
+        budget = Budget()
+        rep = is_well_covered(g, budget)
+        assert rep.alpha == alpha and rep.alpha_exact and VERTEX_ZERO in budget.reductions
         assert (rep.answer == "yes") == classify_well_covered(text).answer
+        check_against_enumeration(g, rep)
 
     @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)])
     def test_matrix_ring_clique_is_a_subfield(self, n, q):
@@ -399,7 +420,7 @@ class TestCliqueBound:
         assert budget.nodes == 64 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
         budget = Budget()
         assert is_well_covered(g, budget).alpha_exact
-        assert budget.nodes == 133 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
+        assert budget.nodes == 132 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
         assert alpha_without_target(g) == (64, 393)
 
     def test_bound_not_noted_when_the_search_ends_there_anyway(self):
@@ -428,6 +449,58 @@ class TestCliqueBound:
         assert rep.alpha == brute_force_alpha(g) and rep.alpha_exact
         assert CLIQUE_BOUND not in budget.reductions and VERTEX_ZERO not in budget.reductions
         assert targets and all(t == math.inf for t in targets)
+
+
+class TestVertexZero:
+    @pytest.mark.parametrize("q, nodes", [(2, 23), (3, 123), (4, 372), (5, 868),
+                                          (7, 3113), (8, 5178), (9, 8122)])
+    def test_m2fq_has_2_q_plus_1_q_squared_facets(self, q, nodes):
+        budget = Budget()
+        rep = is_well_covered(build_graph(make_ring("M(2,GF(%d))" % q)), budget)
+        assert rep.answer == "yes" and rep.counts == {q * q: 2 * (q + 1) * q * q}
+        assert budget.stats() == {"nodes": nodes, "reductions": [VERTEX_ZERO]}
+
+    @pytest.mark.parametrize("text", ["Z(6)", "GF(4)", "M(2,GF(2))", "M(2,GF(3))",
+                                      "prod(Z(2),Z(3))", "prod(Z(2),M(2,GF(2)))"])
+    def test_rooted_stream_is_the_first_subtree(self, text):
+        # every vertex ties for the first pivot, so the unrooted search branches
+        # on vertex 0 first: a "no" has the same witness and counts either way
+        g = build_graph(make_ring(text))
+        non = indsets._nonadjacency(g)
+        rooted, full = Budget(), Budget()
+        sets = list(indsets._maximal_sets(non, [0], non[0], rooted))
+        stream = list(enumerate_maximal_independent(g, full))
+        assert sets == stream[:len(sets)] == [s for s in stream if 0 in s]
+        assert rooted.nodes < full.nodes
+
+    @pytest.mark.parametrize("p", [0.2, 0.6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_transitive_graph_keeps_the_unrooted_stream(self, monkeypatch, p, seed):
+        roots = []
+        kernel = indsets._maximal_sets
+
+        def spy(non, root, P, budget):
+            roots.append((list(root), P))
+            return kernel(non, root, P, budget)
+        monkeypatch.setattr(indsets, "_maximal_sets", spy)
+        g = random_graph(10, p, seed + 400)
+        budget, enum_budget = Budget(), Budget()
+        rep = is_well_covered(g, budget)
+        want = seed_is_well_covered(g, enum_budget)
+        assert roots == [([], (1 << g.n) - 1)] and VERTEX_ZERO not in budget.reductions
+        assert (rep.answer, rep.alpha, rep.counts, rep.witness_small) == \
+            (want.answer, want.alpha, want.counts, want.witness_small)
+        alpha_budget = Budget()
+        if rep.answer == "no":
+            independence_number(g, alpha_budget)
+        assert budget.nodes == enum_budget.nodes + alpha_budget.nodes
+
+    def test_graph_wrongly_marked_transitive_is_refused(self):
+        path = UGraph(3, transitive=True)  # 0 - 1 - 2: {0, 2} counted 3 / 2 times
+        path.add_edge(0, 1)
+        path.add_edge(1, 2)
+        with pytest.raises(ValueError, match="not vertex-transitive"):
+            is_well_covered(path)
 
 
 class TestGenericGraphs:
@@ -460,7 +533,7 @@ class TestBudgetContract:
         assert Budget(max_nodes=1, max_seconds=1e-9).stats() == {"nodes": 0, "reductions": []}
 
     def test_no_answer_survives_a_tripped_alpha_step(self):
-        # the "no" comes at node 69 and the alpha step would end at node 133
+        # the "no" comes at node 68 and the alpha step would end at node 132
         g = build_graph(make_ring("M(3,GF(2))"))
         budget = Budget(max_nodes=100)
         rep = is_well_covered(g, budget)
