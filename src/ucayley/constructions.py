@@ -120,6 +120,8 @@ def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
     """
     if n <= 1:
         raise ValueError("requires n > 1")
+    if r_ring.order == 1:  # 0 is a unit of the zero ring, so M x X is not independent
+        raise ValueError("requires a nonzero ring R")
     mat = MatRing(n, field)
     g_r = build_graph(r_ring, cap=graph_cap)
     m_set = greedy_extend(g_r, ())

@@ -20,7 +20,8 @@ exhaustive oracle.  The two search questions, `independence_number` and
   the well-covered search enumerates only the maximal sets through 0.  Each
   vertex lies in the same number c_k of maximal k-sets, so the graph has
   n c_k / k of them (double counting): the counts of a "yes" are those of
-  the whole graph.
+  the whole graph.  Both searches start through one helper, `_start`,
+  which roots them at vertex 0 when the graph is transitive.
 - Clique bound.  A vertex-transitive graph on n vertices with a clique K has
   alpha * |K| <= n (the clique-coclique bound, Godsil-Meagher 2015, Ch. 2).
   A greedy clique from vertex 0 gives the target n // |K|, and the alpha
@@ -111,8 +112,6 @@ def enumerate_maximal_independent(g, budget=None):
     """
     if budget is None:
         budget = Budget()
-    if g.n == 0:
-        return
     yield from _maximal_sets(_nonadjacency(g), [], (1 << g.n) - 1, budget)
 
 
@@ -184,6 +183,17 @@ def _reduce(g, budget):
     return h, classes, len(classes[0])
 
 
+def _start(h, budget):
+    """(non, root, P): h's non-adjacency rows and where a search of h begins,
+    from root [0] over the non-neighbours of 0 on a transitive h, else from
+    the empty root over every vertex."""
+    non = _nonadjacency(h)
+    if h.transitive and h.n:
+        budget.note(VERTEX_ZERO)
+        return non, [0], non[0]
+    return non, [], (1 << h.n) - 1
+
+
 def _lift(s, classes):
     """A sorted vertex set of the quotient lifted to the union of its twin
     classes (unchanged when classes is None: no quotient was taken)."""
@@ -225,7 +235,7 @@ def _greedy_clique(adj):
     return size
 
 
-def _max_extension(adj, non, size, P, budget, target=math.inf):
+def _max_extension(adj, non, size, P, budget, target):
     """size + the largest independent subset of P, where P holds the common
     non-neighbours of `size` chosen vertices; branch and bound on an explicit
     stack.
@@ -272,15 +282,10 @@ def independence_number(g, budget=None):
     if budget is None:
         budget = Budget()
     h, _, w = _reduce(g, budget)
-    if h.n == 0:
-        return 0
-    non = _nonadjacency(h)
-    size, P, target = 0, (1 << h.n) - 1, math.inf
-    if h.transitive:
-        budget.note(VERTEX_ZERO)
-        size, P, target = 1, non[0], h.n // _greedy_clique(h.adj)
+    non, root, P = _start(h, budget)
+    target = h.n // _greedy_clique(h.adj) if root else math.inf
     try:
-        return w * _max_extension(h.adj, non, size, P, budget, target)
+        return w * _max_extension(h.adj, non, len(root), P, budget, target)
     except BudgetExceededError as exc:
         exc.best *= w
         raise
@@ -330,44 +335,31 @@ def is_well_covered(g, budget=None):
     if budget is None:
         budget = Budget()
     h, classes, w = _reduce(g, budget)
-    rooted = h.transitive and h.n > 0
-    if rooted:
-        budget.note(VERTEX_ZERO)
-        non = _nonadjacency(h)
-        sets = _maximal_sets(non, [0], non[0], budget)
-    else:
-        sets = enumerate_maximal_independent(h, budget)
-    counts = {}
-    smallest = largest = None
-    exhausted = False
+    non, root, P = _start(h, budget)
+    counts, first = {}, None
     try:
-        for s in sets:
+        for s in _maximal_sets(non, root, P, budget):
             counts[w * len(s)] = counts.get(w * len(s), 0) + 1
-            if smallest is None or len(s) < len(smallest):
-                smallest = s
-            if largest is None or len(s) > len(largest):
-                largest = s
-            if len(smallest) < len(largest):
-                break
+            if first is None:
+                first = s
+            elif len(s) != len(first):
+                small, large = sorted((first, s), key=len)
+                try:  # h has no twins, so alpha(g) = w alpha(h)
+                    alpha, exact = w * independence_number(h, budget), True
+                except BudgetExceededError as exc:
+                    alpha, exact = w * max(len(large), exc.best), False
+                return WellCoveredReport("no", alpha, witness_small=_lift(small, classes),
+                                         counts=counts, alpha_exact=exact)
     except BudgetExceededError:
-        exhausted = True
-    if smallest is not None and largest is not None and len(smallest) < len(largest):
-        smallest = _lift(smallest, classes)
-        try:  # h has no twins, so alpha(g) = w alpha(h)
-            alpha, exact = w * independence_number(h, budget), True
-        except BudgetExceededError as exc:
-            alpha, exact = w * max(len(largest), exc.best), False
-        return WellCoveredReport("no", alpha, witness_small=smallest, counts=counts, alpha_exact=exact)
-    alpha = max(counts) if counts else 0
-    if exhausted:
-        return WellCoveredReport("inconclusive", alpha, counts=counts, alpha_exact=False)
-    if rooted:  # double counting: h.n c_k = k (the number of maximal k-sets)
+        return WellCoveredReport("inconclusive", max(counts, default=0), counts=counts,
+                                 alpha_exact=False)
+    if root:  # double counting: h.n c_k = k (the number of maximal k-sets)
         for size, c in counts.items():
             k = size // w
             if h.n * c % k:
                 raise ValueError("a graph marked transitive is not vertex-transitive")
             counts[size] = h.n * c // k
-    return WellCoveredReport("yes", alpha, counts=counts)
+    return WellCoveredReport("yes", max(counts), counts=counts)
 
 
 def greedy_extend(g, seed):

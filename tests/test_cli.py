@@ -257,6 +257,13 @@ class TestExitCodes:
         # the Z(2) at depth 65 follows 64 "prod(" of 5 characters each
         assert err == "error: syntax error at position 320: specs nest at most 64 deep\n"
 
+    @pytest.mark.parametrize("ring", ["Z(1)", "prod(Z(1),Z(1))"])
+    def test_product_witness_refuses_the_zero_ring(self, capsys, ring):
+        code, out, err = run(capsys, "construct", "product-witness", "--ring", ring,
+                             "--n", "2", "--q", "2")
+        assert code == 1 and out == ""
+        assert err == "error: requires a nonzero ring R\n"
+
     def test_product_witness_ring_nests_at_most_64_deep(self, capsys):
         # the ring built, R x M_n(F_q), is one level deeper than R
         ring = "prod(" * 63 + "Z(2)" + ")" * 63

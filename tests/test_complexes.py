@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (RING_SPECS, antichain_error, recursive_find_shelling,
-                      set_attaches, set_codim1_components)
+from conftest import (RING_SPECS, antichain_error, brute_force_maximal_independent,
+                      recursive_find_shelling, set_attaches, set_codim1_components)
 from test_indsets import blow_up, random_graph
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
                                SHELLING_UNKNOWN, _attaches, codim1_connected,
@@ -99,6 +99,14 @@ class TestComplexType:
 class TestIndependenceComplex:
     def test_k2(self):
         assert independence_complex(k2()).facets == ((0,), (1,))
+
+    @pytest.mark.parametrize("transitive", [False, True])
+    def test_empty_graph_is_the_empty_simplex(self, transitive):
+        g = UGraph(0, transitive=transitive)
+        c = independence_complex(g)
+        assert c.facets == tuple(brute_force_maximal_independent(g)) == ((),)
+        assert c.dim == -1
+        assert find_shelling(c).detail == "at most one facet"
 
     def test_z4(self):
         c = independence_complex(build_graph(make_ring("Z(4)")))

@@ -221,6 +221,12 @@ class TestZeroPattern:
 
 
 class TestProductWitness:
+    @pytest.mark.parametrize("text", ["Z(1)", "prod(Z(1),Z(1))"])
+    def test_zero_ring_is_refused(self, text):
+        # 0 is a unit of the zero ring, so M x X would hold adjacent vertices
+        with pytest.raises(ValueError, match="requires a nonzero ring R"):
+            product_witness(make_ring(text), 2, GFRing(2))
+
     def test_z2_m2f2_sizes(self):
         wit = product_witness(make_ring("Z(2)"), 2, GFRing(2))
         assert len(wit.witness) == 11

@@ -79,6 +79,18 @@ class TestEnumeration:
             list(enumerate_maximal_independent(g, Budget(max_nodes=3)))
 
 
+@pytest.mark.parametrize("transitive", [False, True])
+def test_empty_graph_has_one_maximal_set(transitive):
+    g = UGraph(0, transitive=transitive)
+    assert brute_force_maximal_independent(g) == [()]
+    assert list(enumerate_maximal_independent(g)) == [()]
+    budget = Budget()
+    assert independence_number(g, budget) == 0 == brute_force_alpha(g)
+    assert budget.reductions == []
+    rep = is_well_covered(g)
+    assert (rep.answer, rep.alpha, rep.counts) == ("yes", 0, {0: 1})
+
+
 class TestAlpha:
     def test_m2f2(self):
         assert independence_number(build_graph(make_ring("M(2,GF(2))"))) == 4
@@ -214,7 +226,7 @@ def alpha_without_target(g):
     budget = Budget()
     h, _, w = indsets._reduce(g, budget)
     non = indsets._nonadjacency(h)
-    return w * indsets._max_extension(h.adj, non, 1, non[0], budget), budget.nodes
+    return w * indsets._max_extension(h.adj, non, 1, non[0], budget, math.inf), budget.nodes
 
 
 def check_alpha_oracles(spec):
