@@ -1,6 +1,10 @@
 """Unitary Cayley graphs, conjunction products, and every graph text format:
 DOT, JSON and the edge ideal, whose edges `_edge_lines` writes for all three.
 
+Gamma(R) is built as the blow-up of Gamma(R/J(R)) by the cosets of J(R), and
+records that quotient for the searches in `indsets`, which hash the rows of
+any graph that records none.
+
 Adjacency is stored as one Python int bitset per vertex; the downstream
 enumeration kernels live on word-parallel set intersections.  The edge lists
 and text formats read a row's neighbours through `_selector` and
@@ -8,15 +12,18 @@ and text formats read a row's neighbours through `_selector` and
 """
 from __future__ import annotations
 
+import math
 from itertools import compress
 
-from .rings import CapExceededError
+from .rings import CapExceededError, radical_quotient
 
 DEFAULT_GRAPH_CAP = 2 ** 15
 
 EXPORT_CAP = 4096  # vertices, for export_stanley_reisner
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+UNRECORDED = object()  # UGraph.twin_quotient of a graph whose twins are not known
 
 
 def _selector(mask):
@@ -31,6 +38,12 @@ class UGraph:
     its label, called only when a label is read.  `transitive` records that
     the graph is vertex-transitive, as every Cayley graph is; the searches in
     `indsets` use it, so it must never be set on a graph that is not.
+    `twin_quotient` records the graph's twin quotient as
+    `indsets._twin_quotient` computes it: None for no twins, else (h,
+    classes).  It has the same contract as `transitive`: `build_graph`
+    records it, `add_edge` drops it, and the searches hash the rows of a
+    graph that records none (UNRECORDED).  h is never the graph itself: a
+    graph that refers to itself waits for the cyclic garbage collector.
     """
 
     def __init__(self, n, labels=None, transitive=False):
@@ -38,6 +51,7 @@ class UGraph:
         self.adj = [0] * n
         self.labels = labels
         self.transitive = transitive
+        self.twin_quotient = UNRECORDED
 
     def label(self, v):
         """The label of v, or None for an unlabelled graph."""
@@ -48,6 +62,7 @@ class UGraph:
     def add_edge(self, u, v):
         if u == v:
             raise ValueError("no loops in a simple graph")
+        self.twin_quotient = UNRECORDED
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 
@@ -71,35 +86,75 @@ class UGraph:
 def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
     """The unitary Cayley graph of a ring: x ~ y iff x - y is a unit.
 
-    Row x is the unit set translated by x.  x walks the indices in order and
-    the row is carried along: going from x to x + 1 adds the digit unit e_i
-    of the last digit and of every digit the increment carries through.
-    Translating a bitmask by e_i (stride s, radix d) shifts the elements
-    whose digit i is below d - 1 up by s and wraps the others down by
-    s * (d - 1).  The graph is a Cayley graph of (R, +), so it is marked
+    x - y is a unit of R iff it is one mod J = J(R), so Gamma(R) is the
+    |J|-fold blow-up of Gamma(R/J): x ~ y iff their cosets of J are adjacent.
+    When J = 0 the rows are the unit set's translates (`_translates`), and
+    the graph records that it has no twins.  Otherwise Gamma(R/J) is built
+    the same way on the ring from `radical_quotient`, its unit row is lifted
+    to R through the projection, and the lift's translates by the least
+    elements of the cosets are the rows of R: one int per coset, shared by
+    the coset's vertices.  The graph records (Gamma(R/J), the cosets) as its
+    twin quotient, numbered as `indsets._twin_quotient` numbers twin
+    classes.  The graph is a Cayley graph of (R, +), so it is marked
     vertex-transitive; labels are `ring.element_repr`, on demand.
     """
     if ring.order > cap:
         raise CapExceededError("|R| = %d exceeds the graph cap %d" % (ring.order, cap))
     g = UGraph(ring.order, labels=ring.element_repr, transitive=True)
-    units = ring.units()
-    if units == [0]:  # the zero ring: its one vertex would only carry a loop
+    if ring.radical_steps == ring.radices:  # J = 0
+        g.twin_quotient = None
+        units = ring.units()
+        if units != [0]:  # the zero ring: its one vertex would only carry a loop
+            g.adj = _translates(ring.radices, ring.radices, sum(1 << u for u in units))
         return g
-    everything = (1 << ring.order) - 1
-    places = []  # least significant digit first
-    for s, d in zip(reversed(ring.strides), reversed(ring.radices)):
-        top = (((1 << s) - 1) << s * (d - 1)) * (everything // ((1 << s * d) - 1))
-        places.append((s, s * (d - 1), top, everything ^ top, s * d))
-    row = 0
-    for u in units:
-        row |= 1 << u
-    for x in range(ring.order):
-        g.adj[x] = row
-        for s, back, top, rest, period in places:
-            row = ((row & rest) << s) | ((row & top) >> back)
-            if (x + 1) % period:
-                break
+    quotient, project = radical_quotient(ring)
+    h = build_graph(quotient, cap)
+    unit_chars = bin(h.adj[0])[:1:-1].ljust(h.n, "0")  # char c is "1" iff c is a unit of R/J
+    lifted = int("".join(map(unit_chars.__getitem__, reversed(project))), 2)
+    rows = _translates(ring.radices, ring.radical_steps, lifted)
+    g.adj = list(map(rows.__getitem__, project))
+    classes = [[] for _ in rows]
+    for x, c in enumerate(project):
+        classes[c].append(x)
+    g.twin_quotient = (h, classes)
     return g
+
+
+def _translates(radices, limits, row):
+    """The translates row + a of a bitmask over the additive group with these
+    big-endian radices, for each a whose digit i is below limits[i] (a
+    divisor of radix i), in increasing order of a.
+
+    a walks those elements in order and the row is carried along: a digit
+    below its limit less 1 steps up by e_i, and a digit at it goes back to 0,
+    by (d - t + 1) e_i mod its radix d (t its limit), and carries into the
+    next digit.  Translating a bitmask by c e_i (stride s) shifts the
+    elements whose digit i is below d - c up by s * c and wraps the others
+    down by s * (d - c).
+    """
+    everything = (1 << math.prod(radices)) - 1
+    places = []  # (period, step, wrap) per digit with a limit above 1, least significant first
+    s = count = 1
+    for d, t in zip(reversed(radices), reversed(limits)):
+        if t > 1:
+            moves = []
+            for c in dict.fromkeys((1, d - t + 1)):  # one move when t = d
+                top = (((1 << s * c) - 1) << s * (d - c)) * (everything // ((1 << s * d) - 1))
+                moves.append((s * c, s * (d - c), top, everything ^ top))
+            count *= t
+            places.append((count, moves[0], moves[-1]))
+        s *= d
+    rows = [row] * count
+    for k in range(1, count):
+        for period, step, wrap in places:
+            if k % period:
+                up, back, top, rest = step
+                row = ((row & rest) << up) | ((row & top) >> back)
+                break
+            up, back, top, rest = wrap
+            row = ((row & rest) << up) | ((row & top) >> back)
+        rows[k] = row
+    return rows
 
 
 def conjunction_product(g1, g2):

@@ -13,7 +13,10 @@ exhaustive oracle.  The two search questions, `independence_number` and
   class or none of it.  When every class has one size w > 1, the search
   runs on the quotient graph.  For Gamma(R) the classes are the cosets of
   J(R), so the quotient is Gamma(R/J).  alpha and every maximal-set size
-  scale by w, and a witness lifts to the union of its classes.
+  scale by w, and a witness lifts to the union of its classes.  A graph
+  from `build_graph` records its quotient (`UGraph.twin_quotient`), and so
+  does the quotient found here, which has no twins; only the rows of a
+  graph that records none are hashed, by `_twin_quotient`.
 - Vertex 0.  In a vertex-transitive graph (`UGraph.transitive`, true for
   every Gamma(R)) an automorphism takes any maximal independent set to one
   through vertex 0.  So alpha is 1 + alpha of the non-neighbours of 0, and
@@ -39,7 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .graphs import UGraph
+from .graphs import UNRECORDED, UGraph
 
 TWIN_QUOTIENT = "twin-quotient"
 VERTEX_ZERO = "vertex-0"
@@ -150,10 +153,13 @@ def _maximal_sets(non, root, P, budget):
 
 
 def _twin_quotient(g):
-    """(h, classes) when the twin classes of g all have one size w > 1, else None.
+    """(h, classes) when the twin classes of g all have one size w > 1, else None,
+    found by hashing g's rows.
 
     classes[i] is the sorted vertex list of class i, ordered by least
-    vertex; vertex i of h is class i, and h inherits `transitive`.
+    vertex; vertex i of h is class i, and h inherits `transitive`.  h has no
+    twins, since its twin classes would lift to twin classes of g, and
+    records so.
     """
     groups = {}
     for v, row in enumerate(g.adj):
@@ -165,6 +171,7 @@ def _twin_quotient(g):
     index = {c[0]: i for i, c in enumerate(classes)}
     reps = sum(1 << c[0] for c in classes)
     h = UGraph(len(classes), transitive=g.transitive)
+    h.twin_quotient = None
     for i, c in enumerate(classes):
         row = 0
         for v in _bits(g.adj[c[0]] & reps):
@@ -174,8 +181,11 @@ def _twin_quotient(g):
 
 
 def _reduce(g, budget):
-    """(graph to search, its twin classes or None, class size w)."""
-    quotient = _twin_quotient(g)
+    """(graph to search, its twin classes or None, class size w), from the twin
+    quotient g records, or by hashing g's rows when it records none."""
+    quotient = g.twin_quotient
+    if quotient is UNRECORDED:
+        quotient = _twin_quotient(g)
     if quotient is None:
         return g, None, 1
     budget.note(TWIN_QUOTIENT)

@@ -13,6 +13,15 @@ from ucayley.rings import (GF, M, Prod, T, Z, GFRing, MatRing, ProdRing, SpecCon
                            TriRing, ZmRing, _EntryRing, spec_order, split_digits)
 
 
+# the rings of the benchmark's `search` workload that verify.CATALOG lacks, and
+# the rings of its `enumerate` workload
+SEARCH_EXTRA = ["prod(Z(2),M(2,GF(3)))", "prod(Z(3),M(2,GF(3)))", "M(3,GF(2))", "T(3,GF(3))",
+                "Z(1000)", "Z(1024)", "Z(2048)"]
+ENUMERATE_RINGS = ["M(2,GF(3))", "M(2,Z(4))", "prod(Z(2),Z(2),Z(2),Z(2))", "prod(Z(3),Z(3),Z(3))",
+                   "prod(GF(4),GF(4),GF(4))", "prod(Z(5),Z(5),Z(5))", "T(3,GF(3))", "Z(30)",
+                   "prod(Z(2),M(2,GF(2)))"]
+
+
 def brute_force_maximal_independent(g):
     """Oracle: maximal independent sets by scanning all vertex subsets."""
     assert g.n <= 20, "oracle is exponential"
@@ -289,6 +298,12 @@ def elementwise_row(ring, units, x):
         if y != x:  # the zero ring: 0 is a unit but loops are dropped
             row |= 1 << y
     return row
+
+
+def difference_rows(ring):
+    """Oracle: row x of Gamma(R) as the y != x with x - y a unit, by ring.sub."""
+    return [sum(1 << y for y in range(ring.order)
+                if y != x and ring.is_unit(ring.sub(x, y))) for x in range(ring.order)]
 
 
 def elementwise_graph(ring):

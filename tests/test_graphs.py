@@ -1,17 +1,27 @@
+import hashlib
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (RING_SPECS, bitwise_conjunction_adj, bitwise_edges, elementwise_graph,
-                      elementwise_row, tuple_dot, tuple_edge_ideal, tuple_json)
+from conftest import (ENUMERATE_RINGS, RING_SPECS, SEARCH_EXTRA, bitwise_conjunction_adj,
+                      bitwise_edges, difference_rows, elementwise_graph, elementwise_row,
+                      tuple_dot, tuple_edge_ideal, tuple_json)
+from ucayley import graphs, rings
 from ucayley.cli import main
-from ucayley.graphs import (UGraph, build_graph, conjunction_product, export_dot,
+from ucayley.graphs import (UGraph, _translates, build_graph, conjunction_product, export_dot,
                             export_stanley_reisner, graph_json)
+from ucayley.indsets import _twin_quotient
 from ucayley.rings import CapExceededError, make_ring, radical_quotient
+from ucayley.verify import CATALOG
+
+# the benchmark's recorded sha256 digests of the seed program's graphs; only read here
+GOLDEN_GRAPHS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+                           .read_text(encoding="utf-8"))["graphs"]
 
 
 def k(n):
@@ -122,6 +132,63 @@ class TestTranslationBuild:
     def test_random_specs_match_elementwise_oracle(self, spec):
         r = make_ring(spec)
         assert build_graph(r) == elementwise_graph(r)
+
+
+def graph_digest(g):
+    """The sha256 of g's rows in the layout of the benchmark's `graph_digest`."""
+    h = hashlib.sha256(g.n.to_bytes(4, "little"))
+    width = (g.n + 7) // 8
+    for row in g.adj:
+        h.update(row.to_bytes(width, "little"))
+    return h.hexdigest()
+
+
+def walk_rows(ring):
+    """Oracle for rings past 256 elements: the translates of R's own unit
+    mask, with no quotient taken."""
+    if ring.order == 1:
+        return [0]
+    return _translates(ring.radices, ring.radices, sum(1 << u for u in ring.units()))
+
+
+def check_record_and_rows(ring):
+    """Gamma(R)'s recorded twin quotient against hashing its rows, and its rows
+    against R's own units."""
+    g = build_graph(ring)
+    want = _twin_quotient(g)
+    if want is None:
+        assert g.twin_quotient is None
+    else:
+        h, classes = g.twin_quotient
+        assert (h, classes) == want
+        assert h.transitive and h.twin_quotient is None and _twin_quotient(h) is None
+    assert g.adj == (difference_rows(ring) if ring.order <= 256 else walk_rows(ring))
+
+
+class TestTwinQuotientRecord:
+    @pytest.mark.parametrize("text", list(dict.fromkeys(CATALOG + SEARCH_EXTRA + ENUMERATE_RINGS)))
+    def test_catalog_and_benchmark_rings(self, text):
+        check_record_and_rows(make_ring(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS)
+    def test_random_specs(self, spec):
+        check_record_and_rows(make_ring(spec))
+
+    def test_no_quotient_when_the_radical_is_zero(self, monkeypatch):
+        # a zero ring of 2^20 radix-1 digits would build a second ring and map as large
+        def refuse(*args):
+            raise AssertionError("a quotient was built for a ring with J = 0")
+        monkeypatch.setattr(graphs, "radical_quotient", refuse)
+        monkeypatch.setattr(rings, "digit_map", refuse)
+        for text, degree in (("M(3,GF(2))", 168), ("prod(Z(5),Z(5),Z(5))", 64),
+                             ("M(40,Z(1))", 0)):
+            g = build_graph(make_ring(text))
+            assert g.twin_quotient is None and g.degree(0) == degree
+
+    @pytest.mark.parametrize("text", sorted(GOLDEN_GRAPHS))
+    def test_rows_match_the_recorded_digests(self, text):
+        assert graph_digest(build_graph(make_ring(text))) == GOLDEN_GRAPHS[text]
 
 
 class TestTransitiveFlag:

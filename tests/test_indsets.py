@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (RING_SPECS, brute_force_alpha, brute_force_maximal_independent,
-                      is_maximal_independent, pbound_alpha, recursive_maximal_independent,
-                      seed_is_well_covered)
+from conftest import (RING_SPECS, SEARCH_EXTRA, brute_force_alpha,
+                      brute_force_maximal_independent, is_maximal_independent, pbound_alpha,
+                      recursive_maximal_independent, seed_is_well_covered)
 from ucayley import indsets
-from ucayley.graphs import UGraph, build_graph, conjunction_product
+from ucayley.graphs import UNRECORDED, UGraph, build_graph, conjunction_product
 from ucayley.indsets import (CLIQUE_BOUND, TWIN_QUOTIENT, VERTEX_ZERO, Budget,
                              BudgetExceededError, _greedy_clique, _twin_quotient,
                              enumerate_maximal_independent, greedy_extend,
@@ -19,11 +19,6 @@ from ucayley.rings import (jacobson_radical, make_ring, parse_spec, radical_quot
                            spec_order)
 from ucayley.structure import classify_well_covered, semisimple_quotient
 from ucayley.verify import CATALOG, _is_maximal_independent
-
-# the rings of the benchmark's `search` workload that verify.CATALOG lacks
-SEARCH_EXTRA = ["prod(Z(2),M(2,GF(3)))", "prod(Z(3),M(2,GF(3)))", "M(3,GF(2))", "T(3,GF(3))",
-                "Z(1000)", "Z(1024)", "Z(2048)"]
-
 
 def complete(n):
     g = UGraph(n)
@@ -347,6 +342,26 @@ class TestTwinQuotient:
     def test_semisimple_ring_has_no_twins(self, text):
         assert _twin_quotient(build_graph(make_ring(text))) is None
 
+    @pytest.mark.parametrize("text", ["Z(8)", "Z(12)", "Z(16)", "T(2,GF(2))", "prod(Z(4),Z(3))"])
+    def test_add_edge_drops_the_record(self, monkeypatch, text):
+        # the Cayley edges x ~ x + j for the least nonzero j in J keep the graph
+        # transitive but change its twins: the searches must hash its rows
+        r = make_ring(text)
+        g = build_graph(r)
+        j = jacobson_radical(r)[1]
+        for x in range(r.order):
+            if not g.has_edge(x, r.add(x, j)):
+                g.add_edge(x, r.add(x, j))
+        assert g.twin_quotient is UNRECORDED
+        sizes = []
+
+        def counted(h):
+            sizes.append(h.n)
+            return _twin_quotient(h)
+        monkeypatch.setattr(indsets, "_twin_quotient", counted)
+        check_against_brute_force(g)
+        assert sizes[0] == g.n
+
     def test_unequal_classes_are_searched_as_given(self):
         path = UGraph(3)  # 0 - 1 - 2: vertices 0 and 2 are twins, 1 is alone
         path.add_edge(0, 1)
@@ -381,8 +396,8 @@ class TestReducedSearch:
         assert all((v + 6) % 12 in rep.witness_small for v in rep.witness_small)
 
     def test_alpha_after_a_no_searches_the_quotient(self, monkeypatch):
-        # the twin quotient of Gamma(Z(12)) has 6 vertices and no twins: the
-        # alpha step searches it instead of hashing Gamma(Z(12))'s rows again
+        # Gamma(Z(12)) records its twin quotient Gamma(Z(6)), which records that
+        # it has no twins: neither search hashes a row of either graph
         sizes = []
 
         def counted(g):
@@ -391,7 +406,22 @@ class TestReducedSearch:
         monkeypatch.setattr(indsets, "_twin_quotient", counted)
         rep = is_well_covered(build_graph(make_ring("Z(12)")))
         assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
-        assert sizes == [12, 6]
+        assert sizes == []
+
+    def test_alpha_after_a_no_on_a_hand_built_blow_up(self, monkeypatch):
+        # a blow-up built by hand records nothing: its rows are hashed once,
+        # and the quotient that hashing makes records that it has no twins
+        sizes = []
+
+        def counted(g):
+            sizes.append(g.n)
+            return _twin_quotient(g)
+        g = blow_up(build_graph(make_ring("Z(6)")), [2] * 6, random.Random(12))
+        monkeypatch.setattr(indsets, "_twin_quotient", counted)
+        rep = is_well_covered(g)
+        assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
+        assert is_maximal_independent(g, rep.witness_small)
+        assert sizes == [12]
 
     @settings(max_examples=150, deadline=None)
     @given(RING_SPECS)
