@@ -8,8 +8,8 @@ ideal that `graphs.export_stanley_reisner` prints.
 A complex keeps each facet as a vertex bitmask, and each vertex as the
 bitmask of the facets that hold it (its column).  The antichain check, the
 codimension-1 test and the shelling step are bit operations on these.
-`independence_complex` enumerates the twin quotient of the graph, as the
-searches in `indsets` do, and lifts each maximal set to its twin classes.
+`independence_complex` enumerates the twin quotient the graph records, as
+the searches in `indsets` do, and lifts each maximal set to its twin classes.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ class Complex:
 def independence_complex(g, budget=None):
     """ind(g): the complex whose facets are the maximal independent sets.
 
-    They are enumerated on the twin quotient of g where it applies, and each
+    They are enumerated on the twin quotient g records, if any, and each
     lifts to the union of its twin classes.
     """
     if budget is None:

@@ -2,8 +2,7 @@
 DOT, JSON and the edge ideal, whose edges `_edge_lines` writes for all three.
 
 Gamma(R) is built as the blow-up of Gamma(R/J(R)) by the cosets of J(R), and
-records that quotient for the searches in `indsets`, which hash the rows of
-any graph that records none.
+records that quotient for the searches in `indsets`.
 
 Adjacency is stored as one Python int bitset per vertex; the downstream
 enumeration kernels live on word-parallel set intersections.  The edge lists
@@ -23,8 +22,6 @@ EXPORT_CAP = 4096  # vertices, for export_stanley_reisner
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
-UNRECORDED = object()  # UGraph.twin_quotient of a graph whose twins are not known
-
 
 def _selector(mask):
     """Byte i is 1 if bit i of mask is set and 0 if not, for `compress`."""
@@ -35,15 +32,15 @@ class UGraph:
     """Undirected simple graph on vertices 0..n-1 with bitset adjacency.
 
     `labels` is None, a list of vertex labels, or a function from a vertex to
-    its label, called only when a label is read.  `transitive` records that
-    the graph is vertex-transitive, as every Cayley graph is; the searches in
-    `indsets` use it, so it must never be set on a graph that is not.
-    `twin_quotient` records the graph's twin quotient as
-    `indsets._twin_quotient` computes it: None for no twins, else (h,
-    classes).  It has the same contract as `transitive`: `build_graph`
-    records it, `add_edge` drops it, and the searches hash the rows of a
-    graph that records none (UNRECORDED).  h is never the graph itself: a
-    graph that refers to itself waits for the cyclic garbage collector.
+    its label, called only when a label is read.  Two facts may be recorded
+    for the searches in `indsets`, which trust them, so each must hold when
+    set.  `transitive` says the graph is vertex-transitive, as every Cayley
+    graph is.  `twin_quotient` is None, for no blow-up known, or (h,
+    classes): the graph is the blow-up of h that replaces vertex i by the
+    pairwise non-adjacent vertices of classes[i], a sorted list, all classes
+    of one size.  `build_graph` records both facts and `add_edge` clears
+    both.  h is never the graph itself: a graph that refers to itself waits
+    for the cyclic garbage collector.
     """
 
     def __init__(self, n, labels=None, transitive=False):
@@ -51,7 +48,7 @@ class UGraph:
         self.adj = [0] * n
         self.labels = labels
         self.transitive = transitive
-        self.twin_quotient = UNRECORDED
+        self.twin_quotient = None
 
     def label(self, v):
         """The label of v, or None for an unlabelled graph."""
@@ -62,7 +59,7 @@ class UGraph:
     def add_edge(self, u, v):
         if u == v:
             raise ValueError("no loops in a simple graph")
-        self.twin_quotient = UNRECORDED
+        self.transitive, self.twin_quotient = False, None
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 
@@ -89,20 +86,19 @@ def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
     x - y is a unit of R iff it is one mod J = J(R), so Gamma(R) is the
     |J|-fold blow-up of Gamma(R/J): x ~ y iff their cosets of J are adjacent.
     When J = 0 the rows are the unit set's translates (`_translates`), and
-    the graph records that it has no twins.  Otherwise Gamma(R/J) is built
-    the same way on the ring from `radical_quotient`, its unit row is lifted
-    to R through the projection, and the lift's translates by the least
-    elements of the cosets are the rows of R: one int per coset, shared by
-    the coset's vertices.  The graph records (Gamma(R/J), the cosets) as its
-    twin quotient, numbered as `indsets._twin_quotient` numbers twin
-    classes.  The graph is a Cayley graph of (R, +), so it is marked
-    vertex-transitive; labels are `ring.element_repr`, on demand.
+    no blow-up is recorded.  Otherwise Gamma(R/J) is built the same way on
+    the ring from `radical_quotient`, its unit row is lifted to R through the
+    projection, and the lift's translates by the least elements of the
+    cosets are the rows of R: one int per coset, shared by the coset's
+    vertices.  The graph records (Gamma(R/J), the cosets) as its twin
+    quotient, the cosets numbered as the projection numbers them.  The graph
+    is a Cayley graph of (R, +), so it is marked vertex-transitive; labels
+    are `ring.element_repr`, on demand.
     """
     if ring.order > cap:
         raise CapExceededError("|R| = %d exceeds the graph cap %d" % (ring.order, cap))
     g = UGraph(ring.order, labels=ring.element_repr, transitive=True)
     if ring.radical_steps == ring.radices:  # J = 0
-        g.twin_quotient = None
         units = ring.units()
         if units != [0]:  # the zero ring: its one vertex would only carry a loop
             g.adj = _translates(ring.radices, ring.radices, sum(1 << u for u in units))

@@ -8,15 +8,14 @@ exhaustive oracle.  The two search questions, `independence_number` and
 `is_well_covered`, first apply exact reductions, and so does
 `complexes.independence_complex` (the twin quotient only):
 
-- Twin quotient.  Vertices with equal adjacency rows are twins: they are
-  pairwise non-adjacent, and a maximal independent set holds all of a twin
-  class or none of it.  When every class has one size w > 1, the search
-  runs on the quotient graph.  For Gamma(R) the classes are the cosets of
-  J(R), so the quotient is Gamma(R/J).  alpha and every maximal-set size
-  scale by w, and a witness lifts to the union of its classes.  A graph
-  from `build_graph` records its quotient (`UGraph.twin_quotient`), and so
-  does the quotient found here, which has no twins; only the rows of a
-  graph that records none are hashed, by `_twin_quotient`.
+- Twin quotient.  A graph may record that it is the blow-up of a graph h
+  (`UGraph.twin_quotient`): vertex i of h becomes a class of w pairwise
+  non-adjacent twins, with h's adjacency between classes.  A maximal
+  independent set then holds all of a class or none of it, so the search
+  runs on h, alpha and every maximal-set size scale by w, and a witness
+  lifts to the union of its classes.  `build_graph` records this for
+  Gamma(R) with J(R) != 0: the classes are the cosets of J(R) and h is
+  Gamma(R/J).  A graph that records no blow-up is searched as it is.
 - Vertex 0.  In a vertex-transitive graph (`UGraph.transitive`, true for
   every Gamma(R)) an automorphism takes any maximal independent set to one
   through vertex 0.  So alpha is 1 + alpha of the non-neighbours of 0, and
@@ -41,8 +40,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-
-from .graphs import UNRECORDED, UGraph
 
 TWIN_QUOTIENT = "twin-quotient"
 VERTEX_ZERO = "vertex-0"
@@ -152,44 +149,13 @@ def _maximal_sets(non, root, P, budget):
         P, X = P & non[v], X & non[v]
 
 
-def _twin_quotient(g):
-    """(h, classes) when the twin classes of g all have one size w > 1, else None,
-    found by hashing g's rows.
-
-    classes[i] is the sorted vertex list of class i, ordered by least
-    vertex; vertex i of h is class i, and h inherits `transitive`.  h has no
-    twins, since its twin classes would lift to twin classes of g, and
-    records so.
-    """
-    groups = {}
-    for v, row in enumerate(g.adj):
-        groups.setdefault(row, []).append(v)
-    classes = list(groups.values())
-    w = len(classes[0]) if classes else 0
-    if w < 2 or any(len(c) != w for c in classes):
-        return None
-    index = {c[0]: i for i, c in enumerate(classes)}
-    reps = sum(1 << c[0] for c in classes)
-    h = UGraph(len(classes), transitive=g.transitive)
-    h.twin_quotient = None
-    for i, c in enumerate(classes):
-        row = 0
-        for v in _bits(g.adj[c[0]] & reps):
-            row |= 1 << index[v]
-        h.adj[i] = row
-    return h, classes
-
-
 def _reduce(g, budget):
-    """(graph to search, its twin classes or None, class size w), from the twin
-    quotient g records, or by hashing g's rows when it records none."""
-    quotient = g.twin_quotient
-    if quotient is UNRECORDED:
-        quotient = _twin_quotient(g)
-    if quotient is None:
+    """(graph to search, its twin classes or None, class size w), from the
+    blow-up g records, or g itself when it records none."""
+    if g.twin_quotient is None:
         return g, None, 1
     budget.note(TWIN_QUOTIENT)
-    h, classes = quotient
+    h, classes = g.twin_quotient
     return h, classes, len(classes[0])
 
 
@@ -330,15 +296,15 @@ class WellCoveredReport:
 def is_well_covered(g, budget=None):
     """Decide whether all maximal independent sets of g share one size.
 
-    The maximal sets are enumerated on the twin quotient h, and `counts`
-    maps each size in g to its number of sets.  On a transitive h only the
-    sets through vertex 0 are enumerated: each vertex lies in the same
-    number c_k of maximal k-sets, so h has h.n c_k / k of them.  `counts`
-    is exact on a "yes"; on a "no" or "inconclusive" it holds the sets seen,
-    each a lower bound.  Full-enumeration verdict when the budget allows; a
-    "no" is returned as soon as two maximal sets of different sizes are
-    seen, with the smaller one as witness, and alpha is then searched on the
-    quotient under the same budget.  If that trips, the "no" stands and
+    The maximal sets are enumerated on the twin quotient h that g records,
+    or on h = g when it records none, and `counts` maps each size in g to
+    its number of sets.  On a transitive h only the sets through vertex 0
+    are enumerated: each vertex lies in the same number c_k of maximal
+    k-sets, so h has h.n c_k / k of them.  `counts` is exact on a "yes"; on
+    a "no" or "inconclusive" it holds the sets seen, each a lower bound.
+    Full-enumeration verdict when the budget allows; a "no" is returned as
+    soon as two maximal sets of different sizes are seen, with the smaller
+    one as witness, and alpha is then searched on h under the same budget.  If that trips, the "no" stands and
     alpha is the best size seen, with alpha_exact false.  A tripped budget
     without a witness is "inconclusive", with alpha a lower bound.
     """
@@ -354,7 +320,7 @@ def is_well_covered(g, budget=None):
                 first = s
             elif len(s) != len(first):
                 small, large = sorted((first, s), key=len)
-                try:  # h has no twins, so alpha(g) = w alpha(h)
+                try:  # g is the w-fold blow-up of h, so alpha(g) = w alpha(h)
                     alpha, exact = w * independence_number(h, budget), True
                 except BudgetExceededError as exc:
                     alpha, exact = w * max(len(large), exc.best), False

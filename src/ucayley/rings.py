@@ -914,9 +914,9 @@ def radical_spec(spec):
 def radical_quotient(ring):
     """(R/J(R), projection): R/J's digit vector is R's reduced mod the radical
     steps, less the digits of step 1, so the projection is their `digit_map`.
-    It numbers the cosets of J by their least elements in increasing order, as
-    `indsets._twin_quotient` numbers the twin classes of R's unitary Cayley
-    graph.  R/J has no more elements or digits than R, so it is built with no
-    cap check.
+    It numbers the cosets of J by their least elements in increasing order,
+    and `graphs.build_graph` records them in that order as the twin classes
+    of R's unitary Cayley graph.  R/J has no more elements or digits than R,
+    so it is built with no cap check.
     """
     return _build(radical_spec(ring.spec)), digit_map(ring.radices, ring.radical_steps)

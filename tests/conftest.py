@@ -52,6 +52,34 @@ def _bits(mask):
         mask ^= b
 
 
+def _twin_quotient(g):
+    """(h, classes) when the twin classes of g all have one size w > 1, else None,
+    found by hashing g's rows.
+
+    classes[i] is the sorted vertex list of class i, ordered by least
+    vertex; vertex i of h is class i, and h inherits `transitive`.  h has no
+    twins, since its twin classes would lift to twin classes of g, and
+    records so.
+    """
+    groups = {}
+    for v, row in enumerate(g.adj):
+        groups.setdefault(row, []).append(v)
+    classes = list(groups.values())
+    w = len(classes[0]) if classes else 0
+    if w < 2 or any(len(c) != w for c in classes):
+        return None
+    index = {c[0]: i for i, c in enumerate(classes)}
+    reps = sum(1 << c[0] for c in classes)
+    h = UGraph(len(classes), transitive=g.transitive)
+    h.twin_quotient = None
+    for i, c in enumerate(classes):
+        row = 0
+        for v in _bits(g.adj[c[0]] & reps):
+            row |= 1 << index[v]
+        h.adj[i] = row
+    return h, classes
+
+
 def recursive_maximal_independent(g, budget=None):
     """Oracle: the recursive Bron-Kerbosch enumeration, pivoting as the package does."""
     budget = budget or Budget()

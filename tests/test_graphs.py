@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ENUMERATE_RINGS, RING_SPECS, SEARCH_EXTRA, bitwise_conjunction_adj,
-                      bitwise_edges, difference_rows, elementwise_graph, elementwise_row,
-                      tuple_dot, tuple_edge_ideal, tuple_json)
+from conftest import (ENUMERATE_RINGS, RING_SPECS, SEARCH_EXTRA, _twin_quotient,
+                      bitwise_conjunction_adj, bitwise_edges, difference_rows,
+                      elementwise_graph, elementwise_row, tuple_dot, tuple_edge_ideal,
+                      tuple_json)
 from ucayley import graphs, rings
 from ucayley.cli import main
 from ucayley.graphs import (UGraph, _translates, build_graph, conjunction_product, export_dot,
                             export_stanley_reisner, graph_json)
-from ucayley.indsets import _twin_quotient
 from ucayley.rings import CapExceededError, make_ring, radical_quotient
 from ucayley.verify import CATALOG
 

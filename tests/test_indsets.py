@@ -5,13 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (RING_SPECS, SEARCH_EXTRA, brute_force_alpha,
+from conftest import (RING_SPECS, SEARCH_EXTRA, _twin_quotient, brute_force_alpha,
                       brute_force_maximal_independent, is_maximal_independent, pbound_alpha,
                       recursive_maximal_independent, seed_is_well_covered)
 from ucayley import indsets
-from ucayley.graphs import UNRECORDED, UGraph, build_graph, conjunction_product
+from ucayley.graphs import UGraph, build_graph, conjunction_product
 from ucayley.indsets import (CLIQUE_BOUND, TWIN_QUOTIENT, VERTEX_ZERO, Budget,
-                             BudgetExceededError, _greedy_clique, _twin_quotient,
+                             BudgetExceededError, _greedy_clique,
                              enumerate_maximal_independent, greedy_extend,
                              independence_number, is_well_covered,
                              radical_saturate)
@@ -262,24 +262,30 @@ def check_against_enumeration(g, rep):
 
 def blow_up(base, sizes, rng):
     """base with vertex i replaced by sizes[i] pairwise non-adjacent twins,
-    the vertices shuffled so that no class is contiguous."""
+    the vertices shuffled so that no class is contiguous.  When every class
+    has one size, the blow-up is recorded as the graph's twin quotient."""
     owner = [i for i, w in enumerate(sizes) for _ in range(w)]
     rng.shuffle(owner)
     g = UGraph(len(owner), transitive=base.transitive)
+    classes = [[] for _ in sizes]
     for x, i in enumerate(owner):
+        classes[i].append(x)
         for y, j in enumerate(owner):
             if base.has_edge(i, j):
                 g.adj[x] |= 1 << y
+    if len(set(sizes)) == 1:
+        g.twin_quotient = (base, classes)
     return g
 
 
 def circulant(n, rng):
     """A Cayley graph of Z(n) on a random symmetric connection set."""
-    g = UGraph(n, transitive=True)
+    g = UGraph(n)
     for d in range(1, n // 2 + 1):
         if rng.random() < 0.4:
             for x in range(n):
                 g.add_edge(x, (x + d) % n)
+    g.transitive = True  # set after the edges, since add_edge clears it
     return g
 
 
@@ -343,24 +349,22 @@ class TestTwinQuotient:
         assert _twin_quotient(build_graph(make_ring(text))) is None
 
     @pytest.mark.parametrize("text", ["Z(8)", "Z(12)", "Z(16)", "T(2,GF(2))", "prod(Z(4),Z(3))"])
-    def test_add_edge_drops_the_record(self, monkeypatch, text):
+    def test_add_edge_drops_the_record(self, text):
         # the Cayley edges x ~ x + j for the least nonzero j in J keep the graph
-        # transitive but change its twins: the searches must hash its rows
+        # transitive but change its twins: add_edge clears both recorded facts,
+        # and the searches take the graph as it is
         r = make_ring(text)
         g = build_graph(r)
         j = jacobson_radical(r)[1]
         for x in range(r.order):
             if not g.has_edge(x, r.add(x, j)):
                 g.add_edge(x, r.add(x, j))
-        assert g.twin_quotient is UNRECORDED
-        sizes = []
-
-        def counted(h):
-            sizes.append(h.n)
-            return _twin_quotient(h)
-        monkeypatch.setattr(indsets, "_twin_quotient", counted)
+        assert g.twin_quotient is None and not g.transitive
         check_against_brute_force(g)
-        assert sizes[0] == g.n
+        budget = Budget()
+        independence_number(g, budget)
+        is_well_covered(g, budget)
+        assert TWIN_QUOTIENT not in budget.reductions and VERTEX_ZERO not in budget.reductions
 
     def test_unequal_classes_are_searched_as_given(self):
         path = UGraph(3)  # 0 - 1 - 2: vertices 0 and 2 are twins, 1 is alone
@@ -395,33 +399,30 @@ class TestReducedSearch:
         assert is_maximal_independent(g, rep.witness_small)
         assert all((v + 6) % 12 in rep.witness_small for v in rep.witness_small)
 
-    def test_alpha_after_a_no_searches_the_quotient(self, monkeypatch):
-        # Gamma(Z(12)) records its twin quotient Gamma(Z(6)), which records that
-        # it has no twins: neither search hashes a row of either graph
-        sizes = []
-
-        def counted(g):
-            sizes.append(g.n)
-            return _twin_quotient(g)
-        monkeypatch.setattr(indsets, "_twin_quotient", counted)
-        rep = is_well_covered(build_graph(make_ring("Z(12)")))
+    def test_alpha_after_a_no_searches_the_quotient(self):
+        # Gamma(Z(12)) records its twin quotient Gamma(Z(6)), on which the alpha
+        # step after the "no" searches
+        budget = Budget()
+        rep = is_well_covered(build_graph(make_ring("Z(12)")), budget)
         assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
-        assert sizes == []
+        assert budget.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
 
-    def test_alpha_after_a_no_on_a_hand_built_blow_up(self, monkeypatch):
-        # a blow-up built by hand records nothing: its rows are hashed once,
-        # and the quotient that hashing makes records that it has no twins
-        sizes = []
-
-        def counted(g):
-            sizes.append(g.n)
-            return _twin_quotient(g)
-        g = blow_up(build_graph(make_ring("Z(6)")), [2] * 6, random.Random(12))
-        monkeypatch.setattr(indsets, "_twin_quotient", counted)
-        rep = is_well_covered(g)
-        assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
-        assert is_maximal_independent(g, rep.witness_small)
-        assert sizes == [12]
+    def test_alpha_after_a_no_on_a_hand_built_blow_up(self):
+        # a 2-fold blow-up of Gamma(Z(6)) that records nothing is searched as it
+        # is; with its blow-up recorded by hand it is searched on Gamma(Z(6))
+        blown = blow_up(build_graph(make_ring("Z(6)")), [2] * 6, random.Random(12))
+        g = UGraph(12)
+        g.adj = blown.adj
+        plain = Budget()
+        reports = [is_well_covered(g, plain)]
+        assert plain.reductions == []
+        g.twin_quotient = blown.twin_quotient
+        reduced = Budget()
+        reports.append(is_well_covered(g, reduced))
+        assert reduced.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
+        for rep in reports:
+            assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
+            assert is_maximal_independent(g, rep.witness_small)
 
     @settings(max_examples=150, deadline=None)
     @given(RING_SPECS)
@@ -538,11 +539,33 @@ class TestVertexZero:
         assert budget.nodes == enum_budget.nodes + alpha_budget.nodes
 
     def test_graph_wrongly_marked_transitive_is_refused(self):
-        path = UGraph(3, transitive=True)  # 0 - 1 - 2: {0, 2} counted 3 / 2 times
+        path = UGraph(3)  # 0 - 1 - 2: {0, 2} counted 3 / 2 times
         path.add_edge(0, 1)
         path.add_edge(1, 2)
+        path.transitive = True  # set after the edges, since add_edge clears it
         with pytest.raises(ValueError, match="not vertex-transitive"):
             is_well_covered(path)
+
+    def test_add_edge_clears_the_transitive_flag(self):
+        # Gamma(Z(2) x Z(2)) is the matching 0 - 3, 1 - 2.  With 0 - 1 and 0 - 2
+        # added, vertex 0 has no non-neighbour, but {1, 3} is independent: a
+        # search rooted at vertex 0 would find alpha 1 and a "yes" of {1: 4}
+        g = build_graph(make_ring("prod(Z(2),Z(2))"))
+        g.add_edge(0, 1)
+        g.add_edge(0, 2)
+        assert brute_force_alpha(g) == 2
+        check_against_brute_force(g)
+        assert not g.transitive
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([t for t in CATALOG if 2 <= spec_order(parse_spec(t)) <= 16]),
+           st.integers(0, 2 ** 32))
+    def test_ring_graphs_with_added_edges_match_brute_force(self, text, seed):
+        rng = random.Random(seed)
+        g = build_graph(make_ring(text))
+        for _ in range(rng.randint(1, 3)):
+            g.add_edge(*rng.sample(range(g.n), 2))
+        check_against_brute_force(g)
 
 
 class TestGenericGraphs:

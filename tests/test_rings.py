@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ucayley import rings
 from ucayley.graphs import build_graph
-from ucayley.indsets import _twin_quotient, independence_number, is_well_covered
+from ucayley.indsets import independence_number, is_well_covered
 from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
                            SpecSyntaxError, T, TriRing, Z, ZmRing, det_entries, factorize,
                            digit_map, is_commutative_spec, is_invertible, jacobson_radical,
@@ -19,8 +19,8 @@ from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstrain
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import (classify_cm, classify_gorenstein, classify_well_covered,
                                ring_metadata, semisimple_quotient)
-from conftest import (RING_SPECS, PositionDictTriRing, digit_loop, gf_mul, leibniz_det,
-                      projection_loop, recursive_leaf_sum, recursive_spec_order,
+from conftest import (RING_SPECS, PositionDictTriRing, _twin_quotient, digit_loop, gf_mul,
+                      leibniz_det, projection_loop, recursive_leaf_sum, recursive_spec_order,
                       reduce_residue_fields, reduce_row_map, structural_add,
                       structural_neg, trial_factorize)
 
