@@ -38,9 +38,11 @@ class UGraph:
     graph is.  `twin_quotient` is None, for no blow-up known, or (h,
     classes): the graph is the blow-up of h that replaces vertex i by the
     pairwise non-adjacent vertices of classes[i], a sorted list, all classes
-    of one size.  `build_graph` records both facts and `add_edge` clears
-    both.  h is never the graph itself: a graph that refers to itself waits
-    for the cyclic garbage collector.
+    of one size.  `build_graph` records both facts; `conjunction_product`
+    records `transitive` when both factors are, and a twin quotient when
+    either records one; `add_edge` clears both.  h is never the graph
+    itself: a graph that refers to itself waits for the cyclic garbage
+    collector.
     """
 
     def __init__(self, n, labels=None, transitive=False):
@@ -157,7 +159,12 @@ def conjunction_product(g1, g2):
     """Pairs (v1, v2) adjacent iff both coordinates are adjacent.
 
     Vertex (v1, v2) gets index v1 * g2.n + v2 (row-major).  The product of
-    two vertex-transitive graphs is vertex-transitive.
+    two vertex-transitive graphs is vertex-transitive.  If g1 is the blow-up
+    of h1 by classes1 and g2 of h2 by classes2, the product is the blow-up of
+    h1 x h2 by the classes C1 x C2, and that is recorded as its twin
+    quotient; a factor that records no blow-up stands for itself, with one
+    vertex per class.  A product of two factors that record none, or with no
+    vertices, records none.
     """
     n1, n2 = g1.n, g2.n
     out = UGraph(n1 * n2, transitive=g1.transitive and g2.transitive)
@@ -169,6 +176,12 @@ def conjunction_product(g1, g2):
         spread = sum(1 << w * n2 for w in compress(range(n1), _selector(g1.adj[v1])))
         for v2 in range(n2):
             out.adj[v1 * n2 + v2] = g2.adj[v2] * spread
+    if out.n and (g1.twin_quotient or g2.twin_quotient):
+        h1, classes1 = g1.twin_quotient or (g1, [[v] for v in range(n1)])
+        h2, classes2 = g2.twin_quotient or (g2, [[v] for v in range(n2)])
+        out.twin_quotient = (conjunction_product(h1, h2),
+                             [[a * n2 + b for a in c1 for b in c2]
+                              for c1 in classes1 for c2 in classes2])
     return out
 
 

@@ -15,7 +15,8 @@ exhaustive oracle.  The two search questions, `independence_number` and
   runs on h, alpha and every maximal-set size scale by w, and a witness
   lifts to the union of its classes.  `build_graph` records this for
   Gamma(R) with J(R) != 0: the classes are the cosets of J(R) and h is
-  Gamma(R/J).  A graph that records no blow-up is searched as it is.
+  Gamma(R/J), and `conjunction_product` for the product of two recorded
+  blow-ups.  A graph that records no blow-up is searched as it is.
 - Vertex 0.  In a vertex-transitive graph (`UGraph.transitive`, true for
   every Gamma(R)) an automorphism takes any maximal independent set to one
   through vertex 0.  So alpha is 1 + alpha of the non-neighbours of 0, and
@@ -32,8 +33,13 @@ exhaustive oracle.  The two search questions, `independence_number` and
   target is alpha.  Used for alpha only.
 
 alpha is then found by branch and bound under a greedy clique-cover bound
-(Tomita-Seki's MCQ, bit-parallel as in San Segundo's BBMC).  A search notes
-on its Budget which reductions it applied.
+(Tomita-Seki's MCQ, bit-parallel as in San Segundo's BBMC).  Its incumbent
+is a greedy dive taken before the first node, the lowest candidate each
+time.  On every catalog ring and M_n(F_q) tried the dive from vertex 0
+already meets the clique bound, so the search ends at its first node, noting
+CLIQUE_BOUND when candidates were left; where it falls short (Gamma(Z(3) x
+Z(2)) in its row-major order), the branch and bound runs from its floor.  A
+search notes on its Budget which reductions it applied.
 """
 from __future__ import annotations
 
@@ -216,14 +222,18 @@ def _max_extension(adj, non, size, P, budget, target):
     non-neighbours of `size` chosen vertices; branch and bound on an explicit
     stack.
 
-    A node colors its candidates into cliques and branches on them in
-    decreasing class number; it stops once size + class <= best, since each
-    clique holds at most one vertex of an independent set.  The search ends
-    once best reaches `target`, an upper bound on the answer; if that leaves
-    branches open it notes CLIQUE_BOUND.  A tripped budget carries the best
-    size found.
+    best starts at the size of a greedy dive through P.  A node colors its
+    candidates into cliques and branches on them in decreasing class number;
+    it stops once size + class <= best, since each clique holds at most one
+    vertex of an independent set.  The search ends once best reaches
+    `target`, an upper bound on the answer; if that leaves branches open it
+    notes CLIQUE_BOUND.  A tripped budget carries the best size found, never
+    below the dive's.
     """
-    best = size
+    best, Q = size, P
+    while Q:  # the incumbent: a greedy dive that takes the lowest candidate left
+        best += 1
+        Q &= non[(Q & -Q).bit_length() - 1]
     stack = []  # frames [size, candidates left, vertices to branch on, their classes]
     try:
         while True:

@@ -294,7 +294,7 @@ class TestReducedSearch:
         code, out, _ = run(capsys, "alpha", "--ring", "M(3,GF(3))", "--format", "json")
         payload = json.loads(out)
         assert code == 0 and payload["alpha"] == 729
-        assert payload["stats"]["nodes"] <= 1000
+        assert payload["stats"]["nodes"] == 1
         assert payload["stats"]["reductions"] == ["vertex-0", "clique-bound"]
         code, out, _ = run(capsys, "alpha", "--ring", "M(3,GF(3))")
         assert code == 0 and out.strip() == "729"
@@ -319,7 +319,8 @@ class TestReducedSearch:
         code, out, _ = run(capsys, "wellcovered", "--ring", "Z(12)", "--format", "json")
         payload = json.loads(out)
         assert code == 0 and payload["answer"] == "no" and payload["alpha_exact"] is True
-        assert payload["stats"]["reductions"] == ["twin-quotient", "vertex-0"]
+        assert payload["stats"] == {"nodes": 5,
+                                    "reductions": ["twin-quotient", "vertex-0", "clique-bound"]}
 
     def test_wellcovered_m2f9_yes_from_vertex_0(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(9))", "--format", "json")
@@ -332,14 +333,15 @@ class TestReducedSearch:
         assert code == 2 and "well-covered: inconclusive" in out
 
     def test_no_answer_kept_when_alpha_trips(self, capsys):
+        # the "no" comes at node 68 and the alpha step is node 69
         code, out, err = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
-                             "--budget-nodes", "100")
+                             "--budget-nodes", "68")
         assert code == 0 and "Traceback" not in err
         assert "well-covered: no" in out and "alpha: >= 64" in out
         _, out, _ = run(capsys, "wellcovered", "--ring", "M(3,GF(2))",
-                        "--budget-nodes", "100", "--format", "json")
+                        "--budget-nodes", "68", "--format", "json")
         payload = json.loads(out)
-        assert payload["alpha_exact"] is False and payload["stats"]["nodes"] == 101
+        assert payload["alpha_exact"] is False and payload["stats"]["nodes"] == 69
 
     def test_deep_wellcovered_is_inconclusive(self, capsys):
         ring = "prod(%s)" % ",".join(["Z(2)"] * 11)  # order 2048, no twins
@@ -510,7 +512,7 @@ def _readme_commands():
 _README_COMMANDS = _readme_commands()
 # the README lines whose comment ends with a line that the command prints
 _README_PROMISES = {"alpha --ring M(2,GF(2))": "4",
-                    "wellcovered --ring M(3,GF(2)) --budget-nodes 100": "alpha: >= 64"}
+                    "wellcovered --ring M(3,GF(2)) --budget-nodes 68": "alpha: >= 64"}
 
 
 @pytest.mark.parametrize("argv,comment", _README_COMMANDS,

@@ -224,6 +224,35 @@ class TestConjunctionProduct:
     def test_random_graphs_match_bitwise_oracle(self, g1, g2):
         assert conjunction_product(g1, g2).adj == bitwise_conjunction_adj(g1, g2)
 
+    @pytest.mark.parametrize("a,b", [("Z(8)", "Z(8)"), ("Z(9)", "Z(8)"), ("Z(2)", "Z(8)"),
+                                     ("Z(4)", "M(2,GF(2))"), ("T(2,GF(2))", "Z(9)"),
+                                     ("Z(2)", "Z(3)")])
+    def test_records_the_product_of_the_twin_quotients(self, a, b):
+        g = conjunction_product(build_graph(make_ring(a)), build_graph(make_ring(b)))
+        want = _twin_quotient(g)
+        assert g.twin_quotient == want  # None for Z(2) x Z(3): no factor records one
+        assert want == build_graph(make_ring("prod(%s,%s)" % (a, b))).twin_quotient
+        if want is not None:
+            h = g.twin_quotient[0]
+            assert h.transitive and h.twin_quotient is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["Z(4)", "Z(8)", "Z(9)", "T(2,GF(2))", "prod(Z(2),Z(4))"]),
+           simple_graphs(max_n=6))
+    def test_record_holds_with_an_unrecorded_factor(self, text, g2):
+        g1 = build_graph(make_ring(text))
+        for g in (conjunction_product(g1, g2), conjunction_product(g2, g1)):
+            if g.n == 0:
+                assert g.twin_quotient is None
+                continue
+            h, classes = g.twin_quotient
+            assert h.twin_quotient is None and h.n == g1.twin_quotient[0].n * g2.n
+            assert sorted(v for c in classes for v in c) == list(range(g.n))
+            assert {len(c) for c in classes} == {len(g1.twin_quotient[1][0])}
+            for i, c in enumerate(classes):
+                row = sum(1 << y for j in range(h.n) if h.has_edge(i, j) for y in classes[j])
+                assert c == sorted(c) and all(g.adj[x] == row for x in c)
+
     def test_crt_relabeling_z6(self):
         # x -> (x mod 2, x mod 3) carries the 6-cycle onto the product graph
         g6 = build_graph(make_ring("Z(6)"))

@@ -227,7 +227,9 @@ def alpha_without_target(g):
 def check_alpha_oracles(spec):
     """Gamma(spec) and its alpha, checked against the closed form and the
     search with no target.  Where the clique bound ended the search it is
-    alpha and saved nodes; elsewhere the search took the same nodes."""
+    alpha and took no more nodes (the greedy dive often meets it at once, and
+    the clique cover then closes the search with no target at node 1 too);
+    elsewhere the search took the same nodes."""
     g = build_graph(make_ring(spec))
     budget = Budget()
     alpha = independence_number(g, budget)
@@ -235,7 +237,7 @@ def check_alpha_oracles(spec):
     assert alpha == closed_form_alpha(spec) == want
     if CLIQUE_BOUND in budget.reductions:
         h, _, w = indsets._reduce(g, Budget())
-        assert alpha == w * (h.n // _greedy_clique(h.adj)) and budget.nodes < nodes
+        assert alpha == w * (h.n // _greedy_clique(h.adj)) and budget.nodes <= nodes
     else:
         assert budget.nodes == nodes
     return g, alpha
@@ -401,11 +403,12 @@ class TestReducedSearch:
 
     def test_alpha_after_a_no_searches_the_quotient(self):
         # Gamma(Z(12)) records its twin quotient Gamma(Z(6)), on which the alpha
-        # step after the "no" searches
+        # step after the "no" searches; its dive meets the clique bound at once
         budget = Budget()
         rep = is_well_covered(build_graph(make_ring("Z(12)")), budget)
         assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
-        assert budget.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
+        assert budget.reductions == [TWIN_QUOTIENT, VERTEX_ZERO, CLIQUE_BOUND]
+        assert budget.nodes == 5
 
     def test_alpha_after_a_no_on_a_hand_built_blow_up(self):
         # a 2-fold blow-up of Gamma(Z(6)) that records nothing is searched as it
@@ -419,10 +422,23 @@ class TestReducedSearch:
         g.twin_quotient = blown.twin_quotient
         reduced = Budget()
         reports.append(is_well_covered(g, reduced))
-        assert reduced.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
+        assert reduced.reductions == [TWIN_QUOTIENT, VERTEX_ZERO, CLIQUE_BOUND]
         for rep in reports:
             assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
             assert is_maximal_independent(g, rep.witness_small)
+
+    @pytest.mark.parametrize("a, b, wc_nodes, alpha_nodes", [("Z(8)", "Z(8)", 3, 1),
+                                                             ("Z(9)", "Z(8)", 7, 3)])
+    def test_conjunction_product_searches_its_quotient(self, a, b, wc_nodes, alpha_nodes):
+        # searched unreduced, the products took 63 and 32 nodes, and 87 and 36
+        g = conjunction_product(build_graph(make_ring(a)), build_graph(make_ring(b)))
+        budget = Budget()
+        rep = is_well_covered(g, budget)
+        assert budget.nodes == wc_nodes and budget.reductions[:2] == [TWIN_QUOTIENT, VERTEX_ZERO]
+        check_against_enumeration(g, rep)
+        budget = Budget()
+        assert independence_number(g, budget) == rep.alpha and budget.nodes == alpha_nodes
+        assert rep.alpha == brute_force_alpha(g.twin_quotient[0]) * len(g.twin_quotient[1][0])
 
     @settings(max_examples=150, deadline=None)
     @given(RING_SPECS)
@@ -457,20 +473,22 @@ class TestCliqueBound:
         assert independence_number(g) == g.n // q ** n
 
     def test_search_ends_at_the_bound(self):
+        # the dive from vertex 0 finds 64 = 512 // 8 before the first node
         g = build_graph(make_ring("M(3,GF(2))"))
         budget = Budget()
         assert independence_number(g, budget) == 64
-        assert budget.nodes == 64 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
+        assert budget.nodes == 1 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
         budget = Budget()
         assert is_well_covered(g, budget).alpha_exact
-        assert budget.nodes == 132 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
-        assert alpha_without_target(g) == (64, 393)
+        assert budget.nodes == 69 and budget.reductions == [VERTEX_ZERO, CLIQUE_BOUND]
+        assert alpha_without_target(g) == (64, 335)
 
     def test_bound_not_noted_when_the_search_ends_there_anyway(self):
-        # Gamma(Z(6)): clique {0, 1}, target 3; the leaf {0, 4, 2} closes every branch
+        # Gamma(prod(Z(3),Z(2))): clique {0, 3}, target 3; the dive {0, 1} falls
+        # short, and the leaf that reaches 3 closes every branch at node 3
         budget = Budget()
-        assert independence_number(build_graph(make_ring("Z(6)")), budget) == 3
-        assert budget.reductions == [VERTEX_ZERO]
+        assert independence_number(build_graph(make_ring("prod(Z(3),Z(2))")), budget) == 3
+        assert budget.nodes == 3 and budget.reductions == [VERTEX_ZERO]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_non_transitive_graph_gets_no_target(self, monkeypatch, seed):
@@ -492,6 +510,42 @@ class TestCliqueBound:
         assert rep.alpha == brute_force_alpha(g) and rep.alpha_exact
         assert CLIQUE_BOUND not in budget.reductions and VERTEX_ZERO not in budget.reductions
         assert targets and all(t == math.inf for t in targets)
+
+
+class TestIncumbent:
+    @pytest.mark.parametrize("text", CATALOG + SEARCH_EXTRA + ["M(3,GF(3))"])
+    def test_ring_alpha_is_proven_at_the_first_node(self, text):
+        # the dive from vertex 0 meets the clique bound before the first node;
+        # the bound is noted unless the quotient is complete, where vertex 0
+        # leaves no candidates
+        g = build_graph(make_ring(text))
+        budget = Budget()
+        alpha = independence_number(g, budget)
+        h, _, w = indsets._reduce(g, Budget())
+        assert alpha == w * len(greedy_extend(h, (0,))) == closed_form_alpha(parse_spec(text))
+        assert budget.nodes == 1 and (CLIQUE_BOUND in budget.reductions) == (alpha > w)
+
+    def test_search_goes_past_a_short_dive(self):
+        short = 0
+        for seed in range(30):
+            g = random_graph(14, 0.3, seed + 500)
+            alpha = brute_force_alpha(g)
+            short += len(greedy_extend(g, ())) < alpha
+            assert independence_number(g) == alpha
+        assert short >= 10
+
+    def test_tripped_best_is_never_below_the_dive(self):
+        trips = 0
+        for seed in range(20):
+            g = random_graph(14, 0.3, seed + 700)
+            dive, alpha = len(greedy_extend(g, ())), brute_force_alpha(g)
+            for nodes in range(1, 12):
+                try:
+                    independence_number(g, Budget(max_nodes=nodes))
+                except BudgetExceededError as exc:
+                    trips += 1
+                    assert dive <= exc.best <= alpha
+        assert trips >= 50
 
 
 class TestVertexZero:
@@ -571,6 +625,19 @@ class TestVertexZero:
 class TestGenericGraphs:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32))
+    def test_products_of_blow_ups(self, seed):
+        # the product records the blow-up of its factors' quotients
+        rng = random.Random(seed)
+        base = random_graph(rng.randint(1, 4), rng.random(), seed)
+        g1 = blow_up(base, [rng.randint(1, 2)] * base.n, rng)
+        g2 = random_graph(rng.randint(0, 2), rng.random(), seed + 1)
+        if rng.random() < 0.5 and g1.n * g2.n <= 10:  # the oracle takes 20 vertices
+            g2 = blow_up(g2, [2] * g2.n, rng)
+        for g in (conjunction_product(g1, g2), conjunction_product(g2, g1)):
+            check_against_brute_force(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
     def test_blow_ups_with_unequal_classes(self, seed):
         rng = random.Random(seed)
         base = random_graph(rng.randint(1, 6), rng.random(), seed)
@@ -598,22 +665,30 @@ class TestBudgetContract:
         assert Budget(max_nodes=1, max_seconds=1e-9).stats() == {"nodes": 0, "reductions": []}
 
     def test_no_answer_survives_a_tripped_alpha_step(self):
-        # the "no" comes at node 68 and the alpha step would end at node 132
+        # the "no" comes at node 68 and the alpha step is node 69
         g = build_graph(make_ring("M(3,GF(2))"))
-        budget = Budget(max_nodes=100)
+        budget = Budget(max_nodes=68)
         rep = is_well_covered(g, budget)
         assert rep.answer == "no" and not rep.alpha_exact
         assert is_maximal_independent(g, rep.witness_small)
         assert len(rep.witness_small) < rep.alpha <= 64
-        assert budget.nodes == 101  # the caller's budget, not a fresh one
+        assert budget.nodes == 69  # the caller's budget, not a fresh one
         assert rep.to_json()["alpha_exact"] is False
 
     def test_tripped_alpha_carries_its_best_size(self):
-        with pytest.raises(BudgetExceededError) as info:
-            independence_number(build_graph(make_ring("M(3,GF(2))")), Budget(max_nodes=50))
-        assert 1 <= info.value.best <= 64
+        # not transitive, so no target: the dive finds 5, alpha is 8 (9 nodes)
+        g = random_graph(14, 0.3, 2)
+        for nodes in range(1, 9):
+            with pytest.raises(BudgetExceededError) as info:
+                independence_number(g, Budget(max_nodes=nodes))
+            assert 5 <= info.value.best <= 8
 
     def test_tripped_alpha_best_is_scaled_by_the_class_size(self):
-        with pytest.raises(BudgetExceededError) as info:
-            independence_number(build_graph(make_ring("T(3,GF(3))")), Budget(max_nodes=1))
-        assert info.value.best == 27  # vertex 0's coset of J, |J| = 27
+        base = random_graph(14, 0.3, 2)
+        g = blow_up(base, [3] * 14, random.Random(2))
+        for nodes in range(1, 9):
+            with pytest.raises(BudgetExceededError) as inner:
+                independence_number(base, Budget(max_nodes=nodes))
+            with pytest.raises(BudgetExceededError) as info:
+                independence_number(g, Budget(max_nodes=nodes))
+            assert info.value.best == 3 * inner.value.best
