@@ -1,8 +1,8 @@
 """Independent-set machinery on unitary Cayley graphs.
 
-Maximal independent sets are enumerated as maximal cliques of the
-complement graph (Bron-Kerbosch with pivoting, on an explicit stack); all
-orders are deterministic so streams can be golden-tested.
+Maximal independent sets are maximal cliques of the complement graph,
+enumerated by Bron-Kerbosch with pivoting on an explicit stack (the only
+search that builds complement rows); all orders are deterministic.
 `enumerate_maximal_independent` searches the graph as given: it is the
 exhaustive oracle.  The two search questions, `independence_number` and
 `is_well_covered`, first apply exact reductions, and so does
@@ -34,12 +34,12 @@ exhaustive oracle.  The two search questions, `independence_number` and
 
 alpha is then found by branch and bound under a greedy clique-cover bound
 (Tomita-Seki's MCQ, bit-parallel as in San Segundo's BBMC).  Its incumbent
-is a greedy dive taken before the first node, the lowest candidate each
-time.  On every catalog ring and M_n(F_q) tried the dive from vertex 0
-already meets the clique bound, so the search ends at its first node, noting
-CLIQUE_BOUND when candidates were left; where it falls short (Gamma(Z(3) x
-Z(2)) in its row-major order), the branch and bound runs from its floor.  A
-search notes on its Budget which reductions it applied.
+is `greedy_extend` of the root, which takes the lowest free vertex each
+time.  On every catalog ring and M_n(F_q) tried it already meets the clique
+bound, so the search ends at its first node, noting CLIQUE_BOUND when
+candidates were left; where it falls short (Gamma(Z(3) x Z(2)) in its
+row-major order), the branch and bound runs from its floor.  A search notes
+on its Budget which reductions it applied.
 """
 from __future__ import annotations
 
@@ -104,11 +104,6 @@ def _bits(mask):
         mask ^= b
 
 
-def _nonadjacency(g):
-    full = (1 << g.n) - 1
-    return [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-
-
 def enumerate_maximal_independent(g, budget=None):
     """Yield every maximal independent set of g exactly once, as sorted tuples.
 
@@ -118,13 +113,14 @@ def enumerate_maximal_independent(g, budget=None):
     """
     if budget is None:
         budget = Budget()
-    yield from _maximal_sets(_nonadjacency(g), [], (1 << g.n) - 1, budget)
+    yield from _maximal_sets(g.adj, [], (1 << g.n) - 1, budget)
 
 
-def _maximal_sets(non, root, P, budget):
-    """Yield root plus each maximal independent set of the graph induced on
-    P, as sorted tuples, where P holds the common non-neighbours of the
-    independent set root; Bron-Kerbosch on an explicit stack from X = {}."""
+def _maximal_sets(adj, root, P, budget):
+    """Yield root plus each maximal independent set of the graph on P, as
+    sorted tuples, where P holds the common non-neighbours of the independent
+    set root: Bron-Kerbosch on P's complement rows, explicit stack, X = {}."""
+    non = [P & ~row & ~(1 << v) for v, row in enumerate(adj)]
     chosen, base = list(root), len(root) - 1
     stack = []
     X = 0
@@ -166,14 +162,14 @@ def _reduce(g, budget):
 
 
 def _start(h, budget):
-    """(non, root, P): h's non-adjacency rows and where a search of h begins,
-    from root [0] over the non-neighbours of 0 on a transitive h, else from
-    the empty root over every vertex."""
-    non = _nonadjacency(h)
+    """(root, P): where a search of h begins, from root [0] over the
+    non-neighbours of 0 on a transitive h, else from the empty root over
+    every vertex."""
+    full = (1 << h.n) - 1
     if h.transitive and h.n:
         budget.note(VERTEX_ZERO)
-        return non, [0], non[0]
-    return non, [], (1 << h.n) - 1
+        return [0], full & ~h.adj[0] & ~1
+    return [], full
 
 
 def _lift(s, classes):
@@ -217,23 +213,18 @@ def _greedy_clique(adj):
     return size
 
 
-def _max_extension(adj, non, size, P, budget, target):
+def _max_extension(adj, size, P, budget, target, best):
     """size + the largest independent subset of P, where P holds the common
     non-neighbours of `size` chosen vertices; branch and bound on an explicit
-    stack.
+    stack from the incumbent `best`, the size of an independent set.
 
-    best starts at the size of a greedy dive through P.  A node colors its
-    candidates into cliques and branches on them in decreasing class number;
-    it stops once size + class <= best, since each clique holds at most one
-    vertex of an independent set.  The search ends once best reaches
-    `target`, an upper bound on the answer; if that leaves branches open it
-    notes CLIQUE_BOUND.  A tripped budget carries the best size found, never
-    below the dive's.
+    A node colors its candidates into cliques and branches on them in
+    decreasing class number; it stops once size + class <= best, since each
+    clique holds at most one vertex of an independent set.  The search ends
+    once best reaches `target`, an upper bound on the answer; if that leaves
+    branches open it notes CLIQUE_BOUND.  A tripped budget carries the best
+    size found, never below the incumbent.
     """
-    best, Q = size, P
-    while Q:  # the incumbent: a greedy dive that takes the lowest candidate left
-        best += 1
-        Q &= non[(Q & -Q).bit_length() - 1]
     stack = []  # frames [size, candidates left, vertices to branch on, their classes]
     try:
         while True:
@@ -256,7 +247,7 @@ def _max_extension(adj, non, size, P, budget, target):
             v = verts.pop()
             nums.pop()
             frame[1] = P & ~(1 << v)
-            size, P = size + 1, P & non[v]
+            size, P = size + 1, P & ~(adj[v] | 1 << v)
     except BudgetExceededError as exc:
         exc.best = best
         raise
@@ -264,14 +255,15 @@ def _max_extension(adj, non, size, P, budget, target):
 
 def independence_number(g, budget=None):
     """alpha(g), on the twin quotient, from vertex 0 and up to the clique bound
-    where they apply."""
+    where they apply, from the incumbent `greedy_extend` gives."""
     if budget is None:
         budget = Budget()
     h, _, w = _reduce(g, budget)
-    non, root, P = _start(h, budget)
+    root, P = _start(h, budget)
     target = h.n // _greedy_clique(h.adj) if root else math.inf
     try:
-        return w * _max_extension(h.adj, non, len(root), P, budget, target)
+        return w * _max_extension(h.adj, len(root), P, budget, target,
+                                  len(greedy_extend(h, root)))
     except BudgetExceededError as exc:
         exc.best *= w
         raise
@@ -314,26 +306,27 @@ def is_well_covered(g, budget=None):
     a "no" or "inconclusive" it holds the sets seen, each a lower bound.
     Full-enumeration verdict when the budget allows; a "no" is returned as
     soon as two maximal sets of different sizes are seen, with the smaller
-    one as witness, and alpha is then searched on h under the same budget.  If that trips, the "no" stands and
-    alpha is the best size seen, with alpha_exact false.  A tripped budget
-    without a witness is "inconclusive", with alpha a lower bound.
+    one as witness, and `independence_number` then searches alpha under the
+    same budget.  If that trips, the "no" stands and alpha is the best size
+    seen, with alpha_exact false.  A tripped budget without a witness is
+    "inconclusive", with alpha a lower bound.
     """
     if budget is None:
         budget = Budget()
     h, classes, w = _reduce(g, budget)
-    non, root, P = _start(h, budget)
+    root, P = _start(h, budget)
     counts, first = {}, None
     try:
-        for s in _maximal_sets(non, root, P, budget):
+        for s in _maximal_sets(h.adj, root, P, budget):
             counts[w * len(s)] = counts.get(w * len(s), 0) + 1
             if first is None:
                 first = s
             elif len(s) != len(first):
                 small, large = sorted((first, s), key=len)
-                try:  # g is the w-fold blow-up of h, so alpha(g) = w alpha(h)
-                    alpha, exact = w * independence_number(h, budget), True
+                try:
+                    alpha, exact = independence_number(g, budget), True
                 except BudgetExceededError as exc:
-                    alpha, exact = w * max(len(large), exc.best), False
+                    alpha, exact = max(w * len(large), exc.best), False
                 return WellCoveredReport("no", alpha, witness_small=_lift(small, classes),
                                          counts=counts, alpha_exact=exact)
     except BudgetExceededError:
@@ -351,21 +344,24 @@ def is_well_covered(g, budget=None):
 def greedy_extend(g, seed):
     """Deterministically extend an independent seed to a maximal set.
 
-    Eligible vertices are added in increasing index order.
+    Bit-parallel: take the lowest vertex free of the set so far, then drop
+    it and its neighbours, until none is free; so eligible vertices are
+    added in increasing index order.
     """
     mask = 0
     for v in seed:
         if not 0 <= v < g.n:
             raise ValueError("seed vertex %d out of range" % v)
         mask |= 1 << v
+    free = (1 << g.n) - 1 & ~mask
     for v in seed:
         if g.adj[v] & mask:
             raise ValueError("seed is not an independent set")
-    for v in range(g.n):
-        if mask >> v & 1:
-            continue
-        if not g.adj[v] & mask:
-            mask |= 1 << v
+        free &= ~g.adj[v]
+    while free:
+        b = free & -free
+        mask |= b
+        free &= ~(g.adj[b.bit_length() - 1] | b)
     return tuple(_bits(mask))
 
 

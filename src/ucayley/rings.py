@@ -769,6 +769,8 @@ class MatRing(_EntryRing):
         row of A^n maps to F^n, is reduced by the pivots of the rows before it,
         and the matrix is singular when it reduces to zero.  Rows past
         ROW_TABLE_LIMIT are reduced entry by entry, by `is_invertible`."""
+        if self.n == 1:  # M_1(A) is A
+            return self.base.is_unit(a)
         tables = self._row_tables
         if tables is None:
             if self._row_radix > ROW_TABLE_LIMIT:

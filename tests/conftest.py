@@ -252,6 +252,26 @@ def is_maximal_independent(g, verts):
     return all(mask >> v & 1 or g.adj[v] & mask for v in range(g.n))
 
 
+def scan_greedy_extend(g, seed):
+    """Oracle: the seed extended to a maximal set by one scan over every
+    vertex in increasing order, adding each vertex with no neighbour in the
+    set so far."""
+    mask = 0
+    for v in seed:
+        if not 0 <= v < g.n:
+            raise ValueError("seed vertex %d out of range" % v)
+        mask |= 1 << v
+    for v in seed:
+        if g.adj[v] & mask:
+            raise ValueError("seed is not an independent set")
+    for v in range(g.n):
+        if mask >> v & 1:
+            continue
+        if not g.adj[v] & mask:
+            mask |= 1 << v
+    return tuple(_bits(mask))
+
+
 def leibniz_det(rows, base):
     """Oracle determinant: signed sum over permutations."""
     n = len(rows)

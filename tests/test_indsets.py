@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (RING_SPECS, SEARCH_EXTRA, _twin_quotient, brute_force_alpha,
                       brute_force_maximal_independent, is_maximal_independent, pbound_alpha,
-                      recursive_maximal_independent, seed_is_well_covered)
+                      recursive_maximal_independent, scan_greedy_extend,
+                      seed_is_well_covered)
 from ucayley import indsets
 from ucayley.graphs import UGraph, build_graph, conjunction_product
 from ucayley.indsets import (CLIQUE_BOUND, TWIN_QUOTIENT, VERTEX_ZERO, Budget,
@@ -156,6 +157,33 @@ class TestGreedyExtend:
         assert all(g.adj[v] & mask for v in range(g.n) if v not in out)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2 ** 32), st.data())
+    def test_bit_parallel_walk_matches_the_scan(self, n, p, seed, data):
+        # a seed drawn apart from the graph: kept independent, or taken as drawn
+        g = random_graph(n, p, seed)
+        verts = data.draw(st.lists(st.integers(0, n - 1), unique=True) if n else st.just([]))
+        if data.draw(st.booleans()):
+            verts = [v for i, v in enumerate(verts)
+                     if not any(g.has_edge(u, v) for u in verts[:i])]
+        try:
+            want = scan_greedy_extend(g, verts)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                greedy_extend(g, verts)
+        else:
+            assert greedy_extend(g, verts) == want
+
+    @pytest.mark.parametrize("text", CATALOG + SEARCH_EXTRA)
+    def test_bit_parallel_walk_matches_the_scan_on_ring_graphs(self, text):
+        g = build_graph(make_ring(text))
+        rng = random.Random(text)
+        seeds = [(), (0,), (g.n - 1,)]
+        for _ in range(5):
+            seeds.append(scan_greedy_extend(g, (rng.randrange(g.n),))[::2])
+        for seed in seeds:
+            assert greedy_extend(g, seed) == scan_greedy_extend(g, seed)
+
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 20), st.floats(0, 1), st.integers(0, 2 ** 32), st.data())
     def test_verify_maximality_check_agrees_with_oracle(self, n, p, seed, data):
         # random sets, greedy maximal sets, and those less one vertex or plus one
@@ -220,8 +248,10 @@ def alpha_without_target(g):
     and the same branch and bound, run to exhaustion with no clique-bound target."""
     budget = Budget()
     h, _, w = indsets._reduce(g, budget)
-    non = indsets._nonadjacency(h)
-    return w * indsets._max_extension(h.adj, non, 1, non[0], budget, math.inf), budget.nodes
+    root, P = indsets._start(h, budget)
+    best = indsets._max_extension(h.adj, len(root), P, budget, math.inf,
+                                  len(greedy_extend(h, root)))
+    return w * best, budget.nodes
 
 
 def check_alpha_oracles(spec):
@@ -496,7 +526,7 @@ class TestCliqueBound:
         search = indsets._max_extension
 
         def spy(*args):
-            targets.append(args[5])
+            targets.append(args[4])
             return search(*args)
 
         def no_clique(adj):
@@ -534,6 +564,19 @@ class TestIncumbent:
             assert independence_number(g) == alpha
         assert short >= 10
 
+    @pytest.mark.parametrize("text, nodes", [("prod(M(2,GF(3)),M(2,GF(2)))", 324),
+                                             ("prod(M(2,GF(2)),T(2,GF(3)))", 975),
+                                             ("prod(M(2,GF(3)),Z(6))", 243)])
+    def test_branch_and_bound_where_the_dive_falls_short(self, text, nodes):
+        # the larger factor comes first, so the lowest-index walk from vertex 0
+        # stays short of the clique bound and the cover bound does the work
+        g = build_graph(make_ring(text))
+        h, _, w = indsets._reduce(g, Budget())
+        budget = Budget()
+        alpha = independence_number(g, budget)
+        assert alpha == closed_form_alpha(parse_spec(text)) > w * len(greedy_extend(h, (0,)))
+        assert budget.nodes == nodes
+
     def test_tripped_best_is_never_below_the_dive(self):
         trips = 0
         for seed in range(20):
@@ -563,9 +606,8 @@ class TestVertexZero:
         # every vertex ties for the first pivot, so the unrooted search branches
         # on vertex 0 first: a "no" has the same witness and counts either way
         g = build_graph(make_ring(text))
-        non = indsets._nonadjacency(g)
         rooted, full = Budget(), Budget()
-        sets = list(indsets._maximal_sets(non, [0], non[0], rooted))
+        sets = list(indsets._maximal_sets(g.adj, [0], (1 << g.n) - 2 & ~g.adj[0], rooted))
         stream = list(enumerate_maximal_independent(g, full))
         assert sets == stream[:len(sets)] == [s for s in stream if 0 in s]
         assert rooted.nodes < full.nodes
@@ -576,9 +618,9 @@ class TestVertexZero:
         roots = []
         kernel = indsets._maximal_sets
 
-        def spy(non, root, P, budget):
+        def spy(adj, root, P, budget):
             roots.append((list(root), P))
-            return kernel(non, root, P, budget)
+            return kernel(adj, root, P, budget)
         monkeypatch.setattr(indsets, "_maximal_sets", spy)
         g = random_graph(10, p, seed + 400)
         budget, enum_budget = Budget(), Budget()
@@ -591,6 +633,25 @@ class TestVertexZero:
         if rep.answer == "no":
             independence_number(g, alpha_budget)
         assert budget.nodes == enum_budget.nodes + alpha_budget.nodes
+
+    @pytest.mark.parametrize("text", ["Z(6)", "Z(12)", "M(3,GF(2))", "prod(Z(2),M(2,GF(3)))",
+                                      "prod(Z(3),Z(2))", None])
+    def test_only_the_enumeration_builds_complement_rows(self, monkeypatch, text):
+        # a "no" enumerates once, handing the Bron-Kerbosch kernel, the one
+        # reader of complement rows, the searched graph's own adjacency rows;
+        # its alpha step, `independence_number`, never runs the kernel
+        rows = []
+        kernel = indsets._maximal_sets
+
+        def spy(*args):
+            rows.append(args[0])
+            return kernel(*args)
+        monkeypatch.setattr(indsets, "_maximal_sets", spy)
+        g = build_graph(make_ring(text)) if text else random_graph(12, 0.3, 41)
+        h = g.twin_quotient[0] if g.twin_quotient else g
+        rep = is_well_covered(g)
+        assert rep.answer == "no" and rep.alpha_exact
+        assert independence_number(g) == rep.alpha and len(rows) == 1 and rows[0] is h.adj
 
     def test_graph_wrongly_marked_transitive_is_refused(self):
         path = UGraph(3)  # 0 - 1 - 2: {0, 2} counted 3 / 2 times

@@ -607,8 +607,21 @@ class TestUnits:
             want = base.is_unit(det_entries(rows, base))
             assert is_invertible(entries, n, images) == want
             assert ring.is_unit(ring.encode_entries(entries)) == want
-        # rows past the bound, as Z(12)^3, are reduced entry by entry and build no table
-        assert (ring._row_tables is None) == (base.order ** n > ROW_TABLE_LIMIT)
+        # rows past the bound, as Z(12)^3, are reduced entry by entry and build no
+        # table; M_1(A) asks A itself and builds none either
+        assert (ring._row_tables is None) == (n == 1 or base.order ** n > ROW_TABLE_LIMIT)
+
+    @pytest.mark.parametrize("text", ["Z(1048576)", "prod(Z(1024),Z(1024))", "Z(12)", "GF(9)",
+                                      "prod(Z(2),GF(3))", "Z(4)", "GF(1024)"])
+    def test_one_by_one_matrix_ring_asks_its_base(self, text):
+        # M_1(A) = A: a unit test matches the 1 x 1 determinant and builds no
+        # residue-field image, which for Z(2^20) would have 2^20 entries
+        ring, rng = make_ring("M(1,%s)" % text), random.Random(29)
+        base = ring.base
+        samples = [base.one, 0, base.order - 1] + [rng.randrange(base.order) for _ in range(200)]
+        for a in samples:
+            assert ring.is_unit(a) == base.is_unit(det_entries(((a,),), base))
+        assert "_quotient_maps" not in vars(ring) and ring._row_tables is None
 
     @pytest.mark.parametrize("n,base,tables", [
         (2, GFRing(16), True),  # |A|^n = 256, at the bound
