@@ -10,14 +10,17 @@ bitmask of the facets that hold it (its column).  The antichain check, the
 codimension-1 test and the shelling step are bit operations on these.
 `independence_complex` enumerates the twin quotient the graph records, as
 the searches in `indsets` do, and lifts each maximal set to its twin classes.
+On a quotient that records its group it enumerates only the maximal sets
+through vertex 0 and translates them.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .indsets import (Budget, BudgetExceededError, _bits, _lift, _reduce,
-                      enumerate_maximal_independent)
+from .graphs import _selector, _translates
+from .indsets import (Budget, BudgetExceededError, _bits, _lift, _maximal_sets, _reduce,
+                      _start, enumerate_maximal_independent)
 
 SHELLING_FOUND = "shelling"
 SHELLING_NONE = "no shelling exists"
@@ -81,12 +84,37 @@ def independence_complex(g, budget=None):
     """ind(g): the complex whose facets are the maximal independent sets.
 
     They are enumerated on the twin quotient g records, if any, and each
-    lifts to the union of its twin classes.
+    lifts to the union of its twin classes.  A quotient h that records a
+    group is a Cayley graph, so every translation is an automorphism: if T is
+    maximal and t in T, then T - t is maximal and holds 0.  So only the sets
+    through vertex 0 are enumerated, and each one not already found as a
+    translate is translated by every group element (`graphs._translates`),
+    one budget tick per orbit.  A graph with no group is enumerated whole.
     """
     if budget is None:
         budget = Budget()
     h, classes, _ = _reduce(g, budget)
-    return Complex(g.n, [_lift(s, classes) for s in enumerate_maximal_independent(h, budget)])
+    if h.transitive:
+        facets = _translated_facets(h, budget)
+    else:
+        facets = enumerate_maximal_independent(h, budget)
+    return Complex(g.n, [_lift(s, classes) for s in facets])
+
+
+def _translated_facets(h, budget):
+    """Every maximal independent set of h, which records a group, as a sorted
+    list: the orbits of the sets through vertex 0 under translation.  A set
+    through 0 lies in a translated orbit iff it is among the masks found.
+    (Lists, not tuples: a tuple grown from an iterator is resized in place,
+    and over repeated calls that fragments the heap.)"""
+    masks = set()
+    for s in _maximal_sets(h.adj, *_start(h, budget), budget):
+        m = sum(1 << v for v in s)
+        if m not in masks:
+            budget.tick()
+            masks.update(_translates(h.group, h.group, m))
+    vertices = range(h.n)
+    return [list(itertools.compress(vertices, _selector(m))) for m in masks]
 
 
 def is_pure(c):

@@ -33,24 +33,32 @@ class UGraph:
 
     `labels` is None, a list of vertex labels, or a function from a vertex to
     its label, called only when a label is read.  Two facts may be recorded
-    for the searches in `indsets`, which trust them, so each must hold when
-    set.  `transitive` says the graph is vertex-transitive, as every Cayley
-    graph is.  `twin_quotient` is None, for no blow-up known, or (h,
-    classes): the graph is the blow-up of h that replaces vertex i by the
+    for the searches in `indsets` and `complexes`, which trust them, so each
+    must hold when set.  `group` is None, for no group known, or the
+    big-endian radices of an additive group whose digit-wise addition acts on
+    the vertex indices as automorphisms, as (R, +) does on Gamma(R): the
+    graph is a Cayley graph of that group, and `transitive` (read-only) says
+    a group is recorded.  `twin_quotient` is None, for no blow-up known, or
+    (h, classes): the graph is the blow-up of h that replaces vertex i by the
     pairwise non-adjacent vertices of classes[i], a sorted list, all classes
     of one size.  `build_graph` records both facts; `conjunction_product`
-    records `transitive` when both factors are, and a twin quotient when
-    either records one; `add_edge` clears both.  h is never the graph
-    itself: a graph that refers to itself waits for the cyclic garbage
+    records the product of its factors' groups when both record one, and a
+    twin quotient when either does; `add_edge` clears both.  h is never the
+    graph itself: a graph that refers to itself waits for the cyclic garbage
     collector.
     """
 
-    def __init__(self, n, labels=None, transitive=False):
+    def __init__(self, n, labels=None, group=None):
         self.n = n
         self.adj = [0] * n
         self.labels = labels
-        self.transitive = transitive
+        self.group = group
         self.twin_quotient = None
+
+    @property
+    def transitive(self):
+        """Vertex-transitive by a recorded group: every translation is an automorphism."""
+        return self.group is not None
 
     def label(self, v):
         """The label of v, or None for an unlabelled graph."""
@@ -61,7 +69,7 @@ class UGraph:
     def add_edge(self, u, v):
         if u == v:
             raise ValueError("no loops in a simple graph")
-        self.transitive, self.twin_quotient = False, None
+        self.group, self.twin_quotient = None, None
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 
@@ -94,12 +102,13 @@ def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
     cosets are the rows of R: one int per coset, shared by the coset's
     vertices.  The graph records (Gamma(R/J), the cosets) as its twin
     quotient, the cosets numbered as the projection numbers them.  The graph
-    is a Cayley graph of (R, +), so it is marked vertex-transitive; labels
-    are `ring.element_repr`, on demand.
+    is a Cayley graph of (R, +), so it records `ring.radices` as its group
+    (and Gamma(R/J) the radices of R/J); labels are `ring.element_repr`, on
+    demand.
     """
     if ring.order > cap:
         raise CapExceededError("|R| = %d exceeds the graph cap %d" % (ring.order, cap))
-    g = UGraph(ring.order, labels=ring.element_repr, transitive=True)
+    g = UGraph(ring.order, labels=ring.element_repr, group=ring.radices)
     if ring.radical_steps == ring.radices:  # J = 0
         units = ring.units()
         if units != [0]:  # the zero ring: its one vertex would only carry a loop
@@ -120,54 +129,50 @@ def build_graph(ring, cap=DEFAULT_GRAPH_CAP):
 
 def _translates(radices, limits, row):
     """The translates row + a of a bitmask over the additive group with these
-    big-endian radices, for each a whose digit i is below limits[i] (a
-    divisor of radix i), in increasing order of a.
+    big-endian radices, for each a whose digit i is below limits[i] (at most
+    radix i), in increasing order of a.
 
-    a walks those elements in order and the row is carried along: a digit
-    below its limit less 1 steps up by e_i, and a digit at it goes back to 0,
-    by (d - t + 1) e_i mod its radix d (t its limit), and carries into the
-    next digit.  Translating a bitmask by c e_i (stride s) shifts the
-    elements whose digit i is below d - c up by s * c and wraps the others
-    down by s * (d - c).
+    Digit by digit, most significant first, each translate found so far is
+    followed by its steps by e_i, 1 up to limits[i] - 1 of them, which keeps
+    the order; every translate but row itself costs one step.  Translating a
+    bitmask by e_i (stride s, radix d) shifts the elements whose digit i is
+    below d - 1 up by s and wraps the others down by s * (d - 1).
     """
-    everything = (1 << math.prod(radices)) - 1
-    places = []  # (period, step, wrap) per digit with a limit above 1, least significant first
-    s = count = 1
-    for d, t in zip(reversed(radices), reversed(limits)):
+    n = math.prod(radices)
+    everything = (1 << n) - 1
+    rows = [row]
+    s = n
+    for d, t in zip(radices, limits):
+        s //= d
         if t > 1:
-            moves = []
-            for c in dict.fromkeys((1, d - t + 1)):  # one move when t = d
-                top = (((1 << s * c) - 1) << s * (d - c)) * (everything // ((1 << s * d) - 1))
-                moves.append((s * c, s * (d - c), top, everything ^ top))
-            count *= t
-            places.append((count, moves[0], moves[-1]))
-        s *= d
-    rows = [row] * count
-    for k in range(1, count):
-        for period, step, wrap in places:
-            if k % period:
-                up, back, top, rest = step
-                row = ((row & rest) << up) | ((row & top) >> back)
-                break
-            up, back, top, rest = wrap
-            row = ((row & rest) << up) | ((row & top) >> back)
-        rows[k] = row
+            top = (((1 << s) - 1) << s * (d - 1)) * (everything // ((1 << s * d) - 1))
+            rest, back, steps = everything ^ top, s * (d - 1), range(t - 1)
+            out = []
+            for x in rows:
+                out.append(x)
+                for _ in steps:
+                    x = ((x & rest) << s) | ((x & top) >> back)
+                    out.append(x)
+            rows = out
     return rows
 
 
 def conjunction_product(g1, g2):
     """Pairs (v1, v2) adjacent iff both coordinates are adjacent.
 
-    Vertex (v1, v2) gets index v1 * g2.n + v2 (row-major).  The product of
-    two vertex-transitive graphs is vertex-transitive.  If g1 is the blow-up
-    of h1 by classes1 and g2 of h2 by classes2, the product is the blow-up of
-    h1 x h2 by the classes C1 x C2, and that is recorded as its twin
-    quotient; a factor that records no blow-up stands for itself, with one
-    vertex per class.  A product of two factors that record none, or with no
-    vertices, records none.
+    Vertex (v1, v2) gets index v1 * g2.n + v2 (row-major): the mixed-radix
+    number whose digits are v1's then v2's.  So when both factors record a
+    group, the product records the product group, radices g1.group +
+    g2.group.  If g1 is the blow-up of h1 by classes1 and g2 of h2 by
+    classes2, the product is the blow-up of h1 x h2 by the classes C1 x C2,
+    and that is recorded as its twin quotient; a factor that records no
+    blow-up stands for itself, with one vertex per class.  A product of two
+    factors that record none, or with no vertices, records none.
     """
     n1, n2 = g1.n, g2.n
-    out = UGraph(n1 * n2, transitive=g1.transitive and g2.transitive)
+    out = UGraph(n1 * n2)
+    if g1.transitive and g2.transitive:
+        out.group = g1.group + g2.group
     if g1.labels is not None and g2.labels is not None:
         out.labels = lambda v: "(%s|%s)" % (g1.label(v // n2), g2.label(v % n2))
     for v1 in range(n1):

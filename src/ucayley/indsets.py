@@ -6,7 +6,8 @@ search that builds complement rows); all orders are deterministic.
 `enumerate_maximal_independent` searches the graph as given: it is the
 exhaustive oracle.  The two search questions, `independence_number` and
 `is_well_covered`, first apply exact reductions, and so does
-`complexes.independence_complex` (the twin quotient only):
+`complexes.independence_complex` (the twin quotient, and vertex 0 with
+translation):
 
 - Twin quotient.  A graph may record that it is the blow-up of a graph h
   (`UGraph.twin_quotient`): vertex i of h becomes a class of w pairwise
@@ -17,14 +18,16 @@ exhaustive oracle.  The two search questions, `independence_number` and
   Gamma(R) with J(R) != 0: the classes are the cosets of J(R) and h is
   Gamma(R/J), and `conjunction_product` for the product of two recorded
   blow-ups.  A graph that records no blow-up is searched as it is.
-- Vertex 0.  In a vertex-transitive graph (`UGraph.transitive`, true for
-  every Gamma(R)) an automorphism takes any maximal independent set to one
-  through vertex 0.  So alpha is 1 + alpha of the non-neighbours of 0, and
-  the well-covered search enumerates only the maximal sets through 0.  Each
-  vertex lies in the same number c_k of maximal k-sets, so the graph has
-  n c_k / k of them (double counting): the counts of a "yes" are those of
-  the whole graph.  Both searches start through one helper, `_start`,
-  which roots them at vertex 0 when the graph is transitive.
+- Vertex 0.  In a vertex-transitive graph (`UGraph.transitive`: a graph
+  that records its group, as every Gamma(R) does) an automorphism takes any
+  maximal independent set to one through vertex 0.  So alpha is 1 + alpha
+  of the non-neighbours of 0, and the well-covered search enumerates only
+  the maximal sets through 0.  Each vertex lies in the same number c_k of
+  maximal k-sets, so the graph has n c_k / k of them (double counting):
+  the counts of a "yes" are those of the whole graph.  Both searches start
+  through one helper, `_start`, which roots them at vertex 0 when the graph
+  is transitive.  So does `independence_complex`, which then translates
+  each set it finds by the recorded group to get every facet.
 - Clique bound.  A vertex-transitive graph on n vertices with a clique K has
   alpha * |K| <= n (the clique-coclique bound, Godsil-Meagher 2015, Ch. 2).
   A greedy clique from vertex 0 gives the target n // |K|, and the alpha

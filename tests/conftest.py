@@ -57,9 +57,9 @@ def _twin_quotient(g):
     found by hashing g's rows.
 
     classes[i] is the sorted vertex list of class i, ordered by least
-    vertex; vertex i of h is class i, and h inherits `transitive`.  h has no
-    twins, since its twin classes would lift to twin classes of g, and
-    records so.
+    vertex; vertex i of h is class i.  h has no twins, since its twin
+    classes would lift to twin classes of g, and records so.  It records no
+    group: hashing finds the classes, not a group acting on their indices.
     """
     groups = {}
     for v, row in enumerate(g.adj):
@@ -70,8 +70,7 @@ def _twin_quotient(g):
         return None
     index = {c[0]: i for i, c in enumerate(classes)}
     reps = sum(1 << c[0] for c in classes)
-    h = UGraph(len(classes), transitive=g.transitive)
-    h.twin_quotient = None
+    h = UGraph(len(classes))
     for i, c in enumerate(classes):
         row = 0
         for v in _bits(g.adj[c[0]] & reps):

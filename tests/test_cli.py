@@ -350,32 +350,36 @@ class TestReducedSearch:
         assert "alpha: >= 1024" in out and "Traceback" not in err
 
     def test_complex_shares_one_budget(self, capsys):
-        # 31 nodes enumerate the complex; the shelling search needs 17 more
+        # 20 nodes enumerate the complex: 15 from vertex 0, and one for each
+        # of the 5 orbits translated; the shelling search needs 17 more
         argv = ("complex", "--ring", "prod(Z(2),Z(2),Z(2))", "--shelling", "--format", "json")
-        code, out, _ = run(capsys, *argv, "--budget-nodes", "31")
+        code, out, _ = run(capsys, *argv, "--budget-nodes", "20")
         assert code == 2
         assert json.loads(out)["shelling"]["status"] == "none found within budget"
-        code, out, _ = run(capsys, *argv, "--budget-nodes", "48")
+        code, out, _ = run(capsys, *argv, "--budget-nodes", "19")
+        assert code == 2 and json.loads(out)["answer"] == "inconclusive"
+        code, out, _ = run(capsys, *argv, "--budget-nodes", "37")
         assert code == 0 and json.loads(out)["shelling"]["status"] == "shelling"
 
 
     def test_complex_json_stats(self, capsys):
         argv = ("complex", "--ring", "prod(Z(2),Z(2),Z(2))", "--shelling", "--format", "json")
         _, out, _ = run(capsys, *argv)
-        assert json.loads(out)["stats"] == {"nodes": 48, "reductions": []}
-        _, out, _ = run(capsys, *argv, "--budget-nodes", "31")
-        assert json.loads(out)["stats"]["nodes"] == 32
+        assert json.loads(out)["stats"] == {"nodes": 37, "reductions": ["vertex-0"]}
+        _, out, _ = run(capsys, *argv, "--budget-nodes", "20")
+        assert json.loads(out)["stats"]["nodes"] == 21
         code, out, _ = run(capsys, "complex", "--ring", "Z(6)", "--format", "json",
                            "--budget-nodes", "3")
         payload = json.loads(out)
         assert code == 2 and payload["answer"] == "inconclusive"
-        assert payload["stats"] == {"nodes": 4, "reductions": []}
+        assert payload["stats"] == {"nodes": 4, "reductions": ["vertex-0"]}
 
     def test_complex_json_reports_the_twin_quotient(self, capsys):
         # J(M(2,Z(4))) != 0: the complex is enumerated on Gamma(M(2,GF(2)))
         code, out, _ = run(capsys, "complex", "--ring", "M(2,Z(4))", "--format", "json")
         payload = json.loads(out)
-        assert code == 0 and payload["stats"] == {"nodes": 108, "reductions": ["twin-quotient"]}
+        assert code == 0 and payload["stats"] == {"nodes": 29,
+                                                  "reductions": ["twin-quotient", "vertex-0"]}
         assert len(payload["facets"]) == 24 and payload["dim"] == 63
 
 

@@ -17,10 +17,11 @@ from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
                                SHELLING_UNKNOWN, _attaches, codim1_connected,
                                find_shelling, independence_complex, is_pure,
                                is_shelling_order, pure_skeleton)
-from ucayley.graphs import UGraph, build_graph, export_stanley_reisner
-from ucayley.indsets import (TWIN_QUOTIENT, Budget, BudgetExceededError,
-                             enumerate_maximal_independent)
-from ucayley.rings import make_ring
+from ucayley.graphs import UGraph, build_graph, conjunction_product, export_stanley_reisner
+from ucayley.indsets import (TWIN_QUOTIENT, VERTEX_ZERO, Budget, BudgetExceededError,
+                             _maximal_sets, _reduce, _start, enumerate_maximal_independent,
+                             is_well_covered)
+from ucayley.rings import make_ring, radical_quotient
 from ucayley.verify import CATALOG
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,7 +103,7 @@ class TestIndependenceComplex:
 
     @pytest.mark.parametrize("transitive", [False, True])
     def test_empty_graph_is_the_empty_simplex(self, transitive):
-        g = UGraph(0, transitive=transitive)
+        g = UGraph(0, group=() if transitive else None)
         c = independence_complex(g)
         assert c.facets == tuple(brute_force_maximal_independent(g)) == ((),)
         assert c.dim == -1
@@ -122,7 +123,7 @@ class TestIndependenceComplex:
         g = build_graph(make_ring("M(2,Z(4))"))
         budget = Budget()
         c = independence_complex(g, budget)
-        assert budget.reductions == [TWIN_QUOTIENT]
+        assert budget.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
         assert budget.nodes < 200  # the full graph's enumeration takes 2,494
         assert c == Complex(g.n, enumerate_maximal_independent(g))
 
@@ -158,6 +159,90 @@ class TestIndependenceComplex:
         top = c if is_pure(c) else pure_skeleton(c, c.dim)
         assert find_shelling(top).status == SHELLING_NONE
         assert time.monotonic() - start < 1.0
+
+
+def full_complex(g, max_nodes=None):
+    """The oracle: ind(g) from the whole graph's enumeration, no reduction taken."""
+    return Complex(g.n, enumerate_maximal_independent(g, Budget(max_nodes=max_nodes)))
+
+
+def translation_orbits(ring, facets):
+    """The number of orbits of the facets under x -> x + a, by the ring's own addition."""
+    return len({min(tuple(sorted(ring.add(x, a) for x in f)) for a in range(ring.order))
+                for f in facets})
+
+
+class TestTranslationOrbits:
+    """ind of a graph that records its group, from the sets through vertex 0
+    and their translates, against the whole graph's enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS, RING_SPECS)
+    def test_conjunction_products(self, a, b):
+        g1, g2 = build_graph(make_ring(a)), build_graph(make_ring(b))
+        assume(g1.n * g2.n <= 300)
+        g = conjunction_product(g1, g2)
+        try:
+            want = full_complex(g, 20_000)
+        except BudgetExceededError:
+            assume(False)  # beyond the oracle's budget
+        budget = Budget()
+        assert independence_complex(g, budget) == want
+        assert VERTEX_ZERO in budget.reductions
+
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS, st.integers(0, 2 ** 32))
+    def test_ring_graph_with_an_added_edge(self, spec, seed):
+        # the edge clears the group: the whole graph is enumerated
+        g = build_graph(make_ring(spec))
+        missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+        assume(missing)
+        g.add_edge(*random.Random(seed).choice(missing))
+        try:
+            want = full_complex(g, 20_000)
+        except BudgetExceededError:
+            assume(False)
+        budget = Budget()
+        assert independence_complex(g, budget) == want and budget.reductions == []
+
+    @pytest.mark.parametrize("text", ["M(2,GF(3))", "prod(Z(5),Z(5),Z(5))", "M(2,Z(4))",
+                                      "prod(Z(2),Z(2),Z(2),Z(2))", "Z(30)", "T(3,GF(3))"])
+    def test_specs_of_the_benchmark(self, text):
+        g = build_graph(make_ring(text))
+        assert independence_complex(g) == full_complex(g)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_matrix_rings_by_both_vertex_0_routes(self, q):
+        # ind(Gamma(M_2(F_q))) has 2(q+1)q^2 facets of size q^2; the
+        # well-covered search counts them by double counting instead
+        g = build_graph(make_ring("M(2,GF(%d))" % q))
+        c = independence_complex(g)
+        assert len(c.facets) == 2 * (q + 1) * q * q
+        assert {len(f) for f in c.facets} == {q * q}
+        assert is_well_covered(g).counts == {q * q: len(c.facets)}
+
+    @pytest.mark.parametrize("text", ["M(2,GF(3))", "prod(Z(2),Z(2),Z(2))", "M(2,Z(4))", "Z(6)"])
+    def test_one_tick_per_orbit_translated(self, text):
+        # the nodes are the Bron-Kerbosch nodes through vertex 0 on the
+        # quotient, plus one per orbit of its facets; a budget one short
+        # trips, and a budget of the Bron-Kerbosch nodes alone trips in the
+        # translation
+        r = make_ring(text)
+        g = build_graph(r)
+        h, _, _ = _reduce(g, Budget())
+        q = r if h is g else radical_quotient(r)[0]
+        kernel = Budget()
+        sets = list(_maximal_sets(h.adj, *_start(h, kernel), kernel))
+        facets = full_complex(h).facets
+        orbits = translation_orbits(q, facets)
+        assert 1 <= orbits <= len(sets) <= len(facets)
+        budget = Budget()
+        c = independence_complex(g, budget)
+        assert budget.nodes == kernel.nodes + orbits and c == full_complex(g)
+        for nodes in (kernel.nodes, kernel.nodes + orbits - 1):
+            with pytest.raises(BudgetExceededError):
+                independence_complex(g, Budget(max_nodes=nodes))
+        assert independence_complex(g, Budget(max_nodes=budget.nodes)) == c
 
 
 class TestPurity:

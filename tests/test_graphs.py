@@ -192,6 +192,7 @@ class TestTwinQuotientRecord:
 
 
 class TestTransitiveFlag:
+    # `transitive` reads the group record
     def test_ring_graphs_are_transitive(self):
         r = make_ring("T(2,GF(3))")
         assert build_graph(r).transitive
@@ -202,6 +203,75 @@ class TestTransitiveFlag:
         g = build_graph(make_ring("Z(3)"))
         assert conjunction_product(g, g).transitive
         assert not conjunction_product(g, k(2)).transitive
+        assert conjunction_product(k(2), g).group is None
+
+
+def check_group(g, add, rng, samples=5):
+    """For sampled x and a, row x translated by a through g's recorded group
+    is row add(x, a): digit-wise addition is the oracle's own."""
+    assert g.transitive
+    picks = range(g.n)
+    for x in rng.sample(picks, min(samples, g.n)):
+        rows = _translates(g.group, g.group, g.adj[x])
+        for a in rng.sample(picks, min(samples, g.n)):
+            assert rows[a] == g.adj[add(x, a)]
+
+
+def ring_and_quotient(r):
+    """(R, the ring its graph's twin quotient is built on: R/J, or R when J = 0)."""
+    return r, (radical_quotient(r)[0] if r.radical_steps != r.radices else r)
+
+
+def check_ring_group(r, rng):
+    g = build_graph(r)
+    assert g.group == r.radices
+    check_group(g, r.add, rng)
+    if g.twin_quotient is not None:
+        q = ring_and_quotient(r)[1]
+        assert g.twin_quotient[0].group == q.radices
+        check_group(g.twin_quotient[0], q.add, rng)
+
+
+class TestGroupRecord:
+    @pytest.mark.parametrize("text", ["M(2,GF(3))", "prod(Z(5),Z(5))", "GF(8)", "Z(30)",
+                                      "Z(12)", "M(2,Z(4))", "T(3,GF(2))", "prod(Z(4),GF(3))"])
+    def test_ring_graphs_and_their_quotients(self, text):
+        # J = 0 for the first four, J != 0 (a twin quotient recorded) for the rest
+        r = make_ring(text)
+        assert (build_graph(r).twin_quotient is None) == (r.radical_steps == r.radices)
+        check_ring_group(r, random.Random(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS, st.integers(0, 2 ** 32))
+    def test_random_specs(self, spec, seed):
+        check_ring_group(make_ring(spec), random.Random(seed))
+
+    @pytest.mark.parametrize("a,b", [("Z(3)", "Z(4)"), ("Z(8)", "M(2,GF(2))"),
+                                     ("T(2,GF(2))", "Z(9)"), ("GF(4)", "Z(5)")])
+    def test_conjunction_products_and_their_quotients(self, a, b):
+        rng = random.Random(a + b)
+        (r1, q1), (r2, q2) = ring_and_quotient(make_ring(a)), ring_and_quotient(make_ring(b))
+        g1, g2 = build_graph(r1), build_graph(r2)
+        g = conjunction_product(g1, g2)
+        assert g.group == r1.radices + r2.radices
+
+        def pair_add(s1, s2):
+            return lambda x, y: s1.add(x // s2.order, y // s2.order) * s2.order + s2.add(
+                x % s2.order, y % s2.order)
+        check_group(g, pair_add(r1, r2), rng)
+        if g.twin_quotient is not None:
+            assert g.twin_quotient[0].group == q1.radices + q2.radices
+            check_group(g.twin_quotient[0], pair_add(q1, q2), rng)
+
+    def test_add_edge_clears_the_record(self):
+        g = build_graph(make_ring("Z(4)"))  # 0 and 2 differ by 2, a non-unit
+        assert g.group == (4,)
+        g.add_edge(0, 2)
+        assert g.group is None and not g.transitive and g.twin_quotient is None
+
+    def test_transitive_is_read_only(self):
+        with pytest.raises(AttributeError):
+            UGraph(2).transitive = True
 
 
 class TestConjunctionProduct:

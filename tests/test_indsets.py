@@ -77,7 +77,7 @@ class TestEnumeration:
 
 @pytest.mark.parametrize("transitive", [False, True])
 def test_empty_graph_has_one_maximal_set(transitive):
-    g = UGraph(0, transitive=transitive)
+    g = UGraph(0, group=() if transitive else None)
     assert brute_force_maximal_independent(g) == [()]
     assert list(enumerate_maximal_independent(g)) == [()]
     budget = Budget()
@@ -298,7 +298,7 @@ def blow_up(base, sizes, rng):
     has one size, the blow-up is recorded as the graph's twin quotient."""
     owner = [i for i, w in enumerate(sizes) for _ in range(w)]
     rng.shuffle(owner)
-    g = UGraph(len(owner), transitive=base.transitive)
+    g = UGraph(len(owner))  # shuffled: no group acts on these indices
     classes = [[] for _ in sizes]
     for x, i in enumerate(owner):
         classes[i].append(x)
@@ -317,7 +317,7 @@ def circulant(n, rng):
         if rng.random() < 0.4:
             for x in range(n):
                 g.add_edge(x, (x + d) % n)
-    g.transitive = True  # set after the edges, since add_edge clears it
+    g.group = (n,)  # set after the edges, since add_edge clears it
     return g
 
 
@@ -374,7 +374,8 @@ class TestTwinQuotient:
         h, classes = _twin_quotient(build_graph(r))
         cosets = sorted({radical_saturate(r, rad, (x,)) for x in range(r.order)})
         assert [tuple(c) for c in classes] == cosets
-        assert h == build_graph(radical_quotient(r)[0]) and h.transitive
+        q = radical_quotient(r)[0]
+        assert h == build_graph(q) and build_graph(r).twin_quotient[0].group == q.radices
 
     @pytest.mark.parametrize("text", ["Z(6)", "GF(4)", "M(2,GF(2))", "prod(Z(2),Z(3))"])
     def test_semisimple_ring_has_no_twins(self, text):
@@ -657,7 +658,7 @@ class TestVertexZero:
         path = UGraph(3)  # 0 - 1 - 2: {0, 2} counted 3 / 2 times
         path.add_edge(0, 1)
         path.add_edge(1, 2)
-        path.transitive = True  # set after the edges, since add_edge clears it
+        path.group = (3,)  # set after the edges, since add_edge clears it
         with pytest.raises(ValueError, match="not vertex-transitive"):
             is_well_covered(path)
 
@@ -670,7 +671,7 @@ class TestVertexZero:
         g.add_edge(0, 2)
         assert brute_force_alpha(g) == 2
         check_against_brute_force(g)
-        assert not g.transitive
+        assert g.group is None and not g.transitive
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([t for t in CATALOG if 2 <= spec_order(parse_spec(t)) <= 16]),
