@@ -30,13 +30,6 @@ SCREEN_RUN = 64
 # largest ring on which the O(|R|^2) quasi-regularity scan is attempted
 BRUTE_FORCE_RADICAL_CAP = 4096
 
-# M(n, A) tests a unit by table lookups on its rows when |A|^n is at most this,
-# and by entry-wise row reduction otherwise.  A residue field F's tables hold
-# |F|^n (|F|^n - 1) / (|F| - 1) entries: at most 65,280 here (F_2^8, built in
-# 0.04 s on a 2-CPU VM), but 1,047,552 for F_2^10 (1.1 s), more than most scans
-# it would serve.
-ROW_TABLE_LIMIT = 2 ** 8
-
 # Ring.add and Ring.sub read an index of two or more digits in blocks of
 # consecutive digits whose radix product B is at most this, by one lookup per
 # block in an add or a sub table of B^2 entries.  Each ring builds its own
@@ -595,8 +588,7 @@ def det_entries(rows, base):
 
     Cofactor expansion along the first row; needs no division, hence valid
     over any commutative base.  Units are found by row reduction, through
-    `MatRing`'s row tables or `is_invertible`; this is the oracle both are
-    tested against.
+    `MatRing`'s row tables; this is the oracle they are tested against.
     """
     n = len(rows)
     if n == 1:
@@ -633,42 +625,6 @@ def residue_fields(ring):
             before += len(factor.radices)
         return out
     raise RingError("%s is not commutative" % ring)
-
-
-def _full_rank(m, n, field):
-    """Whether the n x n row-major list m over a residue field has rank n.
-
-    Inverse-free elimination, in place: with pivot a != 0 in column c, each
-    lower row r becomes a*row_r - f*row_c, where f is its entry in column c.
-    That keeps the rank and never divides.  Over a prime field the entries
-    are ints mod p; over GF(p^k), k > 1, the field's mul and sub combine them.
-    """
-    prime = field.p if field.k == 1 else 0
-    for c in range(n):
-        top, width = c * n + c, n - c
-        pivot = next((r for r in range(top, n * n, n) if m[r]), None)
-        if pivot is None:
-            return False
-        if pivot != top:  # columns left of c are dead in both rows
-            m[top:top + width], m[pivot:pivot + width] = m[pivot:pivot + width], m[top:top + width]
-        a, row_c = m[top], m[top + 1:top + width]
-        for r in range(top + n, n * n, n):
-            f = m[r]
-            if f:
-                rest = m[r + 1:r + width]
-                m[r + 1:r + width] = (
-                    [(a * x - f * y) % prime for x, y in zip(rest, row_c)] if prime else
-                    [field.sub(field.mul(a, x), field.mul(f, y)) for x, y in zip(rest, row_c)])
-    return True
-
-
-def is_invertible(entries, n, images):
-    """Whether the n x n row-major matrix `entries` over a commutative base is
-    invertible, given (F, image) per residue field F of the base, image[x]
-    being x's image in F or image None when the base is F: its determinant is
-    a unit exactly when the matrix has full rank over every residue field."""
-    return all(_full_rank([image[x] for x in entries] if image else list(entries), n, field)
-               for field, image in images)
 
 
 def _rank_tables(field, n):
@@ -767,14 +723,13 @@ class MatRing(_EntryRing):
     def _unit(self, a):
         """Row reduction over each residue field F of A, by table lookups: a
         row of A^n maps to F^n, is reduced by the pivots of the rows before it,
-        and the matrix is singular when it reduces to zero.  Rows past
-        ROW_TABLE_LIMIT are reduced entry by entry, by `is_invertible`."""
+        and the matrix is singular when it reduces to zero.  Under make_ring's
+        default cap, |A|^(n^2) <= 2^20, so for n >= 2 a row has at most 2^10
+        values and F's tables hold at most 33,792 entries (F_32^2)."""
         if self.n == 1:  # M_1(A) is A
             return self.base.is_unit(a)
         tables = self._row_tables
         if tables is None:
-            if self._row_radix > ROW_TABLE_LIMIT:
-                return is_invertible(self.decode_entries(a), self.n, self._quotient_maps)
             tables = self._row_tables = [(row_map, _rank_tables(field, self.n))
                                          for field, row_map in self._quotient_maps]
         radix, n = self._row_radix, self.n
@@ -794,11 +749,9 @@ class MatRing(_EntryRing):
     @cached_property
     def _quotient_maps(self):
         """Per residue field F of A, the pair (F, map): the map takes a row of
-        A^n onto F^n, or an entry onto F when rows are too wide for tables, and
-        is None when A is F."""
-        width = self.n if self._row_radix <= ROW_TABLE_LIMIT else 1
-        radices = self.base.radices
-        return [(field, None if moduli == radices else digit_map(radices * width, moduli * width))
+        A^n onto F^n, and is None when A is F."""
+        n, radices = self.n, self.base.radices
+        return [(field, None if moduli == radices else digit_map(radices * n, moduli * n))
                 for field, moduli in residue_fields(self.base)]
 
     def element_repr(self, a):

@@ -1,5 +1,5 @@
 """The repository's settings: pytest's, run on a probe file in a subprocess,
-and the package's standard-library-only imports."""
+the package's standard-library-only imports, and its unread definitions."""
 import ast
 import subprocess
 import sys
@@ -53,6 +53,48 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def _module_level_names(tree):
+    """(name, node) for each function, class and assigned name at module level;
+    node is the definition, whose own body does not count as a read of it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target]):
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, None
+
+
+def _names_read(tree, skip):
+    """Names loaded, attributes loaded and names imported from the package,
+    anywhere in `tree` outside the node `skip`."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            out.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_module_level_definition_is_read_or_exported():
+    # a helper whose last caller was deleted shows up here
+    import ucayley
+    src = Path(__file__).resolve().parents[1] / "src" / "ucayley"
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    unread = [(module, name) for module, tree in trees.items()
+              for name, node in _module_level_names(tree)
+              if not name.startswith("__") and name not in ucayley.__all__
+              and not any(name in _names_read(other, node if other is tree else None)
+                          for other in trees.values())]
+    assert unread == []
 
 
 def test_pyproject_lists_no_runtime_dependencies():

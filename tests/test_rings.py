@@ -11,10 +11,10 @@ from ucayley.graphs import build_graph
 from ucayley.indsets import independence_number, is_well_covered
 from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstraintError,
                            SpecSyntaxError, T, TriRing, Z, ZmRing, det_entries, factorize,
-                           digit_map, is_commutative_spec, is_invertible, jacobson_radical,
+                           digit_map, is_commutative_spec, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, radical_quotient, residue_fields,
-                           RingError, CapExceededError, ADD_TABLE_LIMIT, ROW_TABLE_LIMIT,
+                           RingError, CapExceededError, ADD_TABLE_LIMIT, DEFAULT_RING_CAP,
                            SCREEN_RUN, _build, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import (classify_cm, classify_gorenstein, classify_well_covered,
@@ -593,23 +593,23 @@ class TestUnits:
             assert r.is_unit(x) == r.is_unit(r.mul(u, r.mul(x, v)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)", "Z(4)", "Z(6)",
-                            "Z(12)", "prod(Z(2),GF(3))"]),
-           st.integers(1, 4), st.randoms(use_true_random=False))
-    def test_row_reduction_matches_cofactor_det(self, text, n, rng):
+    @given(st.sampled_from([(text, n) for text in ["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)",
+                                                   "Z(4)", "Z(6)", "Z(12)", "prod(Z(2),GF(3))"]
+                            for n in range(1, 5)
+                            if make_ring(text).order ** (n * n) <= DEFAULT_RING_CAP]),
+           st.randoms(use_true_random=False))
+    def test_row_reduction_matches_cofactor_det(self, text_n, rng):
+        # only rings make_ring admits: past its cap a table can take seconds to build
+        text, n = text_n
         base = make_ring(text)
-        images = [(field, digit_map(base.radices, moduli))
-                  for field, moduli in residue_fields(base)]
         ring = MatRing(n, base)
         for _ in range(10):
             entries = tuple(rng.randrange(base.order) for _ in range(n * n))
             rows = tuple(entries[i * n:(i + 1) * n] for i in range(n))
             want = base.is_unit(det_entries(rows, base))
-            assert is_invertible(entries, n, images) == want
             assert ring.is_unit(ring.encode_entries(entries)) == want
-        # rows past the bound, as Z(12)^3, are reduced entry by entry and build no
-        # table; M_1(A) asks A itself and builds none either
-        assert (ring._row_tables is None) == (n == 1 or base.order ** n > ROW_TABLE_LIMIT)
+        # M_1(A) asks A itself and builds no table
+        assert (ring._row_tables is None) == (n == 1)
 
     @pytest.mark.parametrize("text", ["Z(1048576)", "prod(Z(1024),Z(1024))", "Z(12)", "GF(9)",
                                       "prod(Z(2),GF(3))", "Z(4)", "GF(1024)"])
@@ -624,10 +624,12 @@ class TestUnits:
         assert "_quotient_maps" not in vars(ring) and ring._row_tables is None
 
     @pytest.mark.parametrize("n,base,tables", [
-        (2, GFRing(16), True),  # |A|^n = 256, at the bound
+        (2, GFRing(16), True),
         (4, GFRing(4), True),
-        (2, GFRing(256), False),
-        (3, ZmRing(12), False),
+        (2, GFRing(17), True),  # rows of 289 values
+        (3, ZmRing(12), True),
+        (2, GFRing(32), True),  # |A|^n = 2^10, the widest row the cap admits
+        (2, ZmRing(30), True),  # three residue fields
     ])
     def test_sampled_units_match_cofactor_det(self, n, base, tables):
         # half the samples have a last row that is a multiple of the first, so singular
@@ -644,11 +646,24 @@ class TestUnits:
         assert seen == {True, False}
         assert (ring._row_tables is not None) == tables
 
+    @pytest.mark.parametrize("text", ["M(2,GF(32))", "M(2,Z(31))"])
+    def test_widest_rows_build_small_tables(self, text):
+        # rows of about 2^10 values, the widest make_ring admits: the first unit
+        # test builds every table, counted here rather than timed
+        ring = make_ring(text)
+        assert ring.is_unit(ring.one)
+        entries = 0
+        for row_map, reducer in ring._row_tables:
+            elims = {id(t): t for t in reducer if t is not None}
+            entries += len(row_map or ()) + len(reducer) + sum(map(len, elims.values()))
+        assert 2 ** 14 < entries <= 2 ** 16
+
     # |U(R)| = |J| prod |GL_{n_i}(F_{q_i})| over R/J(R) = prod M_{n_i}(F_{q_i})
     @pytest.mark.parametrize("text,want", [
         ("M(2,Z(4))", 16 * 6),  # |J| = 2^4, R/J = M_2(F_2)
         ("M(2,prod(Z(2),Z(3)))", 6 * 48),  # M_2(F_2) x M_2(F_3)
         ("M(3,GF(4))", 63 * 60 * 48),  # (4^3 - 1)(4^3 - 4)(4^3 - 16)
+        ("M(2,GF(17))", 78336),  # (17^2 - 1)(17^2 - 17), rows of 289 values
     ])
     def test_unit_scan_has_closed_form_size(self, text, want):
         assert len(make_ring(text).units()) == want
@@ -828,15 +843,11 @@ class TestDigitMap:
                                         ("GF(9)", 2), ("prod(Z(2),GF(3))", 2),
                                         ("prod(Z(2),GF(4))", 2), ("Z(9)", 2)])
     def test_row_maps_match_reduce_oracle(self, text, n):
-        # the M(n, A) row maps onto F^n, and entry images past the table bound
+        # the M(n, A) row maps onto F^n
         base = make_ring(text)
-        old = reduce_residue_fields(base)
         assert [(f.order, m) for f, m in MatRing(n, base)._quotient_maps] == \
             [(f if isinstance(f, int) else f.order, reduce_row_map(base, n, reduce))
-             for f, reduce in old]
-        wide = next(k for k in itertools.count(n) if base.order ** k > ROW_TABLE_LIMIT)
-        assert [m for _, m in MatRing(wide, base)._quotient_maps] == \
-            [reduce_row_map(base, 1, reduce) for _, reduce in old]
+             for f, reduce in reduce_residue_fields(base)]
 
     @settings(max_examples=60, deadline=None)
     @given(RING_SPECS, st.randoms(use_true_random=False))
@@ -853,8 +864,8 @@ class TestDigitMap:
             _same_residue_fields(ring)
         if isinstance(ring, MatRing) and not isinstance(ring, TriRing):
             assert [m for _, m in ring._quotient_maps] == [
-                reduce_row_map(ring.base, ring.n if ring._row_radix <= ROW_TABLE_LIMIT else 1,
-                               reduce) for _, reduce in reduce_residue_fields(ring.base)]
+                reduce_row_map(ring.base, ring.n, reduce)
+                for _, reduce in reduce_residue_fields(ring.base)]
 
 
 def test_ring_metadata():
