@@ -8,9 +8,21 @@ serves add and sub for them all: a ^ b when every radix is 1 or 2, and
 otherwise one table lookup per block of digits whose radix product is at most
 ADD_TABLE_LIMIT.  J(R) is one subgroup per digit, so R/J(R) is again such a
 ring, and one digit-wise reduction, `digit_map`, is every quotient map here.
+
+`Ring.adjacent(a, b)` is the edge test of the unitary Cayley graph, whether
+a - b is a unit, with no graph built: is_unit(sub(a, b)) by default.  A full
+M(n, A), n >= 2, reads its index as n rows in radix |A|^n.  Its row codec
+turns a row into its n entries and back by one lookup in a table of the
+|A|^n rows (at most 2^10 under make_ring's default cap), built on first use.
+Its unit test row-reduces over each residue field F_q of A by table lookups,
+and its `adjacent` splits a and b into rows together and subtracts each row
+pair by one lookup in F_q's difference table of q^(2n) <= |M_n(F_q)| entries
+(a ^ b in characteristic 2, with no table), built on the first `adjacent`
+call and never by `units()`.  T(n, F) and M(1, A) keep the default test.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -370,28 +382,26 @@ def _add_blocks(radices):
             j += 1
         group = tuple(digits[i:j][::-1])  # big-endian
         if size <= ADD_TABLE_LIMIT and group not in tables:
-            tables[group] = _block_tables(group)
+            tables[group] = (_block_table(group, 1), _block_table(group, -1))
         blocks.append((size, tables.get(group)))
         i = j
     return tuple(blocks)
 
 
-def _block_tables(radices):
-    """The add and sub tables of a block of digits with these big-endian
-    radices, B their product: entry x * B + y is x + y, and x - y, digit-wise.
+def _block_table(radices, sign):
+    """The add (sign 1) or sub (sign -1) table of a block of digits with these
+    big-endian radices, B their product: entry x * B + y is x + y, or x - y,
+    digit-wise.
 
-    Both are built a digit at a time from the least significant: rows[x][y]
-    is x op y on the digits so far, of radix product `width`, and a digit d
-    above them makes x = x_d * width + x_low, and y likewise."""
-    tables = []
-    for sign in (1, -1):
-        rows, width = [[0]], 1
-        for d in reversed(radices):
-            rows = [[(x + sign * y) % d * width + v for y in range(d) for v in low]
-                    for x in range(d) for low in rows]
-            width *= d
-        tables.append([v for row in rows for v in row])
-    return tuple(tables)
+    It is built a digit at a time from the least significant: rows[x][y] is
+    x op y on the digits so far, of radix product `width`, and a digit d above
+    them makes x = x_d * width + x_low, and y likewise."""
+    rows, width = [[0]], 1
+    for d in reversed(radices):
+        rows = [[(x + sign * y) % d * width + v for y in range(d) for v in low]
+                for x in range(d) for low in rows]
+        width *= d
+    return [v for row in rows for v in row]
 
 
 class Ring:
@@ -473,6 +483,11 @@ class Ring:
 
     def units(self):
         return [a for a in range(self.order) if self.is_unit(a)]
+
+    def adjacent(self, a, b):
+        """Whether a - b is a unit: the edge test of the unitary Cayley graph
+        of R, with no graph built."""
+        return self.is_unit(self.sub(a, b))
 
     def element_repr(self, a):
         return str(a)
@@ -654,6 +669,13 @@ def _rank_tables(field, n):
     return reducer
 
 
+def _difference_table(field, n):
+    """The sub table of F^n, F a residue field of `residue_fields`, on rows
+    numbered as in `_rank_tables`: entry x * |F|^n + y is x - y, q^(2n)
+    entries for |F| = q.  None in characteristic 2, where x - y is x ^ y."""
+    return None if field.p == 2 else _block_table((field.p,) * (n * field.k), -1)
+
+
 class _EntryRing(Ring):
     """A ring whose elements are tuples of entries, entry t in `entry_rings[t]`.
 
@@ -679,7 +701,13 @@ class MatRing(_EntryRing):
     The entries are stored at `positions`, the row-major (i, j) that
     `stored_positions(n)` picks: all n^2 here, i <= j in TriRing, and every
     other entry is 0.  So one constructor, product, identity, radical steps
-    and labels serve M_n(A) and its upper triangular subring T_n(F)."""
+    and labels serve M_n(A) and its upper triangular subring T_n(F).
+
+    A full M_n(A), n >= 2, also reads its index a row at a time: the index is
+    n rows in radix |A|^n, most significant first, and a row is its n entries
+    in radix |A|.  Its row codec turns a row into its entries and back by one
+    lookup; under make_ring's cap, |A|^(n^2) <= 2^20, so for n >= 2 a row
+    has at most 2^10 values."""
 
     spec_class = M
 
@@ -701,13 +729,44 @@ class MatRing(_EntryRing):
         self.n = n
         self._row_radix = base.order ** n  # an M(n, A) index is n rows in this radix
         self._row_tables = None  # per residue field, built on the first _unit call
+        self._adjacency = None  # per residue field, built on the first adjacent call
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
         self.one = self.encode_entries(ident)
 
+    @cached_property
+    def _row_codec(self):
+        """The row codec of an n >= 2 matrix ring: the list of each row's
+        entries, by row value, and the dict from entries back to row value."""
+        entries = list(itertools.product(range(self.base.order), repeat=self.n))
+        return entries, {row: r for r, row in enumerate(entries)}
+
     def rows(self, a):
-        cells = dict(zip(self.positions, self.decode_entries(a)))
+        """The n rows of a, each the tuple of its n entries."""
+        self.check_index(a)
         n = self.n
-        return tuple(tuple(cells.get((i, j), 0) for j in range(n)) for i in range(n))
+        if n == 1:  # no codec: its table would have |A| rows
+            return ((a,),)
+        entries, radix, out = self._row_codec[0], self._row_radix, []
+        for _ in range(n):
+            a, r = divmod(a, radix)
+            out.append(entries[r])
+        return tuple(out[::-1])
+
+    def decode_entries(self, a):
+        return sum(self.rows(a), ())
+
+    def encode_entries(self, entries):
+        n = self.n
+        if n > 1 and len(entries) == n * n:
+            index, radix, out = self._row_codec[1], self._row_radix, 0
+            entries = tuple(entries)
+            try:
+                for i in range(0, n * n, n):
+                    out = out * radix + index[entries[i:i + n]]
+                return out
+            except (KeyError, TypeError):  # an entry that is no element of A
+                pass
+        return super().encode_entries(entries)  # raises RingError on a bad entry
 
     def mul(self, a, b):
         n, base = self.n, self.base
@@ -720,6 +779,14 @@ class MatRing(_EntryRing):
             out.append(s)
         return self.encode_entries(tuple(out))
 
+    def _reduction(self):
+        """Per residue field F of A, the pair (row map, reducer) of `_unit`,
+        built on the first call."""
+        if self._row_tables is None:
+            self._row_tables = [(row_map, _rank_tables(field, self.n))
+                                for field, row_map in self._quotient_maps]
+        return self._row_tables
+
     def _unit(self, a):
         """Row reduction over each residue field F of A, by table lookups: a
         row of A^n maps to F^n, is reduced by the pivots of the rows before it,
@@ -728,10 +795,7 @@ class MatRing(_EntryRing):
         values and F's tables hold at most 33,792 entries (F_32^2)."""
         if self.n == 1:  # M_1(A) is A
             return self.base.is_unit(a)
-        tables = self._row_tables
-        if tables is None:
-            tables = self._row_tables = [(row_map, _rank_tables(field, self.n))
-                                         for field, row_map in self._quotient_maps]
+        tables = self._row_tables or self._reduction()
         radix, n = self._row_radix, self.n
         for row_map, reducer in tables:
             rest, basis = a, []
@@ -739,6 +803,40 @@ class MatRing(_EntryRing):
                 rest, r = divmod(rest, radix)
                 if row_map is not None:
                     r = row_map[r]
+                for elim in basis:
+                    r = elim[r]
+                if not r:
+                    return False
+                basis.append(reducer[r])
+        return True
+
+    def adjacent(self, a, b):
+        """Whether a - b is a unit, by `_unit`'s row reduction on the rows of
+        a and b split together: over each residue field F of A a row pair maps
+        to F^n and is subtracted by one lookup in F's difference table, or as
+        x ^ y in characteristic 2.  That table has q^(2n) <= |M_n(F_q)|
+        entries and is built on the first call; `units()` never builds it."""
+        order = self.order
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
+            self.check_index(a)
+            self.check_index(b)
+        n = self.n
+        if n == 1:
+            return super().adjacent(a, b)
+        tables = self._adjacency
+        if tables is None:
+            tables = self._adjacency = [
+                (row_map, field.order ** n, _difference_table(field, n), reducer)
+                for (field, _), (row_map, reducer) in zip(self._quotient_maps, self._reduction())]
+        radix = self._row_radix
+        for row_map, width, diff, reducer in tables:
+            x, y, basis = a, b, []
+            for _ in range(n):
+                x, rx = divmod(x, radix)
+                y, ry = divmod(y, radix)
+                if row_map is not None:
+                    rx, ry = row_map[rx], row_map[ry]
+                r = rx ^ ry if diff is None else diff[rx * width + ry]
                 for elim in basis:
                     r = elim[r]
                 if not r:
@@ -760,13 +858,23 @@ class MatRing(_EntryRing):
 
 class TriRing(MatRing):
     """T(n, F): the upper triangular n x n matrices over a field, stored at
-    i <= j.  A unit is a matrix whose diagonal entries are units of F."""
+    i <= j.  A unit is a matrix whose diagonal entries are units of F.  Its
+    index holds the stored entries only, so it has no rows to read at once:
+    it keeps the stored-position codec and the generic adjacency test."""
 
     spec_class = T
+    decode_entries = _EntryRing.decode_entries
+    encode_entries = _EntryRing.encode_entries
+    adjacent = Ring.adjacent
 
     @staticmethod
     def stored_positions(n):
         return [(i, j) for i in range(n) for j in range(i, n)]
+
+    def rows(self, a):
+        cells = dict(zip(self.positions, self.decode_entries(a)))
+        n = self.n
+        return tuple(tuple(cells.get((i, j), 0) for j in range(n)) for i in range(n))
 
     def _unit(self, a):
         return all(self.base.is_unit(x)

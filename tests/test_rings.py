@@ -402,7 +402,10 @@ class TestArith:
                 r.sub(a, b)
             with pytest.raises(RingError):
                 r.add(a, b)
+            with pytest.raises(RingError):
+                r.adjacent(a, b)
             r.add(1, 1)
+            r.adjacent(1, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(RING_SPECS, st.randoms(use_true_random=False))
@@ -681,6 +684,134 @@ class TestUnits:
             proportional = any(r2a == f.mul(s, r1a) and r2b == f.mul(s, r1b)
                                for s in range(q))
             assert zero_first or proportional
+
+
+def _adjacency_pairs(ring, rng, count):
+    """Every pair of a ring of at most 100 elements, else `count` drawn pairs,
+    half of them (a, a - b c) for drawn b and c: a difference that is a
+    product, so a non-unit more often than a drawn element is."""
+    if ring.order <= 100:
+        return list(itertools.product(range(ring.order), repeat=2))
+    pairs = []
+    for t in range(count):
+        a, b = rng.randrange(ring.order), rng.randrange(ring.order)
+        if t % 2:
+            b = ring.sub(a, ring.mul(b, rng.randrange(ring.order)))
+        pairs.append((a, b))
+    return pairs
+
+
+class TestAdjacency:
+    # Ring.adjacent(a, b) is the edge test of Gamma(R): whether a - b is a unit.
+    # A full M(n, A), n >= 2, splits a and b into rows and subtracts them by
+    # table; every other ring asks is_unit(sub(a, b)), the oracle here.
+    @pytest.mark.parametrize("text", [
+        "Z(12)", "Z(1)", "GF(9)", "GF(8)", "T(2,GF(3))", "T(3,GF(2))",
+        "prod(Z(2),GF(4))", "prod(Z(4),Z(3))", "M(1,GF(5))", "M(1,prod(Z(2),Z(3)))",
+        "M(2,GF(2))", "M(2,GF(3))", "M(3,GF(2))", "M(2,GF(4))", "M(2,GF(9))", "M(3,GF(3))",
+        "M(2,Z(4))", "M(2,Z(9))", "M(2,prod(Z(2),GF(3)))", "M(2,Z(6))", "M(3,Z(4))"])
+    def test_matches_unit_of_difference(self, text):
+        ring, rng = make_ring(text), random.Random(31)
+        seen = set()
+        for a, b in _adjacency_pairs(ring, rng, 3000):
+            want = ring.is_unit(ring.sub(a, b))
+            assert ring.adjacent(a, b) == want
+            seen.add(want)
+        assert seen == ({True} if ring.order == 1 else {True, False})  # 0 is a unit of Z(1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RING_SPECS, st.randoms(use_true_random=False))
+    def test_random_specs_match_unit_of_difference(self, spec, rng):
+        ring = make_ring(spec)
+        for a, b in _adjacency_pairs(ring, rng, 20):
+            assert ring.adjacent(a, b) == ring.is_unit(ring.sub(a, b))
+
+    @pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+    def test_past_the_cap_matches_cofactor_det(self, n, q):
+        # the rings verify-paper's medium checks build past make_ring's cap;
+        # the oracle is the cofactor determinant of the entry-wise difference
+        ring, rng = MatRing(n, GFRing(q)), random.Random(37)
+        field = ring.base
+        seen = set()
+        for a, b in _adjacency_pairs(ring, rng, 120):
+            diff = tuple(map(field.sub, ring.decode_entries(a), ring.decode_entries(b)))
+            want = det_entries(tuple(diff[i * n:(i + 1) * n] for i in range(n)), field) != 0
+            assert ring.adjacent(a, b) == want == ring.is_unit(ring.sub(a, b))
+            seen.add(want)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("text,sizes", [
+        ("M(2,GF(3))", [81]),  # 3^(2n) entries
+        ("M(3,GF(3))", [729]),
+        ("M(2,GF(4))", [None]),  # characteristic 2: x ^ y, no table
+        ("M(2,Z(4))", [None]),  # onto F_2
+        ("M(2,prod(Z(2),Z(3)))", [None, 81]),
+        ("M(2,Z(15))", [81, 625]),
+    ])
+    def test_difference_table_is_built_by_adjacent_only(self, text, sizes):
+        ring = make_ring(text)
+        ring.units()
+        assert ring._adjacency is None
+        ring.adjacent(ring.one, 0)
+        assert [None if diff is None else len(diff) for _, _, diff, _ in ring._adjacency] == sizes
+        assert all(size is None or size <= ring.order for size in sizes)
+        # the reduction tables are the unit test's own
+        assert [r for _, _, _, r in ring._adjacency] == [r for _, r in ring._row_tables]
+
+    @pytest.mark.parametrize("text", ["M(1,GF(5))", "T(2,GF(3))"])
+    def test_other_matrix_rings_take_the_default_path(self, text):
+        ring = make_ring(text)
+        assert all(ring.adjacent(a, 0) == ring.is_unit(a) for a in range(ring.order))
+        assert ring._adjacency is None
+
+
+class TestMatrixCodec:
+    # a full M(n, A), n >= 2, decodes and encodes a row at a time through its
+    # row codec; T(n, F) and M(1, A) use the stored-position digits
+    @pytest.mark.parametrize("text", ["M(2,GF(3))", "M(3,GF(2))", "M(2,GF(4))", "M(2,Z(4))",
+                                      "M(2,prod(Z(2),GF(3)))", "M(1,GF(5))", "M(1,Z(1048576))",
+                                      "T(2,GF(3))", "T(3,GF(4))"])
+    def test_matches_split_and_join(self, text):
+        ring, rng = make_ring(text), random.Random(41)
+        n, radices = ring.n, (ring.base.order,) * len(ring.positions)
+        for a in [0, ring.one, ring.order - 1] + [rng.randrange(ring.order) for _ in range(300)]:
+            entries = ring.decode_entries(a)
+            assert entries == split_digits(a, radices)
+            assert ring.encode_entries(entries) == join_digits(entries, radices) == a
+            assert ring.encode_entries(list(entries)) == a
+            cells = dict(zip(ring.positions, entries))
+            assert ring.rows(a) == tuple(tuple(cells.get((i, j), 0) for j in range(n))
+                                         for i in range(n))
+        # the codec has |A|^n rows: M(1, A) and T build none
+        assert ("_row_codec" in vars(ring)) == (n > 1 and not isinstance(ring, TriRing))
+
+    @pytest.mark.parametrize("n,q", [(4, 3), (5, 2)])
+    def test_past_the_cap_matches_split_and_join(self, n, q):
+        ring, rng = MatRing(n, GFRing(q)), random.Random(43)
+        for a in [rng.randrange(ring.order) for _ in range(200)]:
+            entries = ring.decode_entries(a)
+            assert entries == split_digits(a, (q,) * (n * n))
+            assert ring.encode_entries(entries) == a
+        assert len(ring._row_codec[0]) == q ** n
+
+    @pytest.mark.parametrize("text", ["M(2,GF(3))", "M(1,GF(3))", "T(2,GF(3))"])
+    @pytest.mark.parametrize("bad", [3, -1, 1.5, "1", None, [1]])
+    def test_bad_entry_raises(self, text, bad):
+        ring = make_ring(text)
+        entries = (0,) * (len(ring.positions) - 1) + (bad,)
+        for _ in range(2):  # before and after the codec is built
+            with pytest.raises(RingError):
+                ring.encode_entries(entries)
+            ring.encode_entries(ring.decode_entries(ring.one))
+
+    @pytest.mark.parametrize("text", ["M(2,GF(3))", "M(1,GF(3))", "T(2,GF(3))"])
+    @pytest.mark.parametrize("a", [-1, "order", 1.0, "1", None])
+    def test_bad_index_raises(self, text, a):
+        ring = make_ring(text)
+        a = ring.order if a == "order" else a
+        for call in (ring.decode_entries, ring.rows, ring.element_repr):
+            with pytest.raises(RingError):
+                call(a)
 
 
 class TestDet:

@@ -1,8 +1,9 @@
 """The checks of `verify` report a failure when a function under them
 answers wrongly: each is run as `run_checks` runs it, with the matrix checks'
-`MatRing` unit test answering one fixed value, or with one other function
-patched to drop or flip part of its answer."""
+`MatRing` unit and adjacency tests answering one fixed value, or with one
+other function patched to drop or flip part of its answer."""
 
+import collections
 import dataclasses
 
 from ucayley import verify
@@ -11,11 +12,13 @@ from ucayley.rings import MatRing, Ring
 
 def _report(monkeypatch, check_id, ctx, unit=None):
     """run_checks' result for the one small check `check_id`, run on ctx, with
-    every `MatRing` unit test answering `unit` unless it is None."""
+    every `MatRing` unit test, and its adjacency test (whether a - b is a
+    unit), answering `unit` unless it is None."""
     (description, fn), = [(d, f) for cid, d, f in verify.SMALL_CHECKS if cid == check_id]
     monkeypatch.setattr(verify, "SMALL_CHECKS", [(check_id, description, lambda _: fn(ctx))])
     if unit is not None:
         monkeypatch.setattr(MatRing, "_unit", lambda self, a: unit)
+        monkeypatch.setattr(MatRing, "adjacent", lambda self, a, b: unit)
     report = verify.run_checks()
     assert not report["passed"]
     (result,) = report["checks"]
@@ -79,3 +82,19 @@ def test_classification_check_fails_when_an_answer_is_flipped(monkeypatch):
         classify(text), answer=not classify(text).answer))
     detail = _report(monkeypatch, "thm-classify-vs-enum", verify._Ctx())
     assert detail == "Z(1): theorem says False, enumeration says yes"
+
+
+def test_medium_run_builds_each_matrix_ring_once(monkeypatch):
+    # one M_n(F_q) per (n, q) per run: by make_ring within its cap, and
+    # directly past it, for M_4(F_3) and M_5(F_2)
+    built = collections.Counter()
+    init = MatRing.__init__
+
+    def counted(self, n, base):
+        init(self, n, base)
+        built[str(self.spec)] += 1
+    monkeypatch.setattr(MatRing, "__init__", counted)
+    assert verify.run_checks("medium")["passed"]
+    for text in ("M(2,GF(3))", "M(3,GF(3))", "M(3,GF(2))", "M(4,GF(2))", "M(4,GF(3))",
+                 "M(5,GF(2))"):
+        assert built[text] == 1, text
