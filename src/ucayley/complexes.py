@@ -5,22 +5,30 @@ backtracking shelling search.  ind(G) is a flag complex: its minimal
 non-faces are the edges of G, so its Stanley-Reisner ideal is the edge
 ideal that `graphs.export_stanley_reisner` prints.
 
-A complex keeps each facet as a vertex bitmask, and each vertex as the
-bitmask of the facets that hold it (its column).  The antichain check, the
-codimension-1 test and the shelling step are bit operations on these.
+A complex keeps each facet as a sorted vertex tuple and as a vertex bitmask,
+and each vertex as the bitmask of the facets that hold it (its column).  Its
+one canonicalising core takes the facet masks: it builds each facet tuple
+once, orders the facets by size then lexicographically, fills the columns in
+one pass, and checks the antichain property of each facet only against the
+larger facets, the only ones that can hold it, so a pure complex costs no
+check.  `Complex(n, facets)` checks the vertices it is given and hands their
+masks to that core.  `dim` and purity are read from the first and last
+facet.  The codimension-1 test and the shelling step are bit operations on
+the columns, walking each facet's stored tuple.
+
 `independence_complex` enumerates the twin quotient the graph records, as
-the searches in `indsets` do, and lifts each maximal set to its twin classes.
-On a quotient that records its group it enumerates only the maximal sets
-through vertex 0 and translates them.
+the searches in `indsets` do, and lifts each maximal set's mask to the OR of
+its twin classes' masks.  On a quotient that records its group it enumerates
+only the maximal sets through vertex 0 and translates them.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import combinations, compress
 
 from .graphs import _selector, _translates
-from .indsets import (Budget, BudgetExceededError, _bits, _lift, _maximal_sets, _reduce,
-                      _start, enumerate_maximal_independent)
+from .indsets import (Budget, BudgetExceededError, _maximal_sets, _reduce, _start,
+                      enumerate_maximal_independent)
 
 SHELLING_FOUND = "shelling"
 SHELLING_NONE = "no shelling exists"
@@ -37,41 +45,69 @@ class Complex:
     """
 
     def __init__(self, n, facets):
-        self.n = n
-        canon = sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f))
+        # checked in canonical order, so the bad facet named does not depend
+        # on the order the facets are given in
         masks = []
-        cols = [0] * n
-        for i, f in enumerate(canon):
+        for f in sorted({tuple(sorted(f)) for f in facets}, key=lambda f: (len(f), f)):
             m = 0
             for v in f:
                 if not 0 <= v < n:
                     raise ValueError("facet vertex %d out of range" % v)
                 m |= 1 << v
-                cols[v] |= 1 << i
             if m.bit_count() < len(f):
                 raise ValueError("facet %r repeats a vertex" % (f,))
             masks.append(m)
-        # the facets holding all of facet i are i and its strict supersets,
-        # which the order puts after i
-        everyone = (1 << len(canon)) - 1
-        for i, f in enumerate(canon):
-            over = everyone ^ 1 << i
+        self._canonicalise(n, masks)
+
+    @classmethod
+    def _from_masks(cls, n, masks):
+        """The complex whose facets are these distinct vertex masks, all below 2^n."""
+        c = cls.__new__(cls)
+        c._canonicalise(n, masks)
+        return c
+
+    def _canonicalise(self, n, masks):
+        self.n = n
+        # each facet tuple is built once, from a list, so at its exact size: a
+        # tuple grown from an iterator is resized in place, and over repeated
+        # calls that fragments the heap
+        vertices = list(range(n))
+        facets = [tuple(list(compress(vertices, _selector(m)))) for m in masks]
+        mask_of = dict(zip(facets, masks))
+        facets.sort()
+        facets.sort(key=len)
+        cols = [0] * n
+        for i, f in enumerate(facets):
+            b = 1 << i
+            for v in f:
+                cols[v] |= b
+        # a facet's strict supersets are larger, and facets are ordered by
+        # size: so each is checked only against the facets past its size
+        # class, and a pure complex needs no check
+        t = len(facets)
+        larger = 0  # the end of the size class of facet i
+        for i, f in enumerate(facets):
+            if i == larger:  # the first facet of its size class
+                while larger < t and len(facets[larger]) == len(f):
+                    larger += 1
+                if larger == t:
+                    break
+                above = (1 << t) - (1 << larger)
+            over = above
             for v in f:
                 over &= cols[v]
                 if not over:
                     break
             if over:
                 j = (over & -over).bit_length() - 1
-                raise ValueError("facet list is not an antichain: %r, %r" % (f, canon[j]))
-        self.facets = tuple(canon)
-        self.masks = tuple(masks)
+                raise ValueError("facet list is not an antichain: %r, %r" % (f, facets[j]))
+        self.facets = tuple(facets)
+        self.masks = tuple(map(mask_of.__getitem__, facets))
         self.cols = tuple(cols)
 
     @property
     def dim(self):
-        if not self.facets:
-            return -2  # void complex
-        return max(len(f) for f in self.facets) - 1
+        return len(self.facets[-1]) - 1 if self.facets else -2  # -2: the void complex
 
     def __eq__(self, other):
         return isinstance(other, Complex) and self.n == other.n and self.facets == other.facets
@@ -95,40 +131,43 @@ def independence_complex(g, budget=None):
         budget = Budget()
     h, classes, _ = _reduce(g, budget)
     if h.transitive:
-        facets = _translated_facets(h, budget)
+        masks = _translated_facets(h, budget)
     else:
-        facets = enumerate_maximal_independent(h, budget)
-    return Complex(g.n, [_lift(s, classes) for s in facets])
+        masks = [sum(1 << v for v in s) for s in enumerate_maximal_independent(h, budget)]
+    if classes is not None:  # a set lifts to the union of its classes
+        lifts = [sum(1 << v for v in c) for c in classes]
+        masks = [sum(compress(lifts, _selector(m))) for m in masks]
+    return Complex._from_masks(g.n, masks)
 
 
 def _translated_facets(h, budget):
-    """Every maximal independent set of h, which records a group, as a sorted
-    list: the orbits of the sets through vertex 0 under translation.  A set
-    through 0 lies in a translated orbit iff it is among the masks found.
-    (Lists, not tuples: a tuple grown from an iterator is resized in place,
-    and over repeated calls that fragments the heap.)"""
+    """Every maximal independent set of h, which records a group, as the set
+    of their masks: the orbits of the sets through vertex 0 under
+    translation.  A set through 0 lies in a translated orbit iff it is among
+    the masks found."""
     masks = set()
     for s in _maximal_sets(h.adj, *_start(h, budget), budget):
         m = sum(1 << v for v in s)
         if m not in masks:
             budget.tick()
             masks.update(_translates(h.group, h.group, m))
-    vertices = range(h.n)
-    return [list(itertools.compress(vertices, _selector(m))) for m in masks]
+    return masks
 
 
 def is_pure(c):
-    return len({len(f) for f in c.facets}) <= 1
+    return not c.facets or len(c.facets[0]) == len(c.facets[-1])
 
 
 def pure_skeleton(c, d):
     """The pure d-skeleton: facets are all d-dimensional faces of c."""
     if not -1 <= d <= c.dim:
         raise ValueError("skeleton dimension %d out of range for %r" % (d, c))
+    if len(c.facets[0]) == d + 1 == len(c.facets[-1]):
+        return c  # every facet is a d-face
     faces = set()
     for f in c.facets:
-        faces.update(itertools.combinations(f, d + 1))
-    return Complex(c.n, sorted(faces))
+        faces.update(map(sum, combinations([1 << v for v in f], d + 1)))
+    return Complex._from_masks(c.n, faces)
 
 
 def codim1_connected(c):
@@ -153,8 +192,8 @@ def codim1_connected(c):
         return i
 
     first = {}  # ridge mask -> a facet holding it
-    for i, m in enumerate(c.masks):
-        for v in _bits(m):
+    for i, (f, m) in enumerate(zip(c.facets, c.masks)):
+        for v in f:
             j = first.setdefault(m ^ 1 << v, i)
             if j != i:
                 parent[find(i)] = find(j)
@@ -165,15 +204,14 @@ def codim1_connected(c):
     return len(components) == 1, components
 
 
-def _attaches(m, prior, cols):
+def _attaches(verts, prior, cols):
     """Shelling step: <prior> n <facet> must be pure of dim |facet| - 2.
 
-    m is the facet's vertex mask, prior the index mask of the prior facets
-    and cols the complex's columns.  Equivalently every prior facet misses
-    some vertex v of the facet whose ridge, the facet less v, lies in a
-    prior facet; so no prior facet may hold all such v.
+    verts is the facet's sorted vertex tuple, prior the index mask of the
+    prior facets and cols the complex's columns.  Equivalently every prior
+    facet misses some vertex v of the facet whose ridge, the facet less v,
+    lies in a prior facet; so no prior facet may hold all such v.
     """
-    verts = list(_bits(m))
     tails = [prior]  # tails[k]: the prior facets holding the last k vertices
     for v in reversed(verts):
         tails.append(tails[-1] & cols[v])
@@ -192,7 +230,7 @@ def is_shelling_order(c, order):
         return False
     prior = 0
     for i in order:
-        if not _attaches(c.masks[i], prior, c.cols):
+        if not _attaches(c.facets[i], prior, c.cols):
             return False
         prior |= 1 << i
     return True
@@ -234,7 +272,7 @@ def find_shelling(c, budget=None):
         return ShellingResult(SHELLING_NONE,
                               detail="disconnected in codimension 1 "
                                      "(%d components)" % len(comps))
-    masks, cols = c.masks, c.cols
+    facets, cols = c.facets, c.cols
     dead = set()
     order, mask = [], 0  # mask: the index mask of the facets in the order
     frames = [0]  # one per prefix of the order: the next facet to try
@@ -242,7 +280,7 @@ def find_shelling(c, budget=None):
         budget.tick()
         while frames:
             i = frames[-1]
-            while i < t and (mask >> i & 1 or not _attaches(masks[i], mask, cols)):
+            while i < t and (mask >> i & 1 or not _attaches(facets[i], mask, cols)):
                 i += 1
             if i == t:  # every extension of this prefix fails
                 dead.add(mask)

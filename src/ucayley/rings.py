@@ -344,7 +344,10 @@ def split_digits(a, radices):
 
 
 def join_digits(digits, radices):
-    """Inverse of split_digits; raises RingError on a digit out of range."""
+    """Inverse of split_digits; raises RingError on a digit out of range or
+    on a number of digits other than the number of radices."""
+    if len(digits) != len(radices):
+        raise RingError("%d digits for %d radices" % (len(digits), len(radices)))
     out = 0
     for x, d in zip(digits, radices):
         if not (isinstance(x, int) and 0 <= x < d):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -7,12 +8,12 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (RING_SPECS, antichain_error, brute_force_maximal_independent,
                       recursive_find_shelling, set_attaches, set_codim1_components)
-from test_indsets import blow_up, random_graph
+from test_indsets import blow_up, circulant, random_graph
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
                                SHELLING_UNKNOWN, _attaches, codim1_connected,
                                find_shelling, independence_complex, is_pure,
@@ -21,7 +22,7 @@ from ucayley.graphs import UGraph, build_graph, conjunction_product, export_stan
 from ucayley.indsets import (TWIN_QUOTIENT, VERTEX_ZERO, Budget, BudgetExceededError,
                              _maximal_sets, _reduce, _start, enumerate_maximal_independent,
                              is_well_covered)
-from ucayley.rings import make_ring, radical_quotient
+from ucayley.rings import make_ring, radical_quotient, spec_order
 from ucayley.verify import CATALOG
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -161,6 +162,47 @@ class TestIndependenceComplex:
         assert time.monotonic() - start < 1.0
 
 
+
+def assert_same_complex(got, want):
+    assert (got.n, got.facets, got.masks, got.cols) == (want.n, want.facets, want.masks, want.cols)
+
+
+def brute_force_complex(g):
+    return Complex(g.n, brute_force_maximal_independent(g))
+
+
+class TestMaskCoreAgainstBruteForce:
+    """ind(g), built from facet masks, against Complex() on the facet tuples
+    of the brute-force oracle: the facets, masks and columns all agree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_graphs_and_their_blow_ups(self, seed):
+        # classes of unequal sizes, and of one size (the quotient applies)
+        rng = random.Random(seed)
+        base = random_graph(rng.randint(0, 8), rng.random(), seed)
+        sizes = [rng.randint(1, 2) for _ in range(base.n)]
+        if rng.random() < 0.5:
+            sizes = [rng.randint(1, max(1, 14 // max(1, base.n)))] * base.n
+        for g in (base, blow_up(base, sizes, rng)):
+            assert_same_complex(independence_complex(g), brute_force_complex(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_transitive_graphs_and_their_blow_ups(self, seed):
+        rng = random.Random(seed)
+        base = circulant(rng.randint(1, 12), rng)
+        g = blow_up(base, [rng.randint(1, max(1, 14 // base.n))] * base.n, rng)
+        for g in (base, g):
+            assert_same_complex(independence_complex(g), brute_force_complex(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS.filter(lambda s: spec_order(s) <= 16))
+    def test_ring_graphs(self, spec):
+        g = build_graph(make_ring(spec))
+        assert_same_complex(independence_complex(g), brute_force_complex(g))
+
+
 def full_complex(g, max_nodes=None):
     """The oracle: ind(g) from the whole graph's enumeration, no reduction taken."""
     return Complex(g.n, enumerate_maximal_independent(g, Budget(max_nodes=max_nodes)))
@@ -255,6 +297,19 @@ class TestPurity:
     def test_single_facet(self):
         assert is_pure(Complex(3, [(0, 1, 2)]))
 
+    @pytest.mark.parametrize("facets,dim,pure", [
+        ([], -2, True),  # the void complex
+        ([()], -1, True),  # the empty simplex
+        ([(0,), (1,)], 0, True),
+        ([(2,), (0, 1)], 1, False),
+        ([(0, 1), (3, 4), (0, 2, 4), (1, 2, 3)], 2, False),
+    ])
+    def test_dim_and_purity_from_the_first_and_last_facet(self, facets, dim, pure):
+        c = Complex(5, facets)
+        assert (c.dim, is_pure(c)) == (dim, pure)
+        assert c.dim == max(map(len, facets), default=-1) - 1
+        assert is_pure(c) == (len(set(map(len, facets))) <= 1)
+
     def test_matches_well_coveredness(self):
         from ucayley.indsets import is_well_covered
         for text in ("Z(4)", "Z(6)", "M(2,GF(2))", "prod(Z(2),Z(3))"):
@@ -276,6 +331,22 @@ class TestPureSkeleton:
     def test_idempotent_on_pure(self):
         c = independence_complex(build_graph(make_ring("Z(4)")))
         assert pure_skeleton(c, c.dim) == c
+
+    @pytest.mark.parametrize("text", ["Z(4)", "M(2,GF(2))", "prod(Z(2),Z(2),Z(2))", "GF(3)"])
+    def test_top_skeleton_of_a_pure_complex_is_itself(self, text):
+        c = independence_complex(build_graph(make_ring(text)))
+        assert is_pure(c) and pure_skeleton(c, c.dim) is c
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 6), max_size=5), max_size=8), st.integers(-1, 4))
+    @example([set()], -1)  # the empty simplex is its own (-1)-skeleton
+    def test_matches_the_combinations_oracle(self, faces, d):
+        c = from_face_list(7, faces)
+        assume(d <= c.dim)
+        got = pure_skeleton(c, d)
+        want = Complex(7, {face for f in c.facets for face in itertools.combinations(f, d + 1)})
+        assert_same_complex(got, want)
+        assert (got is c) == (is_pure(c) and d == c.dim)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -382,7 +453,7 @@ class TestShelling:
         prior &= (1 << len(c.facets)) - 1 & ~(1 << i)
         want = set_attaches(c.facets[i], [c.facets[j] for j in range(len(c.facets))
                                           if prior >> j & 1])
-        assert _attaches(c.masks[i], prior, c.cols) == want
+        assert _attaches(c.facets[i], prior, c.cols) == want
 
     def test_final_check_survives_optimisation(self):
         # under python -O an assert would vanish: a replay that fails must still raise

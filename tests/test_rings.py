@@ -456,6 +456,27 @@ class TestDigits:
         with pytest.raises(RingError):
             join_digits(digits, (2, 3))
 
+    @pytest.mark.parametrize("text,entries", [
+        ("prod(Z(2),Z(3))", (1,)),
+        ("prod(Z(2),Z(3))", (1, 2, 0)),
+        ("M(2,GF(3))", (1, 2, 0)),  # M(n, A), n >= 2: the row codec's fallback
+        ("M(2,GF(3))", (1, 2, 0, 0, 5)),
+        ("M(2,GF(3))", ()),
+        ("M(1,GF(5))", (1, 2)),  # M(1, A) has no row codec
+        ("T(2,GF(3))", (1, 2)),
+        ("T(2,GF(3))", (1, 2, 0, 1)),
+    ])
+    def test_encode_rejects_a_wrong_number_of_entries(self, text, entries):
+        with pytest.raises(RingError, match="digits for"):
+            make_ring(text).encode_entries(entries)
+
+    @pytest.mark.parametrize("text", ["Z(12)", "M(2,GF(3))", "T(2,GF(3))"])
+    def test_join_rejects_a_wrong_number_of_digits(self, text):
+        radices = make_ring(text).radices
+        for digits in ((0,) * (len(radices) - 1), (0,) * (len(radices) + 1)):
+            with pytest.raises(RingError, match="digits for"):
+                join_digits(digits, radices)
+
     def test_encode_keeps_range_checks(self):
         with pytest.raises(RingError):
             make_ring("M(2,GF(2))").encode_entries((0, 0, 0, 2))
