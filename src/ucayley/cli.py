@@ -236,8 +236,7 @@ def _construct(args):
         # the cap covers the ring built, R x M_n(F_q), not R alone
         prod = make_ring(Prod((parse_spec(args.ring), M(n, GF(args.q)))),
                          cap=args.max_ring_order)
-        wit = cons.product_witness(prod.factors[0], n, field,
-                                   graph_cap=args.max_graph_vertices)
+        wit = cons.product_witness(*prod.factors, graph_cap=args.max_graph_vertices)
         payload = {"kind": "product-witness", "ring": args.ring, "n": n, "q": args.q,
                    "witness": list(wit.witness), "witness_size": len(wit.witness),
                    "competing_size": len(wit.competing)}

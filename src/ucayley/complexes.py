@@ -14,7 +14,8 @@ larger facets, the only ones that can hold it, so a pure complex costs no
 check.  `Complex(n, facets)` checks the vertices it is given and hands their
 masks to that core.  `dim` and purity are read from the first and last
 facet.  The codimension-1 test and the shelling step are bit operations on
-the columns, walking each facet's stored tuple.
+the columns, walking each facet's stored tuple, and the codimension-1
+components are computed once per complex, for the shelling search too.
 
 `independence_complex` enumerates the twin quotient the graph records, as
 the searches in `indsets` do, and lifts each maximal set's mask to the OR of
@@ -43,6 +44,8 @@ class Complex:
     `cols[v]` the bitmask of the indices of the facets holding v.  The facet
     list must be an antichain of vertex sets: no facet repeats a vertex.
     """
+
+    _codim1 = None  # codim1_connected's result: the facets never change once stored
 
     def __init__(self, n, facets):
         # checked in canonical order, so the bad facet named does not depend
@@ -176,10 +179,13 @@ def codim1_connected(c):
     Returns (connected, components) where components partition the facet
     list (by facet index into c.facets).  Input must be pure.  Two facets of
     a pure complex meet in codimension 1 exactly when they share a ridge (a
-    facet less one vertex), so facets are joined through a table of ridges.
+    facet less one vertex), so facets are joined through a table of ridges,
+    once per complex: the result is kept on it.
     """
     if not is_pure(c):
         raise ValueError("codimension-1 connectivity requires a pure complex")
+    if c._codim1 is not None:
+        return c._codim1
     t = len(c.facets)
     if t == 0:
         return True, []
@@ -201,7 +207,8 @@ def codim1_connected(c):
     for i in range(t):
         comps.setdefault(find(i), []).append(i)
     components = sorted(comps.values())
-    return len(components) == 1, components
+    c._codim1 = len(components) == 1, components
+    return c._codim1
 
 
 def _attaches(verts, prior, cols):

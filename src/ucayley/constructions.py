@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
-from .rings import MatRing
 # det_entries is not called here; bench/spans.py times it in this namespace
 from .rings import det_entries  # noqa: F401
 
@@ -112,17 +111,17 @@ class ProductWitness:
     competing: tuple  # M x M_n(F), also maximal, of size |M| * |M_n(F)|
 
 
-def product_witness(r_ring, n, field, graph_cap=DEFAULT_GRAPH_CAP):
-    """Build N = (R x {0}) u (M x X) in R x M_n(F), X the non-units.
+def product_witness(r_ring, mat, graph_cap=DEFAULT_GRAPH_CAP):
+    """Build N = (R x {0}) u (M x X) in R x M_n(F), X the non-units, for
+    the rings R and `mat` = M_n(F).
 
     M is the greedy maximal independent set of the Cayley graph of R
     (lowest-index tie-break), so the witness is reproducible.
     """
-    if n <= 1:
+    if mat.n <= 1:
         raise ValueError("requires n > 1")
     if r_ring.order == 1:  # 0 is a unit of the zero ring, so M x X is not independent
         raise ValueError("requires a nonzero ring R")
-    mat = MatRing(n, field)
     g_r = build_graph(r_ring, cap=graph_cap)
     m_set = greedy_extend(g_r, ())
     nonunits = [x for x in range(mat.order) if not mat.is_unit(x)]

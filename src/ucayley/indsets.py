@@ -39,8 +39,8 @@ alpha is then found by branch and bound under a greedy clique-cover bound
 (Tomita-Seki's MCQ, bit-parallel as in San Segundo's BBMC).  Its incumbent
 is `greedy_extend` of the root, which takes the lowest free vertex each
 time.  On every catalog ring and M_n(F_q) tried it already meets the clique
-bound, so the search ends at its first node, noting CLIQUE_BOUND when
-candidates were left; where it falls short (Gamma(Z(3) x Z(2)) in its
+bound, so the search ends at its first node, noting CLIQUE_BOUND when it
+would otherwise have gone on; where it falls short (Gamma(Z(3) x Z(2)) in its
 row-major order), the branch and bound runs from its floor.  A search notes
 on its Budget which reductions it applied.
 """
@@ -224,9 +224,11 @@ def _max_extension(adj, size, P, budget, target, best):
     A node colors its candidates into cliques and branches on them in
     decreasing class number; it stops once size + class <= best, since each
     clique holds at most one vertex of an independent set.  The search ends
-    once best reaches `target`, an upper bound on the answer; if that leaves
-    branches open it notes CLIQUE_BOUND.  A tripped budget carries the best
-    size found, never below the incumbent.
+    once best reaches `target`, an upper bound on the answer; it notes
+    CLIQUE_BOUND when that ended a search that would have gone on: an open
+    frame can still beat best, or the cover of P above the floor best - size
+    is non-empty.  A tripped budget carries the best size found, never below
+    the incumbent.
     """
     stack = []  # frames [size, candidates left, vertices to branch on, their classes]
     try:
@@ -234,7 +236,8 @@ def _max_extension(adj, size, P, budget, target, best):
             budget.tick()
             best = max(best, size)
             if best >= target:
-                if P or any(f[2] and f[0] + f[3][-1] > best for f in stack):
+                if (any(f[2] and f[0] + f[3][-1] > best for f in stack)
+                        or P and _cover(adj, P, best - size)[0]):
                     budget.note(CLIQUE_BOUND)
                 return best
             if P:

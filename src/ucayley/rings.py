@@ -3,22 +3,24 @@
 Every ring hands out elements as integer indices 0..order-1, with index 0
 the additive zero.  Every ring (Z(m), GF(q), the matrix rings M and T, which
 differ only in their stored entries, and products) indexes an element by the
-big-endian mixed-radix value of its digit vector, and one digit-wise kernel
+big-endian mixed-radix value of its digit vector, and one digit-wise loop
 serves add and sub for them all: a ^ b when every radix is 1 or 2, and
-otherwise one table lookup per block of digits whose radix product is at most
-ADD_TABLE_LIMIT.  J(R) is one subgroup per digit, so R/J(R) is again such a
-ring, and one digit-wise reduction, `digit_map`, is every quotient map here.
+otherwise one step per digit, read off both indices by its stride.  J(R) is
+one subgroup per digit, so R/J(R) is again such a ring, and one digit-wise
+reduction, `digit_map`, is every quotient map here.
 
 `Ring.adjacent(a, b)` is the edge test of the unitary Cayley graph, whether
 a - b is a unit, with no graph built: is_unit(sub(a, b)) by default.  A full
 M(n, A), n >= 2, reads its index as n rows in radix |A|^n.  Its row codec
 turns a row into its n entries and back by one lookup in a table of the
 |A|^n rows (at most 2^10 under make_ring's default cap), built on first use.
-Its unit test row-reduces over each residue field F_q of A by table lookups,
-and its `adjacent` splits a and b into rows together and subtracts each row
-pair by one lookup in F_q's difference table of q^(2n) <= |M_n(F_q)| entries
-(a ^ b in characteristic 2, with no table), built on the first `adjacent`
-call and never by `units()`.  T(n, F) and M(1, A) keep the default test.
+Per residue field F_q of A it keeps one list of tables, built by its first
+unit test or `adjacent` call: the map of a row onto F^n, F^n's difference
+table of q^(2n) <= |M_n(F_q)| entries (none in characteristic 2, where
+x - y is x ^ y), and the row-reduction tables.  Its unit test row-reduces
+over each F_q by lookups in them, and its `adjacent` splits a and b into
+rows together and subtracts each row pair by one lookup in the difference
+table.  T(n, F) and M(1, A) keep the default test.
 """
 from __future__ import annotations
 
@@ -41,16 +43,6 @@ SCREEN_RUN = 64
 
 # largest ring on which the O(|R|^2) quasi-regularity scan is attempted
 BRUTE_FORCE_RADICAL_CAP = 4096
-
-# Ring.add and Ring.sub read an index of two or more digits in blocks of
-# consecutive digits whose radix product B is at most this, by one lookup per
-# block in an add or a sub table of B^2 entries.  Each ring builds its own
-# tables on its first such call, so every ring that verify-paper makes pays for
-# them: here a block's two tables hold at most 8,192 entries (Z(4)^3, built in
-# 1.2 ms on a 2-CPU VM; GF(3)^3 in 0.3 ms), while at 2^8 they would hold 131,072
-# (17 ms), more time than the lookups they save on most rings.  A digit whose
-# radix alone is over this is a block of its own, added mod its radix.
-ADD_TABLE_LIMIT = 2 ** 6
 
 
 class RingError(Exception):
@@ -366,47 +358,6 @@ def digit_map(radices, moduli):
     return out
 
 
-def _add_blocks(radices):
-    """The layout of `Ring._digitwise` for these big-endian radices: () when
-    every radix is 1 or 2, and otherwise a (size, tables) pair per block of
-    consecutive digits, least significant first.  A block's size B is its
-    radix product, and tables is the pair (add, sub) of B^2-entry lists whose
-    entry x * B + y is x + y or x - y digit-wise, or None for a single digit
-    over ADD_TABLE_LIMIT.  Radix-1 digits are always 0 and are left out, and
-    blocks with the same radices share their tables."""
-    digits = [d for d in reversed(radices) if d > 1]
-    if all(d == 2 for d in digits):
-        return ()
-    blocks, tables, i = [], {}, 0
-    while i < len(digits):
-        size, j = digits[i], i + 1
-        while j < len(digits) and size * digits[j] <= ADD_TABLE_LIMIT:
-            size *= digits[j]
-            j += 1
-        group = tuple(digits[i:j][::-1])  # big-endian
-        if size <= ADD_TABLE_LIMIT and group not in tables:
-            tables[group] = (_block_table(group, 1), _block_table(group, -1))
-        blocks.append((size, tables.get(group)))
-        i = j
-    return tuple(blocks)
-
-
-def _block_table(radices, sign):
-    """The add (sign 1) or sub (sign -1) table of a block of digits with these
-    big-endian radices, B their product: entry x * B + y is x + y, or x - y,
-    digit-wise.
-
-    It is built a digit at a time from the least significant: rows[x][y] is
-    x op y on the digits so far, of radix product `width`, and a digit d above
-    them makes x = x_d * width + x_low, and y likewise."""
-    rows, width = [[0]], 1
-    for d in reversed(radices):
-        rows = [[(x + sign * y) % d * width + v for y in range(d) for v in low]
-                for x in range(d) for low in rows]
-        width *= d
-    return [v for row in rows for v in row]
-
-
 class Ring:
     """A finite ring with indexed elements.  Index 0 is the additive zero.
 
@@ -415,11 +366,9 @@ class Ring:
     of its digit vector, digit i has index weight `strides[i]`, and addition
     is digit-wise.  `add` and `sub` share one kernel: one digit is added mod
     its radix; on more, when every radix is 1 or 2, the index is a bit vector
-    and both are a ^ b; otherwise the digits, least significant first, form
-    blocks of radix product at most ADD_TABLE_LIMIT, each read by one lookup
-    in an add or sub table built on the first call.  `radical_steps[i]`
-    divides d_i, and J(R) is the set of elements whose digit i is a multiple
-    of it, for every i.
+    and both are a ^ b; otherwise each digit is read off both indices by its
+    stride and added mod its radix.  `radical_steps[i]` divides d_i, and J(R)
+    is the set of elements whose digit i is a multiple of it, for every i.
     """
 
     def __init__(self, radices, radical_steps):
@@ -427,7 +376,6 @@ class Ring:
         self.radical_steps = tuple(radical_steps)
         self.strides = tuple(accumulate(self.radices[:0:-1], operator.mul, initial=1))[::-1]
         self.order = self.strides[0] * self.radices[0]
-        self._blocks = None  # the kernel's layout, built on its first call
 
     def check_index(self, a):
         if not (isinstance(a, int) and 0 <= a < self.order):
@@ -442,7 +390,7 @@ class Ring:
             self.check_index(b)
         if len(self.radices) == 1:
             return (a + b) % order
-        return self._digitwise(a, b, 0)
+        return self._digitwise(a, b, 1)
 
     def neg(self, a):
         return self.sub(0, a)
@@ -457,24 +405,22 @@ class Ring:
             self.check_index(b)
         if len(self.radices) == 1:
             return (a - b) % order
-        return self._digitwise(a, b, 1)
+        return self._digitwise(a, b, -1)
 
-    def _digitwise(self, a, b, op):
-        """a + b (op 0) or a - b (op 1) for checked indices of two or more digits."""
-        blocks = self._blocks
-        if blocks is None:
-            blocks = self._blocks = _add_blocks(self.radices)
-        if not blocks:  # every radix is 1 or 2
+    @cached_property
+    def _digits(self):
+        """`_digitwise`'s (radix, stride) pairs of radix > 1, or () if every radix is 1 or 2."""
+        pairs = tuple((d, s) for d, s in zip(self.radices, self.strides) if d > 1)
+        return () if all(d == 2 for d, _ in pairs) else pairs
+
+    def _digitwise(self, a, b, sign):
+        """a + b (sign 1) or a - b (sign -1) for checked indices of two or more digits."""
+        digits = self._digits
+        if not digits:  # every radix is 1 or 2
             return a ^ b
-        out, weight = 0, 1
-        for size, tables in blocks:
-            if tables:
-                out += tables[op][a % size * size + b % size] * weight
-            else:  # one digit over ADD_TABLE_LIMIT
-                out += (a - b if op else a + b) % size * weight
-            a //= size
-            b //= size
-            weight *= size
+        out = 0
+        for d, s in digits:
+            out += (a // s + sign * (b // s)) % d * s
         return out
 
     def _unit(self, a):
@@ -645,19 +591,40 @@ def residue_fields(ring):
     raise RingError("%s is not commutative" % ring)
 
 
-def _rank_tables(field, n):
-    """Row-reduction tables for F^n, F a residue field of `residue_fields`.
+def _difference_table(field, n):
+    """The sub table of F^n, F a residue field of `residue_fields`, on rows
+    numbered as in `_rank_tables`: entry x * |F|^n + y is x - y, q^(2n)
+    entries for |F| = q.  None in characteristic 2, where x - y is x ^ y.
+
+    F^n is additively Z_p^(n k) on a row's base-p digits, and the table is
+    built a digit at a time from the least significant: rows[x][y] is x - y
+    on the digits so far, of radix product `width`, and a digit above them
+    makes x = x_d * width + x_low, and y likewise.  Each entry is read from
+    one list of the row values, so the entries share its int objects."""
+    p = field.p
+    if p == 2:
+        return None
+    rows, width, values = [[0]], 1, list(range(field.order ** n))
+    for _ in range(n * field.k):
+        rows = [[values[(x - y) % p * width + v] for y in range(p) for v in low]
+                for x in range(p) for low in rows]
+        width *= p
+    return [v for row in rows for v in row]
+
+
+def _rank_tables(field, n, diff):
+    """Row-reduction tables for F^n, F a residue field of `residue_fields`
+    and `diff` F^n's `_difference_table`.
 
     A row is the big-endian radix-|F| number of its entries, 0 the zero row.
     A pivot is a row whose first nonzero entry, in its lead column, is 1, and
     its elimination table maps every row r to r less r's lead-column entry
-    times the pivot.  Returns the list `reducer`: reducer[r] is the elimination
-    table of the pivot that the nonzero row r is a multiple of.
+    times the pivot, read from `diff`.  Returns the list `reducer`:
+    reducer[r] is the elimination table of the pivot that the nonzero row r
+    is a multiple of.
     """
     q = field.order
     size, entry_radices = q ** n, (q,) * n
-    # F^n is additively Z_p^(n k) on a row's base-p digits, so the ring kernel subtracts rows
-    rows = Ring((field.p,) * (n * field.k), (field.p,) * (n * field.k))
     reducer = [None] * size
     for r in range(1, size):
         entries = split_digits(r, entry_radices)
@@ -666,17 +633,12 @@ def _rank_tables(field, n):
             continue
         column = q ** (n - 1 - lead)
         multiples = [join_digits([field.mul(c, x) for x in entries], entry_radices) for c in range(q)]
-        elim = [rows.sub(s, multiples[s // column % q]) for s in range(size)]
+        less = [multiples[s // column % q] for s in range(size)]
+        elim = ([s ^ m for s, m in enumerate(less)] if diff is None  # characteristic 2
+                else [diff[s * size + m] for s, m in enumerate(less)])
         for m in multiples[1:]:
             reducer[m] = elim
     return reducer
-
-
-def _difference_table(field, n):
-    """The sub table of F^n, F a residue field of `residue_fields`, on rows
-    numbered as in `_rank_tables`: entry x * |F|^n + y is x - y, q^(2n)
-    entries for |F| = q.  None in characteristic 2, where x - y is x ^ y."""
-    return None if field.p == 2 else _block_table((field.p,) * (n * field.k), -1)
 
 
 class _EntryRing(Ring):
@@ -731,8 +693,6 @@ class MatRing(_EntryRing):
         self.base = base
         self.n = n
         self._row_radix = base.order ** n  # an M(n, A) index is n rows in this radix
-        self._row_tables = None  # per residue field, built on the first _unit call
-        self._adjacency = None  # per residue field, built on the first adjacent call
         ident = tuple(base.one if i == j else 0 for i, j in self.positions)
         self.one = self.encode_entries(ident)
 
@@ -782,25 +742,30 @@ class MatRing(_EntryRing):
             out.append(s)
         return self.encode_entries(tuple(out))
 
-    def _reduction(self):
-        """Per residue field F of A, the pair (row map, reducer) of `_unit`,
-        built on the first call."""
-        if self._row_tables is None:
-            self._row_tables = [(row_map, _rank_tables(field, self.n))
-                                for field, row_map in self._quotient_maps]
-        return self._row_tables
+    @cached_property
+    def _row_tables(self):
+        """Per residue field F of A, the tables that `_unit` and `adjacent`
+        read: (row map, |F|^n, difference table, reducer).  The row map takes
+        a row of A^n onto F^n and is None when A is F; the difference table
+        and reducer are F^n's `_difference_table` and `_rank_tables`."""
+        n, radices, out = self.n, self.base.radices, []
+        for field, moduli in residue_fields(self.base):
+            diff = _difference_table(field, n)
+            out.append((None if moduli == radices else digit_map(radices * n, moduli * n),
+                        field.order ** n, diff, _rank_tables(field, n, diff)))
+        return out
 
     def _unit(self, a):
         """Row reduction over each residue field F of A, by table lookups: a
         row of A^n maps to F^n, is reduced by the pivots of the rows before it,
         and the matrix is singular when it reduces to zero.  Under make_ring's
         default cap, |A|^(n^2) <= 2^20, so for n >= 2 a row has at most 2^10
-        values and F's tables hold at most 33,792 entries (F_32^2)."""
+        values and F's reduction tables hold at most 33,792 entries (F_32^2),
+        its difference table at most |M_n(F)|."""
         if self.n == 1:  # M_1(A) is A
             return self.base.is_unit(a)
-        tables = self._row_tables or self._reduction()
         radix, n = self._row_radix, self.n
-        for row_map, reducer in tables:
+        for row_map, _, _, reducer in self._row_tables:
             rest, basis = a, []
             for _ in range(n):  # last row first: the rank does not depend on the order
                 rest, r = divmod(rest, radix)
@@ -817,8 +782,7 @@ class MatRing(_EntryRing):
         """Whether a - b is a unit, by `_unit`'s row reduction on the rows of
         a and b split together: over each residue field F of A a row pair maps
         to F^n and is subtracted by one lookup in F's difference table, or as
-        x ^ y in characteristic 2.  That table has q^(2n) <= |M_n(F_q)|
-        entries and is built on the first call; `units()` never builds it."""
+        x ^ y in characteristic 2."""
         order = self.order
         if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
             self.check_index(a)
@@ -826,13 +790,8 @@ class MatRing(_EntryRing):
         n = self.n
         if n == 1:
             return super().adjacent(a, b)
-        tables = self._adjacency
-        if tables is None:
-            tables = self._adjacency = [
-                (row_map, field.order ** n, _difference_table(field, n), reducer)
-                for (field, _), (row_map, reducer) in zip(self._quotient_maps, self._reduction())]
         radix = self._row_radix
-        for row_map, width, diff, reducer in tables:
+        for row_map, width, diff, reducer in self._row_tables:
             x, y, basis = a, b, []
             for _ in range(n):
                 x, rx = divmod(x, radix)
@@ -846,14 +805,6 @@ class MatRing(_EntryRing):
                     return False
                 basis.append(reducer[r])
         return True
-
-    @cached_property
-    def _quotient_maps(self):
-        """Per residue field F of A, the pair (F, map): the map takes a row of
-        A^n onto F^n, and is None when A is F."""
-        n, radices = self.n, self.base.radices
-        return [(field, None if moduli == radices else digit_map(radices * n, moduli * n))
-                for field, moduli in residue_fields(self.base)]
 
     def element_repr(self, a):
         return ";".join(",".join(str(x) for x in row) for row in self.rows(a))

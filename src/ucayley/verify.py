@@ -214,7 +214,7 @@ def _is_maximal_independent(g, vertices):
 
 
 def check_product_refutation(ctx):
-    wit = cons.product_witness(ctx.ring("Z(2)"), 2, GFRing(2))
+    wit = cons.product_witness(*ctx.ring("prod(Z(2),M(2,GF(2)))").factors)
     _need(len(wit.witness) == 11, "witness size %d, expected 11" % len(wit.witness))
     _need(len(wit.competing) == 16, "competing set size %d, expected 16" % len(wit.competing))
     g = ctx.graph("prod(Z(2),M(2,GF(2)))")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RING_SPECS
-from ucayley import indsets
+from ucayley import cli, complexes, indsets
 from ucayley.cli import main
 from ucayley.rings import spec_order
 
@@ -103,6 +103,22 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["pure"] is True
         assert payload["shelling"]["status"] == "shelling"
+
+    def test_complex_with_shelling_makes_one_ridge_pass(self, capsys, monkeypatch):
+        # find_shelling reuses the codimension-1 components the command
+        # printed: of the two calls, only the first makes the ridge pass
+        calls = []
+        codim1_connected = complexes.codim1_connected
+
+        def counted(c):
+            calls.append((len(c.facets), c._codim1 is None))
+            return codim1_connected(c)
+        monkeypatch.setattr(complexes, "codim1_connected", counted)
+        monkeypatch.setattr(cli, "codim1_connected", counted)
+        code, out, _ = run(capsys, "complex", "--ring", "prod(Z(2),Z(2),Z(2),Z(2))",
+                           "--shelling", "--format", "json")
+        assert code == 0 and json.loads(out)["shelling"]["status"] == "shelling"
+        assert calls == [(256, True), (256, False)]
 
     def test_construct_dfamily(self, capsys):
         code, out, _ = run(capsys, "construct", "dfamily", "--n", "2", "--q", "2")
@@ -319,8 +335,7 @@ class TestReducedSearch:
         code, out, _ = run(capsys, "wellcovered", "--ring", "Z(12)", "--format", "json")
         payload = json.loads(out)
         assert code == 0 and payload["answer"] == "no" and payload["alpha_exact"] is True
-        assert payload["stats"] == {"nodes": 5,
-                                    "reductions": ["twin-quotient", "vertex-0", "clique-bound"]}
+        assert payload["stats"] == {"nodes": 5, "reductions": ["twin-quotient", "vertex-0"]}
 
     def test_wellcovered_m2f9_yes_from_vertex_0(self, capsys):
         code, out, _ = run(capsys, "wellcovered", "--ring", "M(2,GF(9))", "--format", "json")

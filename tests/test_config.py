@@ -1,6 +1,8 @@
 """The repository's settings: pytest's, run on a probe file in a subprocess,
-the package's standard-library-only imports, and its unread definitions."""
+the package's standard-library-only imports, its unread definitions, and the
+README's constants."""
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +97,16 @@ def test_every_module_level_definition_is_read_or_exported():
               and not any(name in _names_read(other, node if other is tree else None)
                           for other in trees.values())]
     assert unread == []
+
+
+def test_readme_constants_are_defined():
+    # a code span of two or more capitals, digits and underscores, such as
+    # `DEFAULT_RING_CAP`, names a module-level definition of the package
+    root = Path(__file__).resolve().parents[1]
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", (root / "README.md").read_text()))
+    defined = {name for path in sorted((root / "src" / "ucayley").glob("*.py"))
+               for name, _ in _module_level_names(ast.parse(path.read_text(), str(path)))}
+    assert named and sorted(named - defined) == []
 
 
 def test_pyproject_lists_no_runtime_dependencies():

@@ -225,20 +225,24 @@ class TestProductWitness:
     def test_zero_ring_is_refused(self, text):
         # 0 is a unit of the zero ring, so M x X would hold adjacent vertices
         with pytest.raises(ValueError, match="requires a nonzero ring R"):
-            product_witness(make_ring(text), 2, GFRing(2))
+            product_witness(make_ring(text), make_ring("M(2,GF(2))"))
+
+    def test_one_by_one_matrices_are_refused(self):
+        with pytest.raises(ValueError, match="requires n > 1"):
+            product_witness(make_ring("Z(2)"), make_ring("M(1,GF(2))"))
 
     def test_z2_m2f2_sizes(self):
-        wit = product_witness(make_ring("Z(2)"), 2, GFRing(2))
+        wit = product_witness(make_ring("Z(2)"), make_ring("M(2,GF(2))"))
         assert len(wit.witness) == 11
         assert len(wit.competing) == 16
 
     def test_z3_m2f2_sizes(self):
-        wit = product_witness(make_ring("Z(3)"), 2, GFRing(2))
+        wit = product_witness(make_ring("Z(3)"), make_ring("M(2,GF(2))"))
         assert wit.base_max_set == (0,)  # K_3: greedy picks the singleton {0}
         assert len(wit.witness) == 3 + 1 * (16 - 6 - 1)
 
     def test_witness_is_maximal_independent(self):
-        wit = product_witness(make_ring("Z(2)"), 2, GFRing(2))
+        wit = product_witness(make_ring("Z(2)"), make_ring("M(2,GF(2))"))
         g = build_graph(make_ring("prod(Z(2),M(2,GF(2)))"))
         mask = sum(1 << v for v in wit.witness)
         assert all(not g.adj[v] & mask for v in wit.witness)
@@ -248,7 +252,7 @@ class TestProductWitness:
         rng = random.Random(0)
         for text in ("Z(2)", "Z(3)", "Z(5)"):
             r = make_ring(text)
-            wit = product_witness(r, 2, GFRing(2))
+            wit = product_witness(r, make_ring("M(2,GF(2))"))
             q_sq, units = 16, 6
             expected = r.order + len(wit.base_max_set) * (q_sq - units - 1)
             assert len(wit.witness) == expected

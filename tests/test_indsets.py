@@ -256,20 +256,19 @@ def alpha_without_target(g):
 
 def check_alpha_oracles(spec):
     """Gamma(spec) and its alpha, checked against the closed form and the
-    search with no target.  Where the clique bound ended the search it is
-    alpha and took no more nodes (the greedy dive often meets it at once, and
-    the clique cover then closes the search with no target at node 1 too);
-    elsewhere the search took the same nodes."""
+    search with no target.  The clique bound is noted iff it saved nodes: it
+    then ended the search at alpha, and elsewhere the search took the same
+    nodes (the greedy dive often meets the bound at once, and the clique
+    cover then closes the search with no target at node 1 too)."""
     g = build_graph(make_ring(spec))
     budget = Budget()
     alpha = independence_number(g, budget)
     want, nodes = alpha_without_target(g)
-    assert alpha == closed_form_alpha(spec) == want
+    assert alpha == closed_form_alpha(spec) == want and budget.nodes <= nodes
+    assert (CLIQUE_BOUND in budget.reductions) == (budget.nodes < nodes)
     if CLIQUE_BOUND in budget.reductions:
         h, _, w = indsets._reduce(g, Budget())
-        assert alpha == w * (h.n // _greedy_clique(h.adj)) and budget.nodes <= nodes
-    else:
-        assert budget.nodes == nodes
+        assert alpha == w * (h.n // _greedy_clique(h.adj))
     return g, alpha
 
 
@@ -434,11 +433,12 @@ class TestReducedSearch:
 
     def test_alpha_after_a_no_searches_the_quotient(self):
         # Gamma(Z(12)) records its twin quotient Gamma(Z(6)), on which the alpha
-        # step after the "no" searches; its dive meets the clique bound at once
+        # step after the "no" searches; its dive meets the clique bound at once,
+        # where the clique cover alone would also have closed the search
         budget = Budget()
         rep = is_well_covered(build_graph(make_ring("Z(12)")), budget)
         assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
-        assert budget.reductions == [TWIN_QUOTIENT, VERTEX_ZERO, CLIQUE_BOUND]
+        assert budget.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
         assert budget.nodes == 5
 
     def test_alpha_after_a_no_on_a_hand_built_blow_up(self):
@@ -453,7 +453,7 @@ class TestReducedSearch:
         g.twin_quotient = blown.twin_quotient
         reduced = Budget()
         reports.append(is_well_covered(g, reduced))
-        assert reduced.reductions == [TWIN_QUOTIENT, VERTEX_ZERO, CLIQUE_BOUND]
+        assert reduced.reductions == [TWIN_QUOTIENT, VERTEX_ZERO]
         for rep in reports:
             assert rep.answer == "no" and rep.alpha == 6 and rep.alpha_exact
             assert is_maximal_independent(g, rep.witness_small)
@@ -546,15 +546,13 @@ class TestCliqueBound:
 class TestIncumbent:
     @pytest.mark.parametrize("text", CATALOG + SEARCH_EXTRA + ["M(3,GF(3))"])
     def test_ring_alpha_is_proven_at_the_first_node(self, text):
-        # the dive from vertex 0 meets the clique bound before the first node;
-        # the bound is noted unless the quotient is complete, where vertex 0
-        # leaves no candidates
+        # the dive from vertex 0 meets the clique bound before the first node
         g = build_graph(make_ring(text))
         budget = Budget()
         alpha = independence_number(g, budget)
         h, _, w = indsets._reduce(g, Budget())
         assert alpha == w * len(greedy_extend(h, (0,))) == closed_form_alpha(parse_spec(text))
-        assert budget.nodes == 1 and (CLIQUE_BOUND in budget.reductions) == (alpha > w)
+        assert budget.nodes == 1
 
     def test_search_goes_past_a_short_dive(self):
         short = 0

@@ -14,7 +14,7 @@ from ucayley.rings import (GF, M, GFRing, MatRing, Prod, ProdRing, SpecConstrain
                            digit_map, is_commutative_spec, jacobson_radical,
                            jacobson_radical_bruteforce, join_digits, make_ring,
                            parse_spec, radical_quotient, residue_fields,
-                           RingError, CapExceededError, ADD_TABLE_LIMIT, DEFAULT_RING_CAP,
+                           RingError, CapExceededError, DEFAULT_RING_CAP,
                            SCREEN_RUN, _build, _leaves, _order_log2_64ths,
                            smallest_irreducible, spec_order, split_digits)
 from ucayley.structure import (classify_cm, classify_gorenstein, classify_well_covered,
@@ -507,19 +507,20 @@ class TestDigits:
 
 
 class TestAddKernel:
-    # one ring per path of the kernel: a ^ b; radix-1 digits left out; blocks of
-    # several digits read by table; and digits over the bound, added mod their radix
+    # rings on both paths of the kernel: a ^ b when every radix is 1 or 2, and
+    # otherwise one step per digit; sizes are the radices that loop walks,
+    # radix-1 digits left out, and () on the a ^ b path
     @pytest.mark.parametrize("text,sizes", [
         ("M(5,GF(2))", ()),
         ("M(3,GF(4))", ()),
         ("prod(Z(2),GF(8))", ()),
         ("prod(Z(1),Z(2))", ()),
         ("M(2,Z(1))", ()),
-        ("prod(GF(4),Z(4),Z(1))", (16,)),
-        ("M(4,GF(3))", (27,) * 5 + (3,)),
-        ("T(3,GF(5))", (25,) * 3),
-        ("prod(Z(6),Z(10),Z(7))", (7, 60)),
-        ("prod(Z(101),Z(103))", (103, 101)),
+        ("prod(GF(4),Z(4),Z(1))", (2, 2, 4)),
+        ("M(4,GF(3))", (3,) * 16),
+        ("T(3,GF(5))", (5,) * 6),
+        ("prod(Z(6),Z(10),Z(7))", (6, 10, 7)),
+        ("prod(Z(101),Z(103))", (101, 103)),
         ("M(2,Z(97))", (97,) * 4),
     ])
     def test_paths_match_digit_loop(self, text, sizes):
@@ -531,17 +532,7 @@ class TestAddKernel:
             assert r.add(a, b) == digit_loop(r, a, b, 1)
             assert r.sub(a, b) == digit_loop(r, a, b, -1)
             assert r.neg(b) == digit_loop(r, 0, b, -1)
-        assert tuple(size for size, _ in r._blocks) == sizes
-        for size, tables in r._blocks:
-            if size > ADD_TABLE_LIMIT:
-                assert tables is None
-            else:
-                assert [len(t) for t in tables] == [size * size] * 2
-
-    def test_blocks_share_tables(self):
-        r = _build(parse_spec("M(4,GF(3))"))
-        r.sub(1, 2)
-        assert len({id(tables) for _, tables in r._blocks}) == 2  # 27 and 3
+        assert tuple(d for d, _ in r._digits) == sizes
 
     @settings(max_examples=150, deadline=None)
     @given(RING_SPECS, st.randoms(use_true_random=False))
@@ -633,7 +624,30 @@ class TestUnits:
             want = base.is_unit(det_entries(rows, base))
             assert ring.is_unit(ring.encode_entries(entries)) == want
         # M_1(A) asks A itself and builds no table
-        assert (ring._row_tables is None) == (n == 1)
+        assert ("_row_tables" in vars(ring)) == (n > 1)
+
+    @pytest.mark.parametrize("text,n", [(text, n) for text in ["GF(2)", "GF(3)", "GF(4)", "GF(5)",
+                                                               "GF(7)", "GF(8)", "GF(9)", "Z(6)",
+                                                               "Z(12)"]
+                                        for n in (1, 2, 3)
+                                        if make_ring(text).order ** (n * n) <= DEFAULT_RING_CAP])
+    def test_rank_tables_match_entrywise_elimination(self, text, n):
+        # every row r reduces by the pivot r / (lead entry of r): each entry of
+        # an elimination row is s_j - s_lead * pivot_j, by field.sub and field.mul
+        for field, _ in residue_fields(make_ring(text)):
+            q = field.order
+            radices = (q,) * n
+            rows = [split_digits(r, radices) for r in range(q ** n)]
+            reducer = rings._rank_tables(field, n, rings._difference_table(field, n))
+            assert len(reducer) == len(rows) and reducer[0] is None
+            for r, entries in enumerate(rows[1:], 1):
+                lead = next(j for j, x in enumerate(entries) if x)
+                inverse = next(u for u in range(q) if field.mul(u, entries[lead]) == field.one)
+                pivot = [field.mul(inverse, x) for x in entries]
+                assert reducer[r] == [
+                    join_digits([field.sub(x, field.mul(s[lead], y)) for x, y in zip(s, pivot)],
+                                radices)
+                    for s in rows]
 
     @pytest.mark.parametrize("text", ["Z(1048576)", "prod(Z(1024),Z(1024))", "Z(12)", "GF(9)",
                                       "prod(Z(2),GF(3))", "Z(4)", "GF(1024)"])
@@ -645,7 +659,7 @@ class TestUnits:
         samples = [base.one, 0, base.order - 1] + [rng.randrange(base.order) for _ in range(200)]
         for a in samples:
             assert ring.is_unit(a) == base.is_unit(det_entries(((a,),), base))
-        assert "_quotient_maps" not in vars(ring) and ring._row_tables is None
+        assert "_row_tables" not in vars(ring)
 
     @pytest.mark.parametrize("n,base,tables", [
         (2, GFRing(16), True),
@@ -668,16 +682,17 @@ class TestUnits:
             assert ring.is_unit(ring.encode_entries(sum(rows, []))) == want
             seen.add(want)
         assert seen == {True, False}
-        assert (ring._row_tables is not None) == tables
+        assert ("_row_tables" in vars(ring)) == tables
 
     @pytest.mark.parametrize("text", ["M(2,GF(32))", "M(2,Z(31))"])
     def test_widest_rows_build_small_tables(self, text):
         # rows of about 2^10 values, the widest make_ring admits: the first unit
-        # test builds every table, counted here rather than timed
+        # test builds every table, and the reduction tables are counted here
+        # rather than timed (the difference table, over Z(31) only, has |R| entries)
         ring = make_ring(text)
         assert ring.is_unit(ring.one)
         entries = 0
-        for row_map, reducer in ring._row_tables:
+        for row_map, _, _, reducer in ring._row_tables:
             elims = {id(t): t for t in reducer if t is not None}
             entries += len(row_map or ()) + len(reducer) + sum(map(len, elims.values()))
         assert 2 ** 14 < entries <= 2 ** 16
@@ -770,20 +785,25 @@ class TestAdjacency:
         ("M(2,Z(15))", [81, 625]),
     ])
     def test_difference_table_is_built_by_adjacent_only(self, text, sizes):
+        # one table list per residue field serves units() and adjacent: the
+        # unit scan builds the difference table too, and adjacent builds nothing
         ring = make_ring(text)
         ring.units()
-        assert ring._adjacency is None
-        ring.adjacent(ring.one, 0)
-        assert [None if diff is None else len(diff) for _, _, diff, _ in ring._adjacency] == sizes
+        tables = ring._row_tables
+        assert [None if diff is None else len(diff) for _, _, diff, _ in tables] == sizes
         assert all(size is None or size <= ring.order for size in sizes)
-        # the reduction tables are the unit test's own
-        assert [r for _, _, _, r in ring._adjacency] == [r for _, r in ring._row_tables]
+        ring.adjacent(ring.one, 0)
+        assert ring._row_tables is tables
+        fresh = make_ring(text)
+        fresh.adjacent(fresh.one, 0)
+        assert [len(diff or ()) for _, _, diff, _ in fresh._row_tables] == \
+            [len(diff or ()) for _, _, diff, _ in tables]
 
     @pytest.mark.parametrize("text", ["M(1,GF(5))", "T(2,GF(3))"])
     def test_other_matrix_rings_take_the_default_path(self, text):
         ring = make_ring(text)
         assert all(ring.adjacent(a, 0) == ring.is_unit(a) for a in range(ring.order))
-        assert ring._adjacency is None
+        assert "_row_tables" not in vars(ring)
 
 
 class TestMatrixCodec:
@@ -997,8 +1017,8 @@ class TestDigitMap:
     def test_row_maps_match_reduce_oracle(self, text, n):
         # the M(n, A) row maps onto F^n
         base = make_ring(text)
-        assert [(f.order, m) for f, m in MatRing(n, base)._quotient_maps] == \
-            [(f if isinstance(f, int) else f.order, reduce_row_map(base, n, reduce))
+        assert [(width, m) for m, width, _, _ in MatRing(n, base)._row_tables] == \
+            [((f if isinstance(f, int) else f.order) ** n, reduce_row_map(base, n, reduce))
              for f, reduce in reduce_residue_fields(base)]
 
     @settings(max_examples=60, deadline=None)
@@ -1015,7 +1035,7 @@ class TestDigitMap:
         if is_commutative_spec(ring.spec):
             _same_residue_fields(ring)
         if isinstance(ring, MatRing) and not isinstance(ring, TriRing):
-            assert [m for _, m in ring._quotient_maps] == [
+            assert [m for m, _, _, _ in ring._row_tables] == [
                 reduce_row_map(ring.base, ring.n, reduce)
                 for _, reduce in reduce_residue_fields(ring.base)]
 

@@ -98,3 +98,6 @@ def test_medium_run_builds_each_matrix_ring_once(monkeypatch):
     for text in ("M(2,GF(3))", "M(3,GF(3))", "M(3,GF(2))", "M(4,GF(2))", "M(4,GF(3))",
                  "M(5,GF(2))"):
         assert built[text] == 1, text
+    # M(2,GF(2)) alone and as a factor of prod(Z(2),M(2,GF(2))), which the
+    # product witness reuses
+    assert built["M(2,GF(2))"] <= 2
