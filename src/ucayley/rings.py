@@ -9,18 +9,20 @@ otherwise one step per digit, read off both indices by its stride.  J(R) is
 one subgroup per digit, so R/J(R) is again such a ring, and one digit-wise
 reduction, `digit_map`, is every quotient map here.
 
-`Ring.adjacent(a, b)` is the edge test of the unitary Cayley graph, whether
-a - b is a unit, with no graph built: is_unit(sub(a, b)) by default.  A full
-M(n, A), n >= 2, reads its index as n rows in radix |A|^n.  Its row codec
-turns a row into its n entries and back by one lookup in a table of the
-|A|^n rows (at most 2^10 under make_ring's default cap), built on first use.
-Per residue field F_q of A it keeps one list of tables, built by its first
-unit test or `adjacent` call: the map of a row onto F^n, F^n's difference
-table of q^(2n) <= |M_n(F_q)| entries (none in characteristic 2, where
-x - y is x ^ y), and the row-reduction tables.  Its unit test row-reduces
-over each F_q by lookups in them, and its `adjacent` splits a and b into
-rows together and subtracts each row pair by one lookup in the difference
-table.  T(n, F) and M(1, A) keep the default test.
+Gamma(R) is the Cayley graph Cay(R, U(R)), so x is a unit exactly when x ~ 0,
+and each ring class defines one arithmetic predicate, `_adjacent(a, b)`:
+whether a - b is a unit, for checked indices.  `Ring` builds `adjacent`
+(the edge test of Gamma(R), with no graph built), `is_unit(a)` (a ~ 0) and
+`units()` on it.  A full M(n, A), n >= 2, reads its index as n rows in
+radix |A|^n.  Its row codec turns a row into its n entries and back by one
+lookup in a table of the |A|^n rows (at most 2^10 under make_ring's default
+cap), built on first use.  Per residue field F_q of A it keeps one list of
+tables, built by its first unit or edge test: the map of a row onto F^n,
+F^n's difference table of q^(2n) <= |M_n(F_q)| entries (none in
+characteristic 2, where x - y is x ^ y), and the row-reduction tables.  Its
+`_adjacent` splits a and b into rows together, subtracts each row pair by
+one lookup in the difference table and row-reduces the differences.  T(n, F)
+tests its diagonal, and M(1, A) is A.
 """
 from __future__ import annotations
 
@@ -423,20 +425,26 @@ class Ring:
             out += (a // s + sign * (b // s)) % d * s
         return out
 
-    def _unit(self, a):
+    def _adjacent(self, a, b):
+        """Whether a - b is a unit, for checked indices a and b."""
         raise NotImplementedError
-
-    def is_unit(self, a):
-        self.check_index(a)
-        return self._unit(a)
-
-    def units(self):
-        return [a for a in range(self.order) if self.is_unit(a)]
 
     def adjacent(self, a, b):
         """Whether a - b is a unit: the edge test of the unitary Cayley graph
         of R, with no graph built."""
-        return self.is_unit(self.sub(a, b))
+        order = self.order
+        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
+            self.check_index(a)
+            self.check_index(b)
+        return self._adjacent(a, b)
+
+    def is_unit(self, a):
+        self.check_index(a)
+        return self._adjacent(a, 0)
+
+    def units(self):
+        adjacent = self._adjacent
+        return [a for a in range(self.order) if adjacent(a, 0)]
 
     def element_repr(self, a):
         return str(a)
@@ -457,8 +465,8 @@ class ZmRing(Ring):
         self.check_index(b)
         return (a * b) % self.m
 
-    def _unit(self, a):
-        return math.gcd(a, self.m) == 1
+    def _adjacent(self, a, b):
+        return math.gcd(a - b, self.m) == 1
 
 
 def _poly_rem(num, den, p):
@@ -543,8 +551,8 @@ class GFRing(Ring):
             out = out * p + c % p
         return out
 
-    def _unit(self, a):
-        return a != 0
+    def _adjacent(self, a, b):
+        return a != b
 
 
 def det_entries(rows, base):
@@ -744,8 +752,8 @@ class MatRing(_EntryRing):
 
     @cached_property
     def _row_tables(self):
-        """Per residue field F of A, the tables that `_unit` and `adjacent`
-        read: (row map, |F|^n, difference table, reducer).  The row map takes
+        """Per residue field F of A, the tables that `_adjacent` reads: (row
+        map, |F|^n, difference table, reducer).  The row map takes
         a row of A^n onto F^n and is None when A is F; the difference table
         and reducer are F^n's `_difference_table` and `_rank_tables`."""
         n, radices, out = self.n, self.base.radices, []
@@ -755,45 +763,22 @@ class MatRing(_EntryRing):
                         field.order ** n, diff, _rank_tables(field, n, diff)))
         return out
 
-    def _unit(self, a):
-        """Row reduction over each residue field F of A, by table lookups: a
-        row of A^n maps to F^n, is reduced by the pivots of the rows before it,
-        and the matrix is singular when it reduces to zero.  Under make_ring's
-        default cap, |A|^(n^2) <= 2^20, so for n >= 2 a row has at most 2^10
-        values and F's reduction tables hold at most 33,792 entries (F_32^2),
-        its difference table at most |M_n(F)|."""
-        if self.n == 1:  # M_1(A) is A
-            return self.base.is_unit(a)
-        radix, n = self._row_radix, self.n
-        for row_map, _, _, reducer in self._row_tables:
-            rest, basis = a, []
-            for _ in range(n):  # last row first: the rank does not depend on the order
-                rest, r = divmod(rest, radix)
-                if row_map is not None:
-                    r = row_map[r]
-                for elim in basis:
-                    r = elim[r]
-                if not r:
-                    return False
-                basis.append(reducer[r])
-        return True
-
-    def adjacent(self, a, b):
-        """Whether a - b is a unit, by `_unit`'s row reduction on the rows of
-        a and b split together: over each residue field F of A a row pair maps
-        to F^n and is subtracted by one lookup in F's difference table, or as
-        x ^ y in characteristic 2."""
-        order = self.order
-        if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < order and 0 <= b < order):
-            self.check_index(a)
-            self.check_index(b)
+    def _adjacent(self, a, b):
+        """Row reduction of a - b over each residue field F of A, by table
+        lookups: the rows of a and b are split together, a row pair maps to
+        F^n and is subtracted by one lookup in F's difference table (x ^ y in
+        characteristic 2), the difference is reduced by the pivots of the rows
+        before it, and a - b is singular when it reduces to zero.  Under
+        make_ring's default cap, |A|^(n^2) <= 2^20, so for n >= 2 a row has at
+        most 2^10 values and F's reduction tables hold at most 33,792 entries
+        (F_32^2), its difference table at most |M_n(F)|."""
         n = self.n
-        if n == 1:
-            return super().adjacent(a, b)
+        if n == 1:  # M_1(A) is A
+            return self.base._adjacent(a, b)
         radix = self._row_radix
         for row_map, width, diff, reducer in self._row_tables:
             x, y, basis = a, b, []
-            for _ in range(n):
+            for _ in range(n):  # last row first: the rank does not depend on the order
                 x, rx = divmod(x, radix)
                 y, ry = divmod(y, radix)
                 if row_map is not None:
@@ -812,14 +797,14 @@ class MatRing(_EntryRing):
 
 class TriRing(MatRing):
     """T(n, F): the upper triangular n x n matrices over a field, stored at
-    i <= j.  A unit is a matrix whose diagonal entries are units of F.  Its
+    i <= j.  A unit is a matrix whose diagonal entries are units of F, so
+    a - b is a unit when F's edge test joins each diagonal entry pair.  Its
     index holds the stored entries only, so it has no rows to read at once:
-    it keeps the stored-position codec and the generic adjacency test."""
+    it keeps the stored-position codec and builds no row tables."""
 
     spec_class = T
     decode_entries = _EntryRing.decode_entries
     encode_entries = _EntryRing.encode_entries
-    adjacent = Ring.adjacent
 
     @staticmethod
     def stored_positions(n):
@@ -830,9 +815,10 @@ class TriRing(MatRing):
         n = self.n
         return tuple(tuple(cells.get((i, j), 0) for j in range(n)) for i in range(n))
 
-    def _unit(self, a):
-        return all(self.base.is_unit(x)
-                   for (i, j), x in zip(self.positions, self.decode_entries(a)) if i == j)
+    def _adjacent(self, a, b):
+        radices, base = self._entry_radices, self.base
+        return all(base._adjacent(x, y) for (i, j), x, y in
+                   zip(self.positions, split_digits(a, radices), split_digits(b, radices)) if i == j)
 
 
 class ProdRing(_EntryRing):
@@ -848,8 +834,10 @@ class ProdRing(_EntryRing):
         ca, cb = self.decode_entries(a), self.decode_entries(b)
         return self.encode_entries(tuple(f.mul(x, y) for f, x, y in zip(self.factors, ca, cb)))
 
-    def _unit(self, a):
-        return all(f.is_unit(x) for f, x in zip(self.factors, self.decode_entries(a)))
+    def _adjacent(self, a, b):
+        radices = self._entry_radices
+        return all(f._adjacent(x, y) for f, x, y in
+                   zip(self.factors, split_digits(a, radices), split_digits(b, radices)))
 
     def element_repr(self, a):
         comps = self.decode_entries(a)
@@ -895,12 +883,13 @@ def _build(spec):
 # Jacobson radicals and quotients
 
 def jacobson_radical_bruteforce(ring):
-    """J(R) by quasi-regularity: x is in J iff 1 - r*x is a unit for all r."""
+    """J(R) by quasi-regularity: x is in J iff 1 - r*x is a unit, that is
+    1 ~ r*x, for all r."""
     if ring.order > BRUTE_FORCE_RADICAL_CAP:
         raise CapExceededError("ring of order %d too large for the O(|R|^2) radical scan" % ring.order)
     out = []
     for x in range(ring.order):
-        if all(ring.is_unit(ring.sub(ring.one, ring.mul(r, x))) for r in range(ring.order)):
+        if all(ring.adjacent(ring.one, ring.mul(r, x)) for r in range(ring.order)):
             out.append(x)
     return tuple(out)
 

@@ -521,7 +521,8 @@ def recursive_leaf_sum(spec, weight):
 
 class PositionDictTriRing(_EntryRing):
     """Oracle: T(n, F) as its own entry ring, with a position -> entry dict,
-    a product summed over i <= k <= j and units by their diagonal."""
+    a product summed over i <= k <= j and a - b a unit when each diagonal
+    entry of a less b's is a unit of F."""
 
     def __init__(self, n, base):
         self.positions = [(i, j) for i in range(n) for j in range(i, n)]
@@ -546,9 +547,10 @@ class PositionDictTriRing(_EntryRing):
             out.append(s)
         return self.encode_entries(tuple(out))
 
-    def _unit(self, a):
-        e = self.decode_entries(a)
-        return all(self.base.is_unit(e[self.pos_index[(i, i)]]) for i in range(self.n))
+    def _adjacent(self, a, b):
+        base, ea, eb = self.base, self.decode_entries(a), self.decode_entries(b)
+        return all(base.is_unit(base.sub(ea[t], eb[t]))
+                   for t in (self.pos_index[(i, i)] for i in range(self.n)))
 
     def element_repr(self, a):
         e = self.decode_entries(a)

@@ -1,7 +1,8 @@
 """The repository's settings: pytest's, run on a probe file in a subprocess,
-the package's standard-library-only imports, its unread definitions, and the
-README's constants."""
+the package's standard-library-only imports, its unread definitions, the
+README's constants, and the one edge test of each ring class."""
 import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -107,6 +108,23 @@ def test_readme_constants_are_defined():
     defined = {name for path in sorted((root / "src" / "ucayley").glob("*.py"))
                for name, _ in _module_level_names(ast.parse(path.read_text(), str(path)))}
     assert named and sorted(named - defined) == []
+
+
+def test_each_ring_class_defines_only_the_edge_test():
+    # x is a unit iff x ~ 0 in Gamma(R), so `_adjacent(a, b)` is the one
+    # predicate a ring class defines, and only Ring builds is_unit, units and
+    # adjacent on it (the benchmark's span wraps Ring.units)
+    from ucayley import rings
+    called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(rings._build)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    classes = {cls for cls in map(vars(rings).get, called)
+               if isinstance(cls, type) and issubclass(cls, rings.Ring)}
+    assert {type(rings._build(rings.parse_spec(text))) for text in
+            ("Z(2)", "GF(4)", "M(2,Z(2))", "T(2,GF(2))", "prod(Z(2),Z(3))")} == classes
+    for cls in classes:
+        assert "_adjacent" in vars(cls), cls
+        for klass in cls.__mro__[:cls.__mro__.index(rings.Ring)]:
+            assert not {"is_unit", "units", "adjacent"} & vars(klass).keys(), klass
 
 
 def test_pyproject_lists_no_runtime_dependencies():

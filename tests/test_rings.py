@@ -596,6 +596,15 @@ class TestUnits:
         pairs = [(rng.randrange(ring.order), rng.randrange(ring.order)) for _ in range(200)]
         assert [ring.mul(a, b) for a, b in pairs] == [oracle.mul(a, b) for a, b in pairs]
 
+    @settings(max_examples=60, deadline=None)
+    @given(RING_SPECS.filter(lambda s: spec_order(s) <= 64))
+    def test_units_are_the_invertible_elements(self, spec):
+        # the oracle is multiplication alone: a is a unit iff ab = ba = 1 for some b
+        ring = make_ring(spec)
+        one, elements = ring.one, range(ring.order)
+        assert ring.units() == [a for a in elements
+                                if any(ring.mul(a, b) == one == ring.mul(b, a) for b in elements)]
+
     @pytest.mark.parametrize("text", ["Z(12)", "M(2,GF(3))", "T(2,GF(2))"])
     def test_unit_symmetries_sampled(self, text):
         r = make_ring(text)
@@ -739,8 +748,11 @@ def _adjacency_pairs(ring, rng, count):
 
 class TestAdjacency:
     # Ring.adjacent(a, b) is the edge test of Gamma(R): whether a - b is a unit.
-    # A full M(n, A), n >= 2, splits a and b into rows and subtracts them by
-    # table; every other ring asks is_unit(sub(a, b)), the oracle here.
+    # It checks both indices and asks the ring class's one predicate _adjacent,
+    # which is_unit(a) asks as a ~ 0.  No class subtracts a and b by `sub`: a
+    # full M(n, A), n >= 2, splits them into rows and subtracts those by table,
+    # T and prod test their diagonal and factor entries pairwise, and Z and GF
+    # compare the indices.  is_unit(sub(a, b)) is the oracle here.
     @pytest.mark.parametrize("text", [
         "Z(12)", "Z(1)", "GF(9)", "GF(8)", "T(2,GF(3))", "T(3,GF(2))",
         "prod(Z(2),GF(4))", "prod(Z(4),Z(3))", "M(1,GF(5))", "M(1,prod(Z(2),Z(3)))",
@@ -784,9 +796,10 @@ class TestAdjacency:
         ("M(2,prod(Z(2),Z(3)))", [None, 81]),
         ("M(2,Z(15))", [81, 625]),
     ])
-    def test_difference_table_is_built_by_adjacent_only(self, text, sizes):
+    def test_units_and_adjacent_share_one_table_list(self, text, sizes):
         # one table list per residue field serves units() and adjacent: the
         # unit scan builds the difference table too, and adjacent builds nothing
+        # more; a fresh ring's first adjacent call builds tables of the same sizes
         ring = make_ring(text)
         ring.units()
         tables = ring._row_tables
@@ -801,6 +814,7 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("text", ["M(1,GF(5))", "T(2,GF(3))"])
     def test_other_matrix_rings_take_the_default_path(self, text):
+        # M(1, A) asks A's edge test and T its diagonal's: neither builds row tables
         ring = make_ring(text)
         assert all(ring.adjacent(a, 0) == ring.is_unit(a) for a in range(ring.order))
         assert "_row_tables" not in vars(ring)

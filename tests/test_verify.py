@@ -1,7 +1,8 @@
 """The checks of `verify` report a failure when a function under them
 answers wrongly: each is run as `run_checks` runs it, with the matrix checks'
-`MatRing` unit and adjacency tests answering one fixed value, or with one
-other function patched to drop or flip part of its answer."""
+`MatRing` edge test, which answers both its unit and adjacency tests,
+answering one fixed value, or with one other function patched to drop or flip
+part of its answer."""
 
 import collections
 import dataclasses
@@ -12,13 +13,12 @@ from ucayley.rings import MatRing, Ring
 
 def _report(monkeypatch, check_id, ctx, unit=None):
     """run_checks' result for the one small check `check_id`, run on ctx, with
-    every `MatRing` unit test, and its adjacency test (whether a - b is a
-    unit), answering `unit` unless it is None."""
+    `MatRing._adjacent` (whether a - b is a unit, so a ~ 0 is the unit test)
+    answering `unit` unless it is None."""
     (description, fn), = [(d, f) for cid, d, f in verify.SMALL_CHECKS if cid == check_id]
     monkeypatch.setattr(verify, "SMALL_CHECKS", [(check_id, description, lambda _: fn(ctx))])
     if unit is not None:
-        monkeypatch.setattr(MatRing, "_unit", lambda self, a: unit)
-        monkeypatch.setattr(MatRing, "adjacent", lambda self, a, b: unit)
+        monkeypatch.setattr(MatRing, "_adjacent", lambda self, a, b: unit)
     report = verify.run_checks()
     assert not report["passed"]
     (result,) = report["checks"]
