@@ -16,8 +16,8 @@ from .complexes import (SHELLING_UNKNOWN, codim1_connected, find_shelling,
 from .graphs import (DEFAULT_GRAPH_CAP, build_graph, export_dot, export_stanley_reisner,
                      graph_json)
 from .indsets import Budget, BudgetExceededError, independence_number, is_well_covered
-from .rings import (DEFAULT_RING_CAP, GF, M, Prod, RingError,
-                    jacobson_radical, make_ring, parse_spec)
+from .rings import (DEFAULT_RING_CAP, GF, M, Prod, RingError, jacobson_radical,
+                    join_digits, make_ring, parse_spec, split_digits)
 from .structure import classify_cm, classify_gorenstein, classify_well_covered, ring_metadata
 from .verify import run_checks
 
@@ -228,7 +228,11 @@ def _construct(args):
         _emit(args, payload, _fmt_matrix(mat, n))
     elif args.kind == "avoidance":
         a = _parse_matrix(args.matrix, n, field)
-        b = cons.avoidance_partner(a, n, field)
+        # a row at a time: one join or split over all n^2 digits costs O(n^4)
+        entry, row = (args.q,) * n, (args.q ** n,) * n
+        index = join_digits([join_digits(a[i:i + n], entry) for i in range(0, n * n, n)], row)
+        b = [e for r in split_digits(cons.avoidance_partner(index, n, field), row)
+             for e in split_digits(r, entry)]
         payload = {"kind": "avoidance", "n": n, "q": args.q,
                    "A": _fmt_matrix(a, n), "B": _fmt_matrix(b, n)}
         _emit(args, payload, _fmt_matrix(b, n))

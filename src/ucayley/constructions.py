@@ -1,7 +1,10 @@
 """Explicit matrix constructions used to refute well-coveredness.
 
-Matrices are handled as row-major tuples of base-field element indices;
-`MatRing.encode_entries` turns them into graph vertex indices when needed.
+`reduced_diagonal` and `d_family` give matrices as row-major tuples of
+base-field element indices.  `row_mix` and `avoidance_partner` work on the
+matrix index itself, the `MatRing` one: big-endian radix q = |F| per entry,
+entry (0,0) most significant, so row r is the radix-q^n digit of weight
+q^(n(n-1-r)).
 The shift/row parameters k and l are 1-based (with n standing in for 0
 modulo n), matching the usual statement of the constructions; row subsets
 in `row_mix` are 0-based like every other vertex/row index in this package.
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from .graphs import DEFAULT_GRAPH_CAP, build_graph
 from .indsets import greedy_extend
 # det_entries is not called here; bench/spans.py times it in this namespace
-from .rings import det_entries  # noqa: F401
+from .rings import RingError, det_entries  # noqa: F401
 
 MAX_FAMILY_SIZE = 2 ** 20
 
@@ -62,45 +65,65 @@ def d_family(n, field):
     return sorted(out)
 
 
-def row_mix(a_entries, d_entries, rows_from_d, n):
-    """Matrix taking the rows in rows_from_d (0-based) from D, the rest from A."""
-    if len(a_entries) != n * n or len(d_entries) != n * n:
-        raise ValueError("entry tuples must have length %d" % (n * n))
+def _row_radix(n, field, *matrices):
+    """q^n, the radix of a matrix row, once each matrix index is checked to
+    lie in 0..q^(n^2) - 1, with q = |F|."""
+    row = field.order ** n
+    size = row ** n
+    for a in matrices:
+        if not (isinstance(a, int) and 0 <= a < size):
+            raise RingError("matrix index %r out of range for n=%d over %s" % (a, n, field))
+    return row
+
+
+def row_mix(a, d, rows_from_d, n, field):
+    """The index of the matrix taking the rows in rows_from_d (0-based) from
+    D, the rest from A, for matrix indices a and d.
+
+    Row r is the radix-q^n digit of weight q^(n(n-1-r)), so each row taken
+    from D adds (row_r(D) - row_r(A)) times that weight.  A row listed twice
+    is replaced once.
+    """
+    row = _row_radix(n, field, a, d)
     for r in rows_from_d:
         if not 0 <= r < n:
             raise ValueError("row index %d out of range" % r)
-    rows = set(rows_from_d)
-    return tuple(d_entries[i * n + j] if i in rows else a_entries[i * n + j]
-                 for i in range(n) for j in range(n))
+        w = row ** (n - 1 - r)
+        a += (d // w % row - a // w % row) * w
+    return a
 
 
-def avoidance_partner(a_entries, n, field):
-    """A non-unit B with A - B invertible, for any nonzero A in M(n, F), n > 1.
+def avoidance_partner(a, n, field):
+    """The index of a non-unit B with A - B invertible, for the index a of
+    any nonzero A in M(n, F), n > 1.
 
     Recipe: take the first nonzero entry a_{ij} in row-major order, zero
     out row i of A, and subtract D_{k,i}(1,..,1) with k = j - i mod n.
     Then B has a zero row (hence is singular) and det(A - B) = +/- a_{ij}.
     D's only nonzero entries are its n - 1 ones at (r, r + k mod n), r != i,
-    so B is A with row i zeroed and one subtracted there, and every entry
-    of A is checked once.
+    so B's index is a with row i's digit cleared and one subtracted at
+    those n - 1 entries.  Entry (r, c) has stride q^(n^2 - 1 - rn - c).
     """
     if n <= 1:
         raise ValueError("requires n > 1")
-    if len(a_entries) != n * n:
-        raise ValueError("entry tuple must have length %d" % (n * n))
-    hit = next((t for t, e in enumerate(a_entries) if e != 0), None)
-    if hit is None:
+    row = _row_radix(n, field, a)
+    if a == 0:
         raise ValueError("A must be nonzero")
-    for e in a_entries:
-        field.check_index(e)
-    i, j = divmod(hit, n)  # 0-based; row i + 1 is D's zero row
-    b = list(a_entries)
-    b[i * n:i * n + n] = [0] * n
+    q = field.order
+    i, w = 0, row ** (n - 1)  # the first nonzero row is the first with a >= its weight
+    while a < w:
+        i, w = i + 1, w // row
+    j, s = 0, w * row // q  # the stride of entry (i, 0)
+    while a < s:
+        j, s = j + 1, s // q
+    b = a % w  # row i zeroed: rows above it are zero too
+    one, sub = field.one, field.sub
     for r in range(n):
         if r != i:
-            pos = r * n + (r + j - i) % n
-            b[pos] = field.sub(b[pos], field.one)
-    return tuple(b)
+            s = q ** ((n - 1 - r) * n + n - 1 - (r + j - i) % n)
+            e = b // s % q
+            b += (sub(e, one) - e) * s
+    return b
 
 
 @dataclass

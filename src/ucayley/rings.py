@@ -43,6 +43,9 @@ TRIAL_DIVISION_LIMIT = 2 ** 20
 # many; 64 was fastest or within noise of it from 2^64 to 2^14281
 SCREEN_RUN = 64
 
+# within the default cap only Z(1) entries (radix 1) bring a ring near this many digits
+MAX_RING_DIGITS = 4096
+
 # largest ring on which the O(|R|^2) quasi-regularity scan is attempted
 BRUTE_FORCE_RADICAL_CAP = 4096
 
@@ -860,9 +863,11 @@ def make_ring(spec, cap=DEFAULT_RING_CAP):
         size = "= %d" % order if order < 2 ** 64 else ">= 2^%d" % (order.bit_length() - 1)
         raise CapExceededError("|R| %s exceeds the cardinality cap %d" % (size, cap))
     # len(radices): a digit per Z(m) entry and k per GF(p^k) entry; a Z(1) entry adds no order
-    if sum(copies * (1 if isinstance(leaf, Z) else leaf.k)
-           for leaf, copies in _leaves(spec)) > cap:
+    digits = sum(copies * (1 if isinstance(leaf, Z) else leaf.k) for leaf, copies in _leaves(spec))
+    if digits > cap:
         raise CapExceededError("R has more digits than the cardinality cap %d" % cap)
+    if digits > MAX_RING_DIGITS:
+        raise CapExceededError("R has %d digits, over the limit %d" % (digits, MAX_RING_DIGITS))
     return _build(spec)
 
 

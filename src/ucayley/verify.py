@@ -67,14 +67,13 @@ class _Ctx:
 
     def greedy_over_family(self, n, q):
         """Greedy maximal independent set of Gamma(M_n(F_q)) containing the
-        reduced-diagonal family, as (ring, family, vertex tuple)."""
+        reduced-diagonal family, as (ring, family indices, vertex tuple)."""
         key = (n, q)
         if key not in self._greedy_mnf:
             spec = "M(%d,GF(%d))" % (n, q)
             ring = self.ring(spec)
-            fam = cons.d_family(n, ring.base)
-            seed = tuple(ring.encode_entries(e) for e in fam)
-            m = greedy_extend(self.graph(spec), seed)
+            fam = tuple(ring.encode_entries(e) for e in cons.d_family(n, ring.base))
+            m = greedy_extend(self.graph(spec), fam)
             self._greedy_mnf[key] = (ring, fam, m)
         return self._greedy_mnf[key]
 
@@ -115,8 +114,7 @@ def check_well_covered_small_n(ctx):
 def check_not_well_covered_n3(ctx):
     ring, fam, m = ctx.greedy_over_family(3, 2)
     _need(len(m) < 64, "maximal set over the family has size %d, expected < 64" % len(m))
-    seed = {ring.encode_entries(e) for e in fam}
-    _need(seed <= set(m), "greedy extension lost part of the seed family")
+    _need(set(fam) <= set(m), "greedy extension lost part of the seed family")
     positions = cons.zero_pattern_positions(3)
     for v in m:
         e = ring.decode_entries(v)
@@ -147,13 +145,12 @@ def check_row_mixing(ctx):
     ring, fam, m = ctx.greedy_over_family(3, 2)
     subsets = [s for r in range(1, 4) for s in itertools.combinations(range(3), r)]
     mixes = 0
-    for v in m:
-        a = ring.decode_entries(v)
+    for a in m:
         for d in fam:
             for rows in subsets:
-                mix = cons.row_mix(a, d, rows, 3)
-                _need(not ring.is_unit(ring.encode_entries(mix)),
-                      "row mix of %s with %s over rows %s is invertible", a, d, rows)
+                if ring.is_unit(cons.row_mix(a, d, rows, 3, ring.base)):
+                    raise CheckFailure("row mix of %s with %s over rows %s is invertible"
+                                       % (ring.element_repr(a), ring.element_repr(d), rows))
                 mixes += 1
     return "%d row mixes, all singular" % mixes
 
@@ -196,10 +193,11 @@ def check_avoidance_partner(ctx, random_count=500):
         matrices = (range(1, ring.order) if count is None else
                     (rng.randrange(1, ring.order) for _ in range(count)))
         for a in matrices:
-            entries = ring.decode_entries(a)
-            b = ring.encode_entries(cons.avoidance_partner(entries, n, ring.base))
-            _need(not ring.is_unit(b), "B is a unit for A=%s in M_%d(F_%d)", entries, n, q)
-            _need(ring.adjacent(a, b), "A - B is singular for A=%s in M_%d(F_%d)", entries, n, q)
+            b = cons.avoidance_partner(a, n, ring.base)
+            if ring.is_unit(b) or not ring.adjacent(a, b):
+                raise CheckFailure("%s for A=%s, B=%s in M_%d(F_%d)" % (
+                    "B is a unit" if ring.is_unit(b) else "A - B is singular",
+                    ring.element_repr(a), ring.element_repr(b), n, q))
         details.append("M_%d(F_%d): %s" % (n, q, counted))
     return "; ".join(details)
 

@@ -383,6 +383,14 @@ def entrywise_avoidance_partner(a_entries, n, field):
     return tuple(map(field.sub, a_prime, reduced_diagonal(n, k, i, ones, field)))
 
 
+def entrywise_row_mix(a_entries, d_entries, rows_from_d, n):
+    """Oracle: the row-major entries taking the rows in rows_from_d (0-based)
+    from D and the rest from A, entry by entry."""
+    rows = set(rows_from_d)
+    return tuple(d_entries[i * n + j] if i in rows else a_entries[i * n + j]
+                 for i in range(n) for j in range(n))
+
+
 def reduce_residue_fields(ring):
     """Oracle: the residue fields of a commutative ring as (field, reduce)
     pairs, one rule per ring class: `reduce` maps a list of R's indices to a

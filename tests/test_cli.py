@@ -129,6 +129,17 @@ class TestCommands:
                            "--n", "2", "--q", "2", "--matrix", "1,0;0,0")
         assert code == 0 and out.strip() == "0,0;0,1"
 
+    @pytest.mark.parametrize("q,a,b", [
+        # GF(4) subtracts one by adding it (2 - 1 = 3), GF(9) in F_3[x] (3 - 1 = 5)
+        (4, "0,2,3;1,3,2;2,0,1", "0,0,0;1,3,3;3,0,1"),
+        (9, "0,0,0;0,0,4;3,8,6", "0,2,0;0,0,0;5,8,6"),
+    ])
+    def test_construct_avoidance_over_prime_powers(self, capsys, q, a, b):
+        argv = ("construct", "avoidance", "--n", "3", "--q", str(q), "--matrix", a)
+        assert run(capsys, *argv) == (0, b + "\n", "")
+        assert run(capsys, *argv, "--format", "json") == (
+            0, '{"A": "%s", "B": "%s", "kind": "avoidance", "n": 3, "q": %d}\n' % (a, b, q), "")
+
     def test_verify_paper_json(self, capsys):
         code, out, _ = run(capsys, "verify-paper", "--format", "json")
         assert code == 0
@@ -239,6 +250,7 @@ class TestExitCodes:
         ("classify", "--ring", "Z(%s)" % ("7" * 5000)),
         ("classify", "--ring", "Z(%d)" % (2 ** 14281 - 1)),  # 4,300 digits, no factor up to 2^20
         ("classify", "--ring", "prod(" * 400 + "Z(2)" + ")" * 400),
+        ("radical", "--ring", "M(1024,Z(1))"),  # 2^20 digits: within the cap, over the digit limit
     ])
     def test_huge_input_is_refused_at_once(self, capsys, argv):
         start = time.monotonic()

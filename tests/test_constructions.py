@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import entrywise_avoidance_partner
+from conftest import entrywise_avoidance_partner, entrywise_row_mix
 from ucayley import constructions, verify
 from ucayley.constructions import (avoidance_partner, d_family, product_witness,
                                    reduced_diagonal, row_mix, zero_pattern_positions)
 from ucayley.graphs import build_graph
 from ucayley.indsets import greedy_extend
-from ucayley.rings import GFRing, RingError, det_entries, make_ring
+from ucayley.rings import GFRing, RingError, det_entries, join_digits, make_ring, split_digits
 
 
 def rows_of(entries, n):
@@ -108,51 +108,90 @@ class TestFamily:
             assert singular(diff, n, f)
 
 
+def index_of(entries, q):
+    """The matrix index of row-major entries over GF(q)."""
+    return join_digits(entries, (q,) * len(entries))
+
+
+def entries_of(a, n, q):
+    return split_digits(a, (q,) * (n * n))
+
+
 class TestRowMix:
     def test_empty_rows_returns_a(self):
-        a, d = tuple(range(4)), (9, 9, 9, 9)
-        assert row_mix(a, d, (), 2) == a
+        a, d = index_of((0, 1, 2, 1), 3), index_of((2, 2, 2, 2), 3)
+        assert row_mix(a, d, (), 2, GFRing(3)) == a
 
     def test_all_rows_returns_d(self):
-        a, d = tuple(range(4)), (1, 0, 0, 1)
-        assert row_mix(a, d, (0, 1), 2) == d
+        a, d = index_of((0, 1, 2, 1), 3), index_of((1, 0, 0, 1), 3)
+        assert row_mix(a, d, (0, 1), 2, GFRing(3)) == d
 
     def test_mix_is_singular(self):
         f = GFRing(2)
         r = make_ring("M(3,GF(2))")
-        d1 = reduced_diagonal(3, 1, 1, (1, 1), f)
-        ident = r.decode_entries(r.one)
-        mixed = row_mix(ident, d1, (0,), 3)
+        d1 = r.encode_entries(reduced_diagonal(3, 1, 1, (1, 1), f))
+        mixed = entries_of(row_mix(r.one, d1, (0,), 3, f), 3, 2)
         assert mixed[0:3] == (0, 0, 0)
         assert singular(mixed, 3, f)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            row_mix((0, 0, 0, 0), (0,) * 9, (0,), 3)
+        # a 3 x 3 matrix's index lies past the 2 x 2 ones
+        with pytest.raises(RingError):
+            row_mix(0, 2 ** 9 - 1, (0,), 2, GFRing(2))
+        with pytest.raises(RingError):
+            row_mix(-1, 0, (0,), 2, GFRing(2))
+
+    @pytest.mark.parametrize("rows", [(2,), (0, -1)])
+    def test_row_index_out_of_range(self, rows):
+        with pytest.raises(ValueError, match="row index -?[0-9]+ out of range"):
+            row_mix(0, 0, rows, 2, GFRing(2))
+
+    @pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])
+    def test_matches_entrywise_oracle_exhaustively(self, n, q):
+        f = GFRing(q)
+        subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        cells = list(itertools.product(range(q), repeat=n * n))
+        for a, d in itertools.product(cells, repeat=2):
+            for rows in subsets:
+                got = row_mix(index_of(a, q), index_of(d, q), rows, n, f)
+                assert entries_of(got, n, q) == entrywise_row_mix(a, d, rows, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(3, 2), (3, 3), (2, 4), (4, 2), (3, 4), (2, 9)]).flatmap(
+        lambda nq: st.tuples(st.just(nq), *[st.lists(st.integers(0, nq[1] - 1),
+                                                     min_size=nq[0] ** 2, max_size=nq[0] ** 2)
+                                            for _ in range(2)])))
+    def test_matches_entrywise_oracle_sampled(self, case):
+        # every row subset, and one row listed twice
+        (n, q), a, d = case
+        f = GFRing(q)
+        subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+        for rows in subsets + [(n - 1, 0, n - 1)]:
+            got = row_mix(index_of(a, q), index_of(d, q), rows, n, f)
+            assert entries_of(got, n, q) == entrywise_row_mix(a, d, rows, n)
 
 
 class TestAvoidancePartner:
     def test_spec_example(self):
         f = GFRing(2)
-        b = avoidance_partner((1, 0, 0, 0), 2, f)
-        assert b == (0, 0, 0, 1)
-        diff = tuple(f.sub(x, y) for x, y in zip((1, 0, 0, 0), b))
+        b = avoidance_partner(index_of((1, 0, 0, 0), 2), 2, f)
+        assert entries_of(b, 2, 2) == (0, 0, 0, 1)
+        diff = tuple(f.sub(x, y) for x, y in zip((1, 0, 0, 0), entries_of(b, 2, 2)))
         assert diff == (1, 0, 0, 1)
 
     def test_identity_m3f3(self):
-        f = GFRing(3)
-        ident = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-        b = avoidance_partner(ident, 3, f)
+        r = make_ring("M(3,GF(3))")
+        f = r.base
+        ident = r.decode_entries(r.one)
+        b = entries_of(avoidance_partner(r.one, 3, f), 3, 3)
         assert singular(b, 3, f)
         diff = tuple(f.sub(x, y) for x, y in zip(ident, b))
         assert not singular(diff, 3, f)
 
     def test_exhaustive_m2f2(self):
         f = GFRing(2)
-        for entries in itertools.product((0, 1), repeat=4):
-            if not any(entries):
-                continue
-            b = avoidance_partner(entries, 2, f)
+        for a in range(1, 16):
+            entries, b = entries_of(a, 2, 2), entries_of(avoidance_partner(a, 2, f), 2, 2)
             assert singular(b, 2, f)
             diff = tuple(f.sub(x, y) for x, y in zip(entries, b))
             assert not singular(diff, 2, f)
@@ -162,9 +201,9 @@ class TestAvoidancePartner:
         # M_3(F_3): seed 2 drew a zero matrix when entries were drawn one by one
         checked = []
 
-        def counted(entries, n, field):
+        def counted(a, n, field):
             checked.append(n)
-            return avoidance_partner(entries, n, field)
+            return avoidance_partner(a, n, field)
         monkeypatch.setattr(constructions, "avoidance_partner", counted)
         detail = verify.check_avoidance_partner(verify._Ctx(seed=2), random_count=2000)
         assert detail.endswith("M_3(F_3): 2000 random matrices")
@@ -175,29 +214,36 @@ class TestAvoidancePartner:
         f = GFRing(q)
         for entries in itertools.product(range(q), repeat=n * n):
             if any(entries):
-                assert avoidance_partner(entries, n, f) == entrywise_avoidance_partner(entries, n, f)
+                got = entries_of(avoidance_partner(index_of(entries, q), n, f), n, q)
+                assert got == entrywise_avoidance_partner(entries, n, f)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from([(3, 3), (4, 2), (3, 4)]).flatmap(
+    @given(st.sampled_from([(3, 3), (4, 2), (3, 4), (2, 9)]).flatmap(
         lambda nq: st.tuples(st.just(nq), st.lists(st.integers(0, nq[1] - 1),
                                                    min_size=nq[0] ** 2, max_size=nq[0] ** 2)
                              .filter(any))))
     def test_matches_entrywise_oracle_sampled(self, case):
         (n, q), entries = case
         f = GFRing(q)
-        assert avoidance_partner(tuple(entries), n, f) == entrywise_avoidance_partner(entries, n, f)
+        got = entries_of(avoidance_partner(index_of(entries, q), n, f), n, q)
+        assert got == entrywise_avoidance_partner(entries, n, f)
 
     @pytest.mark.parametrize("entries", [(1, 0, 0, 3), (0, 1, 2, -1), (1, 1.0, 0, 0), (3, 0, 0, 0)])
     def test_out_of_range_entry_raises(self, entries):
-        # an entry of row i, which B does not keep, is checked too
+        # a bad entry, kept or not, has no matrix index to pass on
         with pytest.raises(RingError):
-            avoidance_partner(entries, 2, GFRing(3))
+            index_of(entries, 3)
+
+    @pytest.mark.parametrize("a", [-1, 3 ** 4, 3 ** 9, 2 ** 100, 1.0, "1", None])
+    def test_out_of_range_index_raises(self, a):
+        with pytest.raises(RingError, match="matrix index .* out of range for n=2 over GF"):
+            avoidance_partner(a, 2, GFRing(3))
 
     def test_rejects_zero_or_scalar(self):
-        with pytest.raises(ValueError):
-            avoidance_partner((0, 0, 0, 0), 2, GFRing(2))
-        with pytest.raises(ValueError):
-            avoidance_partner((1,), 1, GFRing(2))
+        with pytest.raises(ValueError, match="A must be nonzero"):
+            avoidance_partner(0, 2, GFRing(2))
+        with pytest.raises(ValueError, match="requires n > 1"):
+            avoidance_partner(1, 1, GFRing(2))
 
 
 class TestZeroPattern:

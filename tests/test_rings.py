@@ -254,6 +254,12 @@ class TestMakeRing:
             make_ring("M(3,Z(1))", cap=8)
         assert make_ring("M(3,Z(1))", cap=9).radices == (1,) * 9
 
+    def test_zero_ring_digits_are_limited(self):
+        # within the default cap only radix-1 digits can reach the digit limit
+        assert len(make_ring("M(64,Z(1))").radices) == rings.MAX_RING_DIGITS
+        with pytest.raises(CapExceededError, match="R has 4225 digits, over the limit 4096"):
+            make_ring("M(65,Z(1))")
+
     @settings(max_examples=100, deadline=None)
     @given(RING_SPECS, st.integers(1, 400))
     def test_cap_check_matches_the_order(self, spec, cap):

@@ -35,17 +35,38 @@ def test_row_mixing_fails_when_every_mix_is_a_unit(monkeypatch):
     ctx = verify._Ctx()
     ctx.greedy_over_family(3, 2)  # the graph and its maximal set, with the true units
     detail = _report(monkeypatch, "lem-comrows-3-2", ctx, True)
-    assert detail.startswith("row mix of ") and detail.endswith(" over rows (0,) is invertible")
+    # A and D named as matrices: the zero matrix is first in both
+    assert detail == ("row mix of 0,0,0;0,0,0;0,0,0 with 0,0,0;0,0,0;0,0,0 "
+                      "over rows (0,) is invertible")
 
 
 def test_avoidance_fails_when_no_matrix_is_a_unit(monkeypatch):
     detail = _report(monkeypatch, "lem-ab-avoidance", verify._Ctx(), False)
-    assert detail == "A - B is singular for A=(0, 0, 0, 1) in M_2(F_2)"
+    assert detail == "A - B is singular for A=0,0;0,1, B=1,0;0,0 in M_2(F_2)"
 
 
 def test_avoidance_fails_when_every_matrix_is_a_unit(monkeypatch):
     detail = _report(monkeypatch, "lem-ab-avoidance", verify._Ctx(), True)
-    assert detail == "B is a unit for A=(0, 0, 0, 1) in M_2(F_2)"
+    assert detail == "B is a unit for A=0,0;0,1, B=1,0;0,0 in M_2(F_2)"
+
+
+def test_matrix_lemmas_pass_indices_not_entries(monkeypatch):
+    # the avoidance and row-mix checks hand matrix indices to the constructions:
+    # no matrix is decoded, and only the family is encoded, once per member
+    ctx = verify._Ctx()
+    for n, q in ((2, 2), (2, 3), (3, 3)):
+        ctx.matrices(n, q)
+    ring = ctx.ring("M(3,GF(2))")
+    calls = collections.Counter()
+    for name in ("decode_entries", "encode_entries"):
+        def counted(self, x, name=name, method=getattr(MatRing, name)):
+            calls[name] += 1
+            return method(self, x)
+        monkeypatch.setattr(MatRing, name, counted)
+    verify.check_avoidance_partner(ctx, random_count=2000)
+    assert calls == {}
+    verify.check_row_mixing(ctx)
+    assert calls == {"encode_entries": len(verify.cons.d_family(3, ring.base))}
 
 
 def test_radical_check_fails_when_the_radical_drops_an_element(monkeypatch):
