@@ -113,7 +113,8 @@ def test_readme_constants_are_defined():
 def test_each_ring_class_defines_only_the_edge_test():
     # x is a unit iff x ~ 0 in Gamma(R), so `_adjacent(a, b)` is the one
     # predicate a ring class defines, and only Ring builds is_unit, units and
-    # adjacent on it (the benchmark's span wraps Ring.units)
+    # adjacent on it (the benchmark's span wraps Ring.units); a full M(n, A)
+    # alone also tests a set's independence by its own loop
     from ucayley import rings
     called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(rings._build)))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
@@ -125,6 +126,10 @@ def test_each_ring_class_defines_only_the_edge_test():
         assert "_adjacent" in vars(cls), cls
         for klass in cls.__mro__[:cls.__mro__.index(rings.Ring)]:
             assert not {"is_unit", "units", "adjacent"} & vars(klass).keys(), klass
+            assert klass is rings.MatRing or \
+                vars(klass).get("independent", rings.Ring.independent) is rings.Ring.independent, klass
+    assert "independent" in vars(rings.MatRing)
+    assert rings.TriRing.independent is rings.Ring.independent
 
 
 def test_pyproject_lists_no_runtime_dependencies():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -817,6 +818,37 @@ class TestAdjacency:
         fresh.adjacent(fresh.one, 0)
         assert [len(diff or ()) for _, _, diff, _ in fresh._row_tables] == \
             [len(diff or ()) for _, _, diff, _ in tables]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["M(2,GF(2))", "M(2,GF(3))", "M(3,GF(2))", "M(2,GF(4))", "M(3,GF(3))",
+                            "M(2,Z(12))", "M(2,Z(4))", "M(1,GF(5))", "T(2,GF(3))", "T(3,GF(2))",
+                            "prod(Z(2),M(2,GF(3)))", "Z(12)", "Z(1)", "M(2,Z(1))"]),
+           st.randoms(use_true_random=False), st.integers(0, 12), st.booleans(), st.booleans(),
+           st.sampled_from([None, -1, "order", 1.5]))
+    def test_independent_matches_pairwise_oracle(self, text, rng, size, greedy, duplicate, bad):
+        # a full M(n, A) reduces each pair from rows split once per member (two
+        # residue fields with row maps on M(2,Z(12))); every other ring, T and
+        # M(1, A) included, loops over its pair test.  Greedy sets are independent
+        # by construction, so both answers are drawn on every ring of order > 1.
+        ring = make_ring(text)
+        members = []
+        for _ in range(size):
+            a = rng.randrange(ring.order)
+            if not greedy or not any(ring.adjacent(a, b) for b in members):
+                members.append(a)
+        if duplicate and members:
+            members.append(rng.choice(members))
+            rng.shuffle(members)
+        if bad is not None:
+            bad = ring.order if bad == "order" else bad
+            with pytest.raises(RingError) as want:
+                ring.adjacent(bad, 0)
+            members.insert(rng.randrange(len(members) + 1), bad)
+            with pytest.raises(RingError, match=re.escape(str(want.value))):
+                ring.independent(members)
+            return
+        assert ring.independent(members) == \
+            (not any(ring.adjacent(a, b) for a, b in itertools.combinations(members, 2)))
 
     @pytest.mark.parametrize("text", ["M(1,GF(5))", "T(2,GF(3))"])
     def test_other_matrix_rings_take_the_default_path(self, text):

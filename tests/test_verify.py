@@ -1,8 +1,8 @@
 """The checks of `verify` report a failure when a function under them
 answers wrongly: each is run as `run_checks` runs it, with the matrix checks'
-`MatRing` edge test, which answers both its unit and adjacency tests,
-answering one fixed value, or with one other function patched to drop or flip
-part of its answer."""
+`MatRing` edge test, which answers both its unit and adjacency tests, or the
+family check's set test `MatRing.independent`, answering one fixed value, or
+with one other function patched to drop or flip part of its answer."""
 
 import collections
 import dataclasses
@@ -27,7 +27,9 @@ def _report(monkeypatch, check_id, ctx, unit=None):
 
 
 def test_family_check_fails_when_every_difference_is_a_unit(monkeypatch):
-    detail = _report(monkeypatch, "lem-dk-family", verify._Ctx(), True)
+    # the check asks the set test `MatRing.independent`, not the pair test
+    monkeypatch.setattr(MatRing, "independent", lambda self, members: False)
+    detail = _report(monkeypatch, "lem-dk-family", verify._Ctx())
     assert detail == "family not independent for (n=2,q=2)"
 
 
@@ -67,6 +69,26 @@ def test_matrix_lemmas_pass_indices_not_entries(monkeypatch):
     assert calls == {}
     verify.check_row_mixing(ctx)
     assert calls == {"encode_entries": len(verify.cons.d_family(3, ring.base))}
+
+
+def test_family_check_asks_one_set_test_per_ring(monkeypatch):
+    # each family is tested as one set, its members' rows split once, with no
+    # pairwise edge test; the details of both family checks are unchanged
+    calls = collections.Counter()
+    for name in ("_adjacent", "independent"):
+        def counted(self, *args, name=name, method=getattr(MatRing, name)):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(MatRing, name, counted)
+    verify.check_family_independent(verify._Ctx(), pairs=((4, 3), (5, 2)))
+    assert calls == {"independent": 2}
+    monkeypatch.undo()
+    details = {c["id"]: c["detail"] for c in verify.run_checks("medium", seed=7)["checks"]}
+    assert details["lem-dk-family"] == (
+        "pairwise-singular differences; sizes (2,2): 3 matrices, (2,3): 5 matrices, "
+        "(3,2): 10 matrices, (3,3): 25 matrices, (4,2): 29 matrices")
+    assert details["lem-dk-family-medium"] == (
+        "pairwise-singular differences; sizes (4,3): 105 matrices, (5,2): 76 matrices")
 
 
 def test_radical_check_fails_when_the_radical_drops_an_element(monkeypatch):
