@@ -262,7 +262,11 @@ def find_shelling(c, budget=None):
     Fast negative: a pure complex that is disconnected in codimension 1
     admits no shelling.  Otherwise backtracking over facet orders on an
     explicit stack (the shelling condition only depends on the *set* of
-    prior facets, so dead prefixes are memoized by that set).
+    prior facets, so dead prefixes are memoized by that set).  Each frame
+    walks only the facets not yet placed, in increasing order, and stops at
+    the first that attaches: one node (one budget tick, one placed facet)
+    costs one `_attaches` call per candidate tried, each a few operations
+    on t-bit masks for t facets, and never a step over a placed facet.
     """
     if not is_pure(c):
         raise ValueError("shellability is defined here for pure complexes only")
@@ -280,16 +284,21 @@ def find_shelling(c, budget=None):
                               detail="disconnected in codimension 1 "
                                      "(%d components)" % len(comps))
     facets, cols = c.facets, c.cols
+    everything = (1 << t) - 1
     dead = set()
     order, mask = [], 0  # mask: the index mask of the facets in the order
     frames = [0]  # one per prefix of the order: the next facet to try
     try:
         budget.tick()
         while frames:
-            i = frames[-1]
-            while i < t and (mask >> i & 1 or not _attaches(facets[i], mask, cols)):
-                i += 1
-            if i == t:  # every extension of this prefix fails
+            # the unplaced facets from the frame's next one on, least first
+            free = everything & ~mask & -(1 << frames[-1])
+            while free:
+                i = (free & -free).bit_length() - 1
+                if _attaches(facets[i], mask, cols):
+                    break
+                free &= free - 1
+            else:  # every extension of this prefix fails
                 dead.add(mask)
                 frames.pop()
                 if order:

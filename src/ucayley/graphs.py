@@ -7,11 +7,14 @@ records that quotient for the searches in `indsets`.
 Adjacency is stored as one Python int bitset per vertex; the downstream
 enumeration kernels live on word-parallel set intersections.  The edge lists
 and text formats read a row's neighbours through `_selector` and
-`itertools.compress`, one C-level pass per row, not one bit at a time.
+`itertools.compress`, one C-level pass per row, not one bit at a time.  A
+graph that records a blow-up shares one row among each twin class, and the
+text formats read each class row once, so their cost follows the output.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import compress
 
 from .rings import CapExceededError, radical_quotient
@@ -67,6 +70,11 @@ class UGraph:
         return self.labels(v) if callable(self.labels) else self.labels[v]
 
     def add_edge(self, u, v):
+        """Join vertices u and v, and clear the recorded group and twin
+        quotient; a pair that is not two distinct vertices changes nothing."""
+        for x in (u, v):
+            if not (isinstance(x, int) and 0 <= x < self.n):
+                raise ValueError("%r is not a vertex of a graph on %d vertices" % (x, self.n))
         if u == v:
             raise ValueError("no loops in a simple graph")
         self.group, self.twin_quotient = None, None
@@ -192,12 +200,33 @@ def conjunction_product(g1, g2):
 
 def _edge_lines(g, prefix, names, sep="\n"):
     """One text block per vertex u with a neighbour above it: the items
-    `prefix % u + names[v]` for each such neighbour v, in order, joined by sep."""
-    for u in range(g.n):
-        above = list(compress(names[u + 1:], _selector(g.adj[u] >> (u + 1))))
-        if above:
+    `prefix % u + names[v]` for each such neighbour v, in order, joined by sep.
+
+    A graph with no recorded blow-up reads each vertex's bits above it in
+    one pass: its rows are mostly distinct, and decoding each whole row
+    would cost more.  A blow-up's twin classes share a row, so each class
+    row is read once, into its sorted neighbours and their names, and u
+    takes the names past u, found by bisection.
+    """
+    if g.twin_quotient is None:
+        for u in range(g.n):
+            above = list(compress(names[u + 1:], _selector(g.adj[u] >> (u + 1))))
+            if above:
+                head = prefix % u
+                yield head + (sep + head).join(above)
+        return
+    vertices = range(g.n)
+    rows = [None] * g.n  # u -> (the neighbours of u, their names)
+    for c in g.twin_quotient[1]:
+        sel = _selector(g.adj[c[0]])
+        row = list(compress(vertices, sel)), list(compress(names, sel))
+        for u in c:
+            rows[u] = row
+    for u, (nbrs, nbr_names) in enumerate(rows):
+        k = bisect_right(nbrs, u)
+        if k < len(nbrs):
             head = prefix % u
-            yield head + (sep + head).join(above)
+            yield head + (sep + head).join(nbr_names[k:])
 
 
 def export_dot(g):

@@ -15,7 +15,7 @@ from conftest import (RING_SPECS, antichain_error, brute_force_maximal_independe
                       recursive_find_shelling, set_attaches, set_codim1_components)
 from test_indsets import blow_up, circulant, random_graph
 from ucayley.complexes import (Complex, SHELLING_FOUND, SHELLING_NONE,
-                               SHELLING_UNKNOWN, _attaches, codim1_connected,
+                               SHELLING_UNKNOWN, ShellingResult, _attaches, codim1_connected,
                                find_shelling, independence_complex, is_pure,
                                is_shelling_order, pure_skeleton)
 from ucayley.graphs import UGraph, build_graph, conjunction_product, export_stanley_reisner
@@ -29,6 +29,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # facet lists on vertices 0..6, with repeated and empty facets
 FACET_LISTS = st.lists(st.lists(st.integers(0, 6), max_size=5, unique=True), max_size=8)
+
+
+@st.composite
+def pure_complexes(draw):
+    """A pure complex of 2 to 40 facets, all of one size from 2 up, on at most
+    8 vertices (facets of size 1 shell in any order, with no search)."""
+    n = draw(st.integers(3, 8))
+    size = draw(st.integers(2, n - 1))
+    facets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=size, max_size=size),
+                           min_size=2, max_size=40, unique_by=frozenset))
+    return Complex(n, facets)
+
+
+PURE_COMPLEXES = pure_complexes()
 
 
 def from_face_list(n, faces):
@@ -443,6 +457,33 @@ class TestShelling:
                 got, want = Budget(max_nodes=nodes), Budget(max_nodes=nodes)
                 assert find_shelling(s, got) == recursive_find_shelling(s, want)
                 assert got.nodes == want.nodes
+
+    @settings(max_examples=150, deadline=None)
+    @given(PURE_COMPLEXES)
+    # a 5-vertex Moebius strip: connected in codimension 1, with no shelling
+    @example(Complex(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)]))
+    def test_random_pure_complexes_match_the_recursive_oracle(self, c):
+        # beyond the catalogue: random backtracking and dead-prefix memo hits
+        for nodes in (20, 40000):
+            got, want = Budget(max_nodes=nodes), Budget(max_nodes=nodes)
+            assert find_shelling(c, got) == recursive_find_shelling(c, want)
+            assert got.nodes == want.nodes
+
+    def test_z2_fourth_takes_257_nodes_in_index_order(self):
+        c = independence_complex(build_graph(make_ring("prod(Z(2),Z(2),Z(2),Z(2))")))
+        budget = Budget()
+        res = find_shelling(c, budget)
+        assert res == ShellingResult(SHELLING_FOUND, tuple(range(256)))
+        assert budget.nodes == 257
+
+    def test_z2_fifth_trips_a_2000_node_budget(self):
+        ring = make_ring("prod(Z(2),Z(2),Z(2),Z(2),Z(2))")
+        c = independence_complex(build_graph(ring))
+        assert len(c.facets) == 65536
+        budget = Budget(max_nodes=2000)
+        res = find_shelling(c, budget)
+        assert res == ShellingResult(SHELLING_UNKNOWN, detail="budget exhausted")
+        assert budget.nodes == 2001
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=4), min_size=2,

@@ -12,6 +12,7 @@ from conftest import (ENUMERATE_RINGS, RING_SPECS, SEARCH_EXTRA, _twin_quotient,
                       bitwise_conjunction_adj, bitwise_edges, difference_rows,
                       elementwise_graph, elementwise_row, tuple_dot, tuple_edge_ideal,
                       tuple_json)
+from test_indsets import blow_up, random_graph
 from ucayley import graphs, rings
 from ucayley.cli import main
 from ucayley.graphs import (UGraph, _translates, build_graph, conjunction_product, export_dot,
@@ -269,6 +270,17 @@ class TestGroupRecord:
         g.add_edge(0, 2)
         assert g.group is None and not g.transitive and g.twin_quotient is None
 
+    @pytest.mark.parametrize("u,v", [(0, 4), (0, -1), (4, 0), (-1, 0), (1, 1),
+                                     (0, 1.0), ("0", 1), (None, 1)])
+    def test_a_refused_edge_changes_nothing(self, u, v):
+        g = build_graph(make_ring("Z(4)"))
+        adj, group, quotient = list(g.adj), g.group, g.twin_quotient
+        with pytest.raises(ValueError):
+            g.add_edge(u, v)
+        # before the check, (0, 4) left the half edge adj[0] |= 16 behind
+        assert g.adj == adj and g.group is group and g.twin_quotient is quotient
+        assert quotient is not None
+
     def test_transitive_is_read_only(self):
         with pytest.raises(AttributeError):
             UGraph(2).transitive = True
@@ -387,6 +399,30 @@ class TestTextFormatsMatchOracles:
     @pytest.mark.parametrize("text", ["M(2,GF(5))", "T(3,GF(3))", "prod(Z(3),M(2,GF(3)))"])
     def test_ring_graphs_up_to_729_vertices(self, text):
         assert_text_formats_match_oracles(build_graph(make_ring(text)))
+
+    @pytest.mark.parametrize("a,b", [("Z(4)", "Z(9)"), ("M(2,Z(4))", "Z(3)")])
+    def test_conjunction_products_of_blow_ups(self, a, b):
+        g = conjunction_product(build_graph(make_ring(a)), build_graph(make_ring(b)))
+        assert g.twin_quotient is not None
+        assert_text_formats_match_oracles(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_blow_ups_with_shuffled_classes(self, seed):
+        rng = random.Random(seed)
+        base = random_graph(rng.randrange(1, 9), rng.random(), seed)
+        g = blow_up(base, [rng.randrange(1, 4)] * base.n, rng)
+        assert g.twin_quotient is not None
+        assert_text_formats_match_oracles(g)
+
+    def test_a_blow_up_reads_each_class_row_once(self, monkeypatch):
+        # T(3,GF(3)): 729 vertices in 27 cosets of J, one row per coset
+        g = build_graph(make_ring("T(3,GF(3))"))
+        calls = []
+        selector = graphs._selector
+        monkeypatch.setattr(graphs, "_selector", lambda m: calls.append(m) or selector(m))
+        assert export_stanley_reisner(g) == tuple_edge_ideal(g)
+        assert len(calls) == 27 == len(g.twin_quotient[1])
 
     @pytest.mark.parametrize("fmt,oracle", [
         ("dot", tuple_dot), ("edge-ideal", tuple_edge_ideal),
